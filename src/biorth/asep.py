@@ -10,18 +10,25 @@ The stationary distribution is computed two ways:
 
 * ``stationary_exact`` solves pi M = 0 exactly (the oracle; no model
   structure beyond the generator enters);
-* ``stationary_ansatz`` evaluates the functional on a product of
-  per-site letters.  Variant "shifted" uses the letters d, e literally;
-  variant "unshifted" substitutes D = (1 + d)/(1-q), E = (1 + e)/(1-q)
-  first.  ``compare`` records which variant(s) reproduce the oracle --
-  the comparison reports, it never corrects.
+* ``stationary_ansatz`` gives configuration tau the weight
+  <e0| X_tau1 ... X_tauL |e0> in the tridiagonal representation of d and
+  e (``repmat.rep_rational``).  Variant "shifted" uses the letters d, e
+  literally; variant "unshifted" substitutes D = (1 + d)/(1-q),
+  E = (1 + e)/(1-q).  Configurations sharing a suffix share the vector
+  X_tauk ... X_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
+  steps.  ``ansatz_weight`` evaluates one configuration by the word route
+  instead (expand the letter product, normal order, read the moment
+  table); it is the reference for the representation route and its
+  fallback where the representation is singular.  ``compare`` records
+  which variant(s) reproduce the oracle -- the comparison reports, it
+  never corrects.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _linalg
@@ -31,10 +38,12 @@ from .core import (
     HoppingRates,
     InvalidParams,
     NotIrreducible,
+    SingularParams,
     SizeLimit,
     format_rational,
     to_rates,
 )
+from .repmat import rep_rational
 from .reporting import canonical_json, jsonable
 from .wordfun import WordPoly, functional
 
@@ -103,11 +112,13 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
     size = 1 << length
     left_mask = 1 << (length - 1)
     entries: dict[tuple[int, int], Fraction] = {}
+    row_sums = [Fraction(0)] * size
 
     def add(src: int, dst: int, rate: Fraction):
         if rate:
             key = (src, dst)
             entries[key] = entries.get(key, Fraction(0)) + rate
+            row_sums[src] += rate
 
     for s in range(size):
         if s & left_mask:
@@ -126,8 +137,7 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
                 add(s, (s & ~hi) | lo, Fraction(1))
             elif pair == lo:
                 add(s, (s | hi) & ~lo, q)
-    for s in range(size):
-        total = sum(rate for (src, _), rate in entries.items() if src == s)
+    for s, total in enumerate(row_sums):
         if total:
             entries[(s, s)] = -total
     return entries
@@ -187,15 +197,58 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
     return functional(word, p)
 
 
+def _site_operators(p: AWParams, length: int, variant: str):
+    """Empty-site and occupied-site operators for words of length <= L.
+
+    A closed walk of length L from level 0 never climbs above level L//2,
+    so the truncation of size L//2 + 1 gives <e0| word |e0> exactly.
+    """
+    dop, eop = rep_rational(p, length // 2 + 1)
+    if variant == "shifted":
+        return eop, dop
+    scale = 1 / p.qprime
+    return tuple(
+        replace(
+            op,
+            diag=tuple((1 + x) * scale for x in op.diag),
+            upper=tuple(x * scale for x in op.upper),
+            lower=tuple(x * scale for x in op.lower),
+        )
+        for op in (eop, dop)
+    )
+
+
+def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
+    """<e0| X_tau1 ... X_tauL |e0> for every state, shared by suffix.
+
+    After k steps, vectors[s] = X_tau(L-k+1) ... X_tauL |e0> where s holds
+    sites L-k+1..L in its k low bits, so each step prepends site L-k as
+    bit k of the state.
+    """
+    e0 = [Fraction(0)] * empty.size
+    e0[0] = Fraction(1)
+    vectors = [e0]
+    for _ in range(length):
+        vectors = [op.matvec(v) for op in (empty, occupied) for v in vectors]
+    return [v[0] for v in vectors]
+
+
 def stationary_ansatz(
     length: int, p: AWParams, variant: str = "unshifted"
 ) -> StationaryDistribution:
     """Normalized ansatz distribution for all 2^L configurations.
 
-    Also recomputes the normalization as the functional of the expanded
-    L-th power of the summed site letters; a mismatch with the sum of the
-    individual weights would mean the expansion layer is broken, so it is
-    checked here rather than trusted.
+    The weights come from the tridiagonal representation, shared across
+    configurations by suffix.  Where ``rep_rational`` meets a vanishing
+    denominator (abcd = q or q^2, say) that the moment table does not, each
+    weight is computed by the word route of ``ansatz_weight`` instead.
+
+    The normalization is then recomputed by the word route, as the
+    functional of the expanded L-th power of the summed site letters, and
+    checked against the sum of the weights.  The representation and the
+    moment table share nothing above the parameters, so a mismatch means
+    one route is broken; under the fallback the check still guards the
+    expansion of the letter products.
     """
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")
@@ -203,10 +256,14 @@ def stationary_ansatz(
         raise SizeLimit(f"stationary_ansatz is guarded to L <= {_ANSATZ_LIMIT}")
     if variant not in VARIANTS:
         raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
-    size = 1 << length
-    weights = [
-        ansatz_weight(config_bits(s, length), p, variant) for s in range(size)
-    ]
+    try:
+        empty, occupied = _site_operators(p, length, variant)
+    except SingularParams:
+        weights = [
+            ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)
+        ]
+    else:
+        weights = _transfer_weights(length, empty, occupied)
     total = sum(weights)
 
     site_sum = _site_letter_poly(True, variant, p.qprime) + _site_letter_poly(

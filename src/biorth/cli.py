@@ -332,6 +332,16 @@ def _cmd_verify_all(args) -> int:
     return 0 if all(_all_passed(reports) for reports in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biorth",
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_stationary)
 
     cmd = sub.add_parser("verify-all", help="full suite over the built-in parameter grid")
-    cmd.add_argument("--jobs", type=int, default=4)
+    cmd.add_argument("--jobs", type=_positive_int, default=4)
     _add_output_flags(cmd)
     cmd.set_defaults(handler=_cmd_verify_all)
 

@@ -73,6 +73,16 @@ class TridiagonalOperator:
     def to_dense(self):
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
+    def matvec(self, vec):
+        """This operator applied to the column vector vec (a list of length size)."""
+        last = self.size - 1
+        return [
+            self.diag[i] * vec[i]
+            + (self.lower[i - 1] * vec[i - 1] if i else 0)
+            + (self.upper[i] * vec[i + 1] if i < last else 0)
+            for i in range(self.size)
+        ]
+
     def to_json_dict(self) -> dict:
         def render(value):
             if self.scalar_kind == "exact":

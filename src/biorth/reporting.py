@@ -19,12 +19,8 @@ def jsonable(value):
     """Map exact values (and containers of them) to JSON-stable forms."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

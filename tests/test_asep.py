@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 
 from biorth import (
+    BiorthError,
     InvalidParams,
+    SingularParams,
     SizeLimit,
     StationaryDistribution,
     ansatz_weight,
@@ -14,9 +16,17 @@ from biorth import (
     stationary_exact,
     to_rates,
 )
-from biorth.asep import VARIANTS, config_bits, config_string, generator
+from biorth import asep
+from biorth.asep import (
+    VARIANTS,
+    _site_operators,
+    _transfer_weights,
+    config_bits,
+    config_string,
+    generator,
+)
 
-from conftest import valid_params
+from conftest import make_params, valid_params
 
 
 def test_config_helpers():
@@ -50,8 +60,11 @@ def test_generator_bonds_and_row_sums(canonical):
     gen = generator(2, rates)
     assert gen[(2, 1)] == 1  # 10 -> 01 forward hop
     assert gen[(1, 2)] == rates.q
-    for s in range(4):
-        assert sum(rate for (src, _), rate in gen.items() if src == s) == 0
+    for length in range(1, 9):
+        sums = [F(0)] * (1 << length)
+        for (src, _), rate in generator(length, rates).items():
+            sums[src] += rate
+        assert not any(sums)
 
 
 def test_stationary_single_site(canonical):
@@ -91,6 +104,50 @@ def test_ansatz_weights_two_sites(canonical):
     assert ansatz_weight((1, 0), canonical, "shifted") == bimoment_block(
         canonical, 1
     ).entry(1, 1)
+
+
+def _word_route(length, p, variant):
+    return [ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)]
+
+
+def test_transfer_weights_equal_word_route(grid, canonical):
+    cases = [(p, length) for p in grid for length in range(1, 7)]
+    cases += [(canonical, 7), (canonical, 8)]
+    for p, length in cases:
+        for variant in VARIANTS:
+            empty, occupied = _site_operators(p, length, variant)
+            assert _transfer_weights(length, empty, occupied) == _word_route(
+                length, p, variant
+            )
+
+
+def test_normalization_checks_the_weights_against_the_word_route(canonical, monkeypatch):
+    def off_by_one(length, empty, occupied):
+        weights = _transfer_weights(length, empty, occupied)
+        return [weights[0] + 1] + weights[1:]
+
+    monkeypatch.setattr(asep, "_transfer_weights", off_by_one)
+    with pytest.raises(BiorthError, match="normalization mismatch"):
+        stationary_ansatz(3, canonical)
+
+
+# abcd = q and abcd = q^2: the representation's denominators vanish, the
+# moment table's do not
+SINGULAR_REP = (("1", "1", "-1/2", "-1/2", "1/4"), ("1", "1", "-1/4", "-1/4", "1/4"))
+
+
+def test_singular_representation_falls_back_to_word_route():
+    for point in SINGULAR_REP:
+        p = make_params(point)
+        for length in range(1, 6):
+            for variant in VARIANTS:
+                if length > 1:  # size 1 holds no g_0, singular at abcd = q
+                    with pytest.raises(SingularParams):
+                        _site_operators(p, length, variant)
+                weights = _word_route(length, p, variant)
+                total = sum(weights)
+                dist = stationary_ansatz(length, p, variant)
+                assert dist.probabilities == tuple(w / total for w in weights)
 
 
 def test_ansatz_matches_oracle(grid):

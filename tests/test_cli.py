@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from biorth.cli import _glue_values, main
 
 CANONICAL = ["--a", "1", "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2"]
@@ -69,9 +71,23 @@ def test_singular_point_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def timing_values(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "timings_ms":
+                yield from value.values()
+            else:
+                yield from timing_values(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from timing_values(value)
+
+
 def test_ldu_report(capsys):
     assert main(["ldu", *CANONICAL, "--n", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    timings = list(timing_values(payload))
+    assert timings and all(isinstance(t, float) for t in timings)
     checks = {c["name"]: c["pass"] for c in payload["reports"]["ldu"]["checks"]}
     assert checks == {
         "bimoment-equals-LDU": True,
@@ -121,6 +137,23 @@ def test_rep_command_with_zero_parameters(capsys):
     assert aw_match["pass"] and aw_match.get("skipped")
 
 
+def test_verify_all_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify-all", "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
+def test_stationary_where_representation_is_singular(capsys):
+    # abcd = q and abcd = q^2: the ansatz takes the word route
+    for c_and_d in ("-1/2", "-1/4"):
+        flags = ["--a", "1", "--b", "1", "--c", c_and_d, "--d", c_and_d, "--q", "1/4"]
+        assert main(["stationary", *flags, "--L", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "unshifted" in [v["name"] for v in payload["variants"] if v["matches_oracle"]]
+
+
 def test_stationary_command(capsys):
     assert main(["stationary", *CANONICAL, "--L", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -140,6 +173,8 @@ def test_verify_all(capsys):
     assert main(["verify-all", "--jobs", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["grid"]) == 7
+    timings = list(timing_values(payload))
+    assert timings and all(isinstance(t, float) for t in timings)
     for entry in payload["grid"]:
         for suite in entry["suites"].values():
             assert all(c["pass"] for c in suite["checks"])
