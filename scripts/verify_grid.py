@@ -28,17 +28,8 @@ from biorth import (
     verify_uchiyama_algebra,
 )
 from biorth.bimoment import check_recurrences, check_transpose_symmetry
+from biorth.cli import GRID
 from biorth.core import ZeroParameter
-
-GRID = (
-    ("1", "1/2", "-1/3", "-1/4", "1/2"),
-    ("1/2", "1/3", "-1/5", "-1/7", "1/3"),
-    ("2", "2/5", "-1/2", "-1/5", "1/4"),
-    ("3/2", "3/4", "-1/6", "-1/8", "2/5"),
-    ("2/3", "2/3", "-1/3", "-1/3", "1/2"),
-    ("1", "1/2", "0", "0", "1/2"),
-    ("7/2", "3/5", "-5/7", "-7/10", "1/2"),
-)
 
 
 def run_point(p: AWParams, n_ldu: int, n_det: int, n_poly: int, n_rep: int, trials: int):

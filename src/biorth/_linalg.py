@@ -37,21 +37,8 @@ def mat_identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def first_nonzero(mat):
-    """Coordinates and value of the first nonzero entry, or None."""
-    for i, row in enumerate(mat):
-        for j, value in enumerate(row):
-            if value != 0:
-                return i, j, value
-    return None
 
 
 def _integer_rows(mat):
@@ -124,12 +111,6 @@ def det(mat) -> Fraction:
     if swaps % 2:
         value = -value
     return value / scale
-
-
-def rank(mat) -> int:
-    rows, _ = _integer_rows(mat)
-    pivots, _ = _fraction_free_echelon(rows)
-    return len(pivots)
 
 
 def nullspace(mat):

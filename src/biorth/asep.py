@@ -153,6 +153,8 @@ def _dense_generator(length: int, rates: HoppingRates):
 
 def stationary_exact(length: int, rates: HoppingRates) -> StationaryDistribution:
     """Oracle stationary state: exact nullspace of the transposed generator."""
+    if length < 1:
+        raise InvalidParams(f"L must be >= 1, got {length}")
     if length > _ANSATZ_LIMIT:
         raise SizeLimit(f"stationary_exact is guarded to L <= {_ANSATZ_LIMIT}")
     dense = _dense_generator(length, rates)

@@ -5,7 +5,8 @@
 recurrences:
 
 * a second-order recurrence down the boundary column B[i][0],
-* its mirror along the boundary row B[0][j],
+* its mirror along the boundary row B[0][j], which is the boundary column
+  at the swapped point a<->b, c<->d (the swap transposes the array),
 * a bulk step that produces column j from column j-1 (the "column" fill,
   which consumes one e), or symmetrically row i from row i-1 (the "row"
   fill, which consumes one d).
@@ -16,8 +17,10 @@ needs the boundary column to depth 2n and a trapezoid of intermediate
 entries above the diagonal of the fill direction: column j is filled down
 to row 2n - j.
 
-Tables are cached per parameter set and grown in place; growth and lookup
-are serialized by a lock so concurrent checkers can share one table.
+The column fill is the shared :class:`BimomentTable`, cached per parameter
+set, grown in place and locked so concurrent checkers can share it.  The
+row fill is coded separately: derived from the swapped column fill, the
+agreement of the two fills would only repeat :func:`check_transpose_symmetry`.
 """
 
 from __future__ import annotations
@@ -59,22 +62,9 @@ def boundary_column(p: AWParams, depth: int) -> list[Fraction]:
 
 
 def boundary_row(p: AWParams, depth: int) -> list[Fraction]:
-    """Moments of pure e-powers: mirror of :func:`boundary_column` under
-    a<->b, c<->d (swap (b+d, bd) for (a+c, ac))."""
-    if depth < 0:
-        raise InvalidParams(f"boundary depth must be >= 0, got {depth}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    ac = a * c
-    abcd = p.abcd
-    out = [Fraction(1)]
-    for j in range(1, depth + 1):
-        qj = q ** (j - 1)
-        den = 1 - abcd * qj
-        if den == 0:
-            raise SingularParams(f"boundary row denominator vanishes at depth {j}")
-        prev2 = out[j - 2] if j >= 2 else Fraction(0)
-        out.append((((a + c) - ac * (b + d) * qj) * out[j - 1] - ac * (1 - qj) * prev2) / den)
-    return out
+    """Moments of pure e-powers: [B[0][0], B[0][1], ..., B[0][depth]], the
+    :func:`boundary_column` of the swapped point a<->b, c<->d."""
+    return boundary_column(p.swap_ab_cd(), depth)
 
 
 class BimomentTable:
@@ -188,25 +178,6 @@ class BimomentMatrix:
         return buffer.getvalue()
 
 
-def _block_by_columns(p: AWParams, n: int) -> list[list[Fraction]]:
-    a, c, q = p.a, p.c, p.q
-    ac = a * c
-    col = boundary_column(p, 2 * n)
-    row0 = boundary_row(p, n)
-    block = [col[: n + 1]]  # temporarily column-major
-    prev = col
-    for j in range(1, n + 1):
-        depth = 2 * n - j
-        cur = [row0[j]]
-        qi = q
-        for i in range(1, depth + 1):
-            cur.append((1 - qi) * prev[i - 1] + (a + c) * qi * prev[i] - ac * qi * prev[i + 1])
-            qi *= q
-        block.append(cur[: n + 1])
-        prev = cur
-    return [[block[j][i] for j in range(n + 1)] for i in range(n + 1)]
-
-
 def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     b, d, q = p.b, p.d, p.q
     bd = b * d
@@ -230,7 +201,8 @@ def bimoment_block(p: AWParams, n: int, fill: str = "columns") -> BimomentMatrix
     """Build the order-n block with the chosen fill direction.
 
     fill="columns" consumes the recurrence that removes one e per step
-    (column j from column j-1); fill="rows" consumes the d-removing mirror
+    (column j from column j-1) and is served from the shared
+    :func:`bimoment_table`; fill="rows" consumes the d-removing mirror
     (row i from row i-1).  Both must produce identical blocks; computing
     each independently is what makes the agreement a real check.
     """
@@ -238,7 +210,7 @@ def bimoment_block(p: AWParams, n: int, fill: str = "columns") -> BimomentMatrix
         raise InvalidParams(f"block order must be >= 0, got {n}")
     if fill not in _FILLS:
         raise InvalidParams(f"fill must be one of {_FILLS}, got {fill!r}")
-    data = _block_by_columns(p, n) if fill == "columns" else _block_by_rows(p, n)
+    data = bimoment_table(p).block(n) if fill == "columns" else _block_by_rows(p, n)
     return BimomentMatrix(params=p, order=n, entries=tuple(tuple(r) for r in data))
 
 

@@ -3,11 +3,13 @@
 P_n lives in the first letter, Q_n in the second.  Two independent
 constructions must agree:
 
-* rows of the inverse lower factor give the coefficients of P_n, columns
-  of the inverse upper factor give Q_n;
-* three-term recurrences driven by the tridiagonal coefficients:
-      P_{n+1} = (x - dnat_n) P_n + bd q^(n-1) g_{n-1} P_{n-1}
-      Q_{n+1} = (x - enat_n) Q_n + ac q^(n-1) g_{n-1} Q_{n-1}.
+* rows of the inverse lower factor give the coefficients of P_n;
+* the three-term recurrence driven by the tridiagonal coefficients:
+      P_{n+1} = (x - dnat_n) P_n + bd q^(n-1) g_{n-1} P_{n-1}.
+
+Q_n is P_n at the swapped point a<->b, c<->d (the swap transposes the
+moment block), so both constructions build it by swapping the parameters
+once and running the P route.
 
 Pairings against the functional must then be diagonal:
 L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor, and
@@ -28,11 +30,10 @@ from .core import (
     SingularParams,
     SizeLimit,
     d_natural,
-    e_natural,
     format_rational,
     g_coeff,
 )
-from .ldu import build_D, build_L, build_L_inverse, build_U, build_U_inverse
+from .ldu import build_D, build_L, build_L_inverse, build_U
 from .reporting import VerificationReport
 from .wordfun import WordPoly, functional
 
@@ -71,17 +72,15 @@ def _require_variable(variable: str) -> None:
 
 
 def polys_from_inverse(p: AWParams, count: int, variable: str = "d") -> PolySeq:
-    """P_0..P_{count-1} (or Q) read off the inverse triangular factors."""
+    """P_0..P_{count-1} read off the rows of the inverse lower factor (Q:
+    the same at the swapped point)."""
     _require_variable(variable)
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
-    n = count - 1
-    if variable == "d":
-        inv = build_L_inverse(p, n)
-        rows = [tuple(inv.entries[k][: k + 1]) for k in range(count)]
-    else:
-        inv = build_U_inverse(p, n)
-        rows = [tuple(inv.entries[i][k] for i in range(k + 1)) for k in range(count)]
+    if variable == "e":
+        p = p.swap_ab_cd()
+    inv = build_L_inverse(p, count - 1)
+    rows = [tuple(inv.entries[k][: k + 1]) for k in range(count)]
     return PolySeq(variable=variable, coeffs=tuple(rows))
 
 
@@ -90,18 +89,19 @@ def polys_from_recurrence(p: AWParams, count: int, variable: str = "d") -> PolyS
     _require_variable(variable)
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
-    prod = p.b * p.d if variable == "d" else p.a * p.c
-    diag = d_natural if variable == "d" else e_natural
+    if variable == "e":
+        p = p.swap_ab_cd()
+    bd = p.b * p.d
     q = p.q
     seq = [(Fraction(1),)]
     prev_prev: tuple[Fraction, ...] = ()
     for n in range(count - 1):
         cur = seq[-1]
         shifted = (Fraction(0),) + cur
-        scaled = tuple(diag(p, n) * v for v in cur) + (Fraction(0),)
+        scaled = tuple(d_natural(p, n) * v for v in cur) + (Fraction(0),)
         nxt = [s - t for s, t in zip(shifted, scaled)]
         if n >= 1:
-            lam = prod * q ** (n - 1) * g_coeff(p, n - 1)
+            lam = bd * q ** (n - 1) * g_coeff(p, n - 1)
             for k, v in enumerate(prev_prev):
                 nxt[k] += lam * v
         seq.append(tuple(nxt))

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asep, biortho, ldu, repmat, wordfun
-from .bimoment import bimoment_block, bimoment_table
+from .bimoment import bimoment_block
 from .core import (
     AWParams,
     BiorthError,
@@ -28,7 +27,7 @@ from .core import (
     parse_rational,
     to_aw_exact,
 )
-from .reporting import CheckResult, canonical_json, jsonable
+from .reporting import VerificationReport, canonical_json, jsonable
 
 _AW_FLAGS = ("a", "b", "c", "d")
 _RATE_FLAGS = ("alpha", "beta", "gamma", "delta")
@@ -38,7 +37,7 @@ _VALUE_FLAGS = frozenset(
 
 # Generic points, a three-parameter reduction (c = d = 0), and a point with
 # abcd q^k near (but never equal to) 1, to exercise denominator handling.
-_GRID = (
+GRID = (
     ("1", "1/2", "-1/3", "-1/4", "1/2"),
     ("1/2", "1/3", "-1/5", "-1/7", "1/3"),
     ("2", "2/5", "-1/2", "-1/5", "1/4"),
@@ -52,7 +51,7 @@ _AW_T_VALUES = (Fraction(2), Fraction(3, 2), Fraction(5))
 
 
 def _grid_params() -> list[AWParams]:
-    return [AWParams(*map(parse_rational, point)) for point in _GRID]
+    return [AWParams(*map(parse_rational, point)) for point in GRID]
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -88,8 +87,11 @@ def _params_from_args(args) -> AWParams:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidParams(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -116,11 +118,18 @@ def _cmd_bimoment(args) -> int:
     return 0
 
 
-def _cmd_ldu(args) -> int:
-    p = _params_from_args(args)
-    report = ldu.verify_ldu(p, args.n)
+def _skipped(p: AWParams, n: int, name: str, exc: Exception) -> VerificationReport:
+    """A report whose single check did not run; the reason says why."""
+    report = VerificationReport(params=p.to_map(), n=n)
+    report.add(name, True, skipped_reason=str(exc))
+    return report
+
+
+def _ldu_report(p: AWParams, n: int, n_det: int) -> VerificationReport:
+    """B = L D U at order n, then the determinant triple at order n_det."""
+    report = ldu.verify_ldu(p, n)
     with report.timed("determinants"):
-        from_diag, from_closed, from_elim = ldu.det_bimoment(p, args.n)
+        from_diag, from_closed, from_elim = ldu.det_bimoment(p, n_det)
         agree = from_diag == from_closed == from_elim
         report.add(
             "determinant-triple-agreement",
@@ -133,13 +142,19 @@ def _cmd_ldu(args) -> int:
                 "from_elimination": from_elim,
             },
         )
+    return report
+
+
+def _cmd_ldu(args) -> int:
+    p = _params_from_args(args)
+    report = _ldu_report(p, args.n, args.n)
     _emit(args, canonical_json(jsonable(_report_payload("ldu", p, {"ldu": report}))))
     return 0 if report.passed else 1
 
 
-def _cmd_polys(args) -> int:
-    p = _params_from_args(args)
-    n = args.n
+def _polys_report(p: AWParams, n: int) -> VerificationReport:
+    """Diagonal pairing, equality of the two construction routes, and the
+    monomial expansion, for the first n polynomials of each family."""
     report = biortho.biorthogonality_check(p, n)
     with report.timed("construction-routes"):
         for variable in ("d", "e"):
@@ -149,6 +164,13 @@ def _cmd_polys(args) -> int:
             report.add(f"route-equality-{variable}", same)
     with report.timed("monomial-expansion"):
         report.add("monomial-expansion", biortho.monomial_expansion_check(p, n))
+    return report
+
+
+def _cmd_polys(args) -> int:
+    p = _params_from_args(args)
+    n = args.n
+    report = _polys_report(p, n)
     with report.timed("bordered-determinant"):
         order = min(n, 4)
         report.add(f"bordered-determinant-n{order}", biortho.bordered_determinant_check(p, order))
@@ -168,15 +190,20 @@ def _sweep_eval_paths(p: AWParams, max_len: int):
     return None
 
 
-def _cmd_functional(args) -> int:
-    p = _params_from_args(args)
-    report = wordfun.check_defining_relations(
-        p, max_len=args.max_len, trials=args.trials, seed=args.seed
-    )
+def _functional_report(p: AWParams, max_len: int, trials: int, seed: int) -> VerificationReport:
+    """Fuzzed defining relations, then every word up to length
+    min(max_len, 8) through both evaluation paths."""
+    report = wordfun.check_defining_relations(p, max_len=max_len, trials=trials, seed=seed)
     with report.timed("evaluation-paths"):
-        sweep_len = min(args.max_len, 8)
+        sweep_len = min(max_len, 8)
         failure = _sweep_eval_paths(p, sweep_len)
         report.add(f"evaluation-path-agreement-len{sweep_len}", failure is None, failure)
+    return report
+
+
+def _cmd_functional(args) -> int:
+    p = _params_from_args(args)
+    report = _functional_report(p, args.max_len, args.trials, args.seed)
     _emit(args, canonical_json(jsonable(_report_payload("functional", p, {"functional": report}))))
     return 0 if report.passed else 1
 
@@ -191,9 +218,7 @@ def _rep_reports(p: AWParams, n: int) -> dict:
     try:
         reports["aw-match"] = repmat.verify_aw_match(p, max(n // 2, 2))
     except ZeroParameter as exc:
-        skipped = reports["algebra"].__class__(params=p.to_map(), n=n)
-        skipped.add("aw-match", True, skipped_reason=str(exc))
-        reports["aw-match"] = skipped
+        reports["aw-match"] = _skipped(p, n, "aw-match", exc)
     return reports
 
 
@@ -205,8 +230,8 @@ def _cmd_rep(args) -> int:
 
 
 def _aw_recurrence_report(p: AWParams, n_max: int, t_values=_AW_T_VALUES):
-    from .reporting import VerificationReport
-
+    if n_max < 0:
+        raise InvalidParams(f"--n must be >= 0, got {n_max}")
     report = VerificationReport(params=p.to_map(), n=n_max)
     coeffs = [repmat.aw_coeffs(p, k) for k in range(n_max + 1)]
     for t in t_values:
@@ -248,43 +273,16 @@ def _cmd_stationary(args) -> int:
 
 def _verify_point(p: AWParams) -> dict:
     """All suites for one grid point at moderate sizes."""
-    reports = {}
-    report = ldu.verify_ldu(p, 10)
-    from_diag, from_closed, from_elim = ldu.det_bimoment(p, 8)
-    agree = from_diag == from_closed == from_elim
-    report.add(
-        "determinant-triple-agreement",
-        agree,
-        None if agree else {"from_diagonal": from_diag, "from_closed_form": from_closed, "from_elimination": from_elim},
-    )
-    reports["ldu"] = report
-
-    report = biortho.biorthogonality_check(p, 8)
-    for variable in ("d", "e"):
-        report.add(
-            f"route-equality-{variable}",
-            biortho.polys_from_inverse(p, 8, variable) == biortho.polys_from_recurrence(p, 8, variable),
-        )
-    report.add("monomial-expansion", biortho.monomial_expansion_check(p, 8))
-    reports["polys"] = report
-
-    report = wordfun.check_defining_relations(p, max_len=6, trials=60)
-    failure = _sweep_eval_paths(p, 6)
-    report.add("evaluation-path-agreement-len6", failure is None, failure)
-    reports["functional"] = report
-
+    reports = {
+        "ldu": _ldu_report(p, 10, 8),
+        "polys": _polys_report(p, 8),
+        "functional": _functional_report(p, 6, 60, wordfun.DEFAULT_FUZZ_SEED),
+    }
     reports.update(_rep_reports(p, 16))
-
     try:
         reports["aw"] = _aw_recurrence_report(p, 6, t_values=_AW_T_VALUES[:2])
     except ZeroParameter as exc:
-        from .reporting import VerificationReport
-
-        skipped = VerificationReport(params=p.to_map(), n=6)
-        skipped.add("aw", True, skipped_reason=str(exc))
-        reports["aw"] = skipped
-
-    from .reporting import VerificationReport
+        reports["aw"] = _skipped(p, 6, "aw", exc)
 
     station = VerificationReport(params=p.to_map(), n=4)
     matching_by_length = []
@@ -316,8 +314,7 @@ def _verify_point(p: AWParams) -> dict:
 
 def _cmd_verify_all(args) -> int:
     points = _grid_params()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_verify_point, points))
+    results = [_verify_point(p) for p in points]
     payload = {
         "command": "verify-all",
         "grid": [
@@ -330,16 +327,6 @@ def _cmd_verify_all(args) -> int:
     }
     _emit(args, canonical_json(jsonable(payload)))
     return 0 if all(_all_passed(reports) for reports in results) else 1
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=_cmd_stationary)
 
     cmd = sub.add_parser("verify-all", help="full suite over the built-in parameter grid")
-    cmd.add_argument("--jobs", type=_positive_int, default=4)
     _add_output_flags(cmd)
     cmd.set_defaults(handler=_cmd_verify_all)
 

@@ -3,9 +3,9 @@
 Everything downstream works over arbitrary-precision rationals
 (``fractions.Fraction``), so every identity check in the package is an exact
 equality, never a tolerance comparison.  The only floating-point surface is
-the optional high-precision view provided by :func:`to_aw` and the
-orthonormal operator representations; those use mpmath at a precision
-controlled by the ``BIORTH_PRECISION_BITS`` environment variable.
+the orthonormal operator representation; it uses mpmath at a precision
+controlled by the ``BIORTH_PRECISION_BITS`` environment variable (read by
+:func:`precision_bits`).
 
 Two parameter records exist:
 
@@ -16,9 +16,8 @@ Two parameter records exist:
   which the bimoment, factorization, and operator machinery is written.
 
 :func:`to_rates` maps ``AWParams`` to ``HoppingRates`` exactly;
-:func:`to_aw` inverts in floating point (the inverse involves square roots,
-so it is rational only for perfect-square discriminants, see
-:func:`to_aw_exact`).
+:func:`to_aw_exact` inverts it when the inverse is rational (it involves
+square roots, so it is rational only for perfect-square discriminants).
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
-
-import mpmath
+from typing import Iterable, Sequence
 
 
 class BiorthError(Exception):
@@ -135,10 +132,6 @@ def precision_bits() -> int:
     return bits
 
 
-def _to_mpf(value: Fraction):
-    return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-
-
 # ---------------------------------------------------------------------------
 # parameter records
 
@@ -175,10 +168,6 @@ class HoppingRates:
             "delta": format_rational(self.delta),
             "q": format_rational(self.q),
         }
-
-    @classmethod
-    def from_map(cls, mapping) -> "HoppingRates":
-        return cls(**{k: as_rational(mapping[k]) for k in ("alpha", "beta", "gamma", "delta", "q")})
 
 
 @dataclass(frozen=True)
@@ -221,20 +210,6 @@ class AWParams:
 
     def to_map(self) -> dict[str, str]:
         return {k: format_rational(getattr(self, k)) for k in ("a", "b", "c", "d", "q")}
-
-    @classmethod
-    def from_map(cls, mapping) -> "AWParams":
-        return cls(**{k: as_rational(mapping[k]) for k in ("a", "b", "c", "d", "q")})
-
-
-class ApproxAWParams(NamedTuple):
-    """Floating-point (a, b, c, d, q) produced by :func:`to_aw`."""
-
-    a: object
-    b: object
-    c: object
-    d: object
-    q: object
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +356,9 @@ def d_natural(p: AWParams, n: int) -> Fraction:
 
 
 def e_natural(p: AWParams, n: int) -> Fraction:
-    """Diagonal coefficient of the second tridiagonal operator at level n.
-
-    Mirror image of :func:`d_natural` under a<->b, c<->d.
-    """
-    if n < 0:
-        raise InvalidParams(f"e_natural needs n >= 0, got {n}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
-    ac = a * c
-    den = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
-    if den == 0:
-        raise SingularParams(f"e_natural({n}) denominator vanishes for {p.to_map()}")
-    bracket = (
-        ac * (b + d)
-        + (a + c) * q
-        - abcd * (a + c) * q ** (n - 1)
-        - (ac * (b + d) + abcd * (a + c)) * q**n
-        - ac * (b + d) * q ** (n + 1)
-        + abcd * ac * (b + d) * q ** (2 * n - 1)
-        + abcd * (a + c) * q ** (2 * n)
-    )
-    return q ** (n - 1) / den * bracket
+    """Diagonal coefficient of the second tridiagonal operator at level n:
+    :func:`d_natural` at the swapped point a<->b, c<->d."""
+    return d_natural(p.swap_ab_cd(), n)
 
 
 def validate(p: AWParams, n: int) -> None:
@@ -477,42 +433,13 @@ def to_rates(p: AWParams) -> HoppingRates:
     )
 
 
-def _quadratic_roots_float(u, v, two_w):
-    # roots of w x^2 - u x - v = 0 written as (u +- sqrt(u^2 + 4 w v)) / (2 w)
-    disc = u * u + 2 * two_w * v
-    root = mpmath.sqrt(disc)
-    return (u + root) / two_w, (u - root) / two_w
-
-
-def to_aw(rates: HoppingRates, prec_bits: int | None = None) -> ApproxAWParams:
-    """Floating inverse of :func:`to_rates` at configurable precision.
-
-    a and c are the two roots of  alpha x^2 - (1-q-alpha+gamma) x - gamma,
-    b and d the two roots of  beta x^2 - (1-q-beta+delta) x - delta, with
-    the + branch assigned to a (resp. b).  Returns mpmath floats computed
-    at ``prec_bits`` bits (default: BIORTH_PRECISION_BITS or 256).
-    """
-    bits = precision_bits() if prec_bits is None else int(prec_bits)
-    if bits < 8:
-        raise InvalidParams(f"precision too small: {bits}")
-    with mpmath.workprec(bits):
-        alpha = _to_mpf(rates.alpha)
-        beta = _to_mpf(rates.beta)
-        gamma = _to_mpf(rates.gamma)
-        delta = _to_mpf(rates.delta)
-        q = _to_mpf(rates.q)
-        a, c = _quadratic_roots_float(1 - q - alpha + gamma, gamma, 2 * alpha)
-        b, d = _quadratic_roots_float(1 - q - beta + delta, delta, 2 * beta)
-        return ApproxAWParams(a=a, b=b, c=c, d=d, q=q)
-
-
 def to_aw_exact(rates: HoppingRates) -> AWParams:
     """Exact inverse of :func:`to_rates` when the discriminants are squares.
 
     The root formulas involve sqrt((1-q-alpha+gamma)^2 + 4 alpha gamma) and
     its beta/delta twin; when both are perfect squares of rationals the
     algebraic parameters are rational and are returned exactly, otherwise
-    InvalidParams is raised (use :func:`to_aw` for the floating version).
+    InvalidParams is raised.
     """
     out = []
     for rate_in, rate_out in ((rates.alpha, rates.gamma), (rates.beta, rates.delta)):
@@ -521,7 +448,7 @@ def to_aw_exact(rates: HoppingRates) -> AWParams:
         if root is None:
             raise InvalidParams(
                 "rates do not have rational algebraic parameters; "
-                "pass a, b, c, d, q directly or use the floating map"
+                "pass a, b, c, d, q directly"
             )
         out.append(((u + root) / (2 * rate_in), (u - root) / (2 * rate_in)))
     (a, c), (b, d) = out

@@ -2,10 +2,13 @@
 
 The conjectured decomposition is B = L D U with L unit lower triangular,
 U unit upper triangular, and D diagonal with D_0 = 1, D_k = D_{k-1} g_{k-1}.
-All four triangles (L, U and their inverses) are generated directly by
-first-order entry recurrences; nothing here inverts a matrix numerically,
-which is what lets verify_ldu treat L L^{-1} = I and U^{-1} U = I as real
-checks instead of tautologies.
+L and its inverse are generated directly by first-order entry recurrences;
+nothing here inverts a matrix numerically, which is what lets verify_ldu
+treat L L^{-1} = I and U^{-1} U = I as real checks instead of tautologies.
+
+The exchange a<->b, c<->d transposes the block and fixes every g_j, so U
+and U^{-1} are built as the transposes of L and L^{-1} at the swapped
+point; B = L D U still checks U against the block of the unswapped point.
 
 Determinants of the bimoment block are computed by three independent
 routes: the product of the diagonal factors, a closed-form q-Pochhammer
@@ -24,7 +27,6 @@ from .core import (
     InvalidParams,
     SingularParams,
     d_natural,
-    e_natural,
     format_rational,
     g_coeff,
     qpoch,
@@ -105,28 +107,17 @@ def build_L(p: AWParams, n: int) -> TriangularFactor:
     return TriangularFactor("lower", n, tuple(tuple(r) for r in m))
 
 
-def build_U(p: AWParams, n: int) -> TriangularFactor:
-    """Unit upper factor from the column recurrence
+def _transposed(factor: TriangularFactor, kind: str) -> TriangularFactor:
+    return TriangularFactor(kind, factor.order, tuple(zip(*factor.entries)))
 
+
+def build_U(p: AWParams, n: int) -> TriangularFactor:
+    """Unit upper factor: the transposed lower factor of the swapped point.
+
+    Entrywise this is the column recurrence
     U[i][j] = U[i-1][j-1] + enat_i U[i][j-1] - ac q^i g_i U[i+1][j-1].
     """
-    if n < 0:
-        raise InvalidParams(f"order must be >= 0, got {n}")
-    ac = p.a * p.c
-    q = p.q
-    enat = [e_natural(p, i) for i in range(n)]
-    g = [g_coeff(p, i) for i in range(max(n - 1, 0))]
-    m = _zeros(n)
-    m[0][0] = Fraction(1)
-    for j in range(1, n + 1):
-        for i in range(j + 1):
-            acc = m[i - 1][j - 1] if i >= 1 else Fraction(0)
-            if i <= j - 1:
-                acc += enat[i] * m[i][j - 1]
-            if i + 1 <= j - 1:
-                acc -= ac * q**i * g[i] * m[i + 1][j - 1]
-            m[i][j] = acc
-    return TriangularFactor("upper", n, tuple(tuple(r) for r in m))
+    return _transposed(build_L(p.swap_ab_cd(), n), "upper")
 
 
 def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
@@ -156,27 +147,13 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
 
 
 def build_U_inverse(p: AWParams, n: int) -> TriangularFactor:
-    """Inverse upper factor:
+    """Inverse upper factor: the transposed inverse lower factor of the
+    swapped point, i.e. the column recurrence
 
     Uinv[i][j] = Uinv[i-1][j-1] - enat_{j-1} Uinv[i][j-1]
                  + ac q^(j-2) g_{j-2} Uinv[i][j-2].
     """
-    if n < 0:
-        raise InvalidParams(f"order must be >= 0, got {n}")
-    ac = p.a * p.c
-    q = p.q
-    enat = [e_natural(p, i) for i in range(n)]
-    g = [g_coeff(p, i) for i in range(max(n - 1, 0))]
-    m = _zeros(n)
-    m[0][0] = Fraction(1)
-    for j in range(1, n + 1):
-        for i in range(j + 1):
-            acc = m[i - 1][j - 1] if i >= 1 else Fraction(0)
-            acc -= enat[j - 1] * m[i][j - 1]
-            if j >= 2:
-                acc += ac * q ** (j - 2) * g[j - 2] * m[i][j - 2]
-            m[i][j] = acc
-    return TriangularFactor("upper-inverse", n, tuple(tuple(r) for r in m))
+    return _transposed(build_L_inverse(p.swap_ab_cd(), n), "upper-inverse")
 
 
 def build_D(p: AWParams, n: int) -> DiagonalFactor:

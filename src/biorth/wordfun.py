@@ -62,10 +62,6 @@ class WordPoly:
         self.terms = clean
 
     @classmethod
-    def from_word(cls, word: str, coeff=1) -> "WordPoly":
-        return cls({word: as_rational(coeff)})
-
-    @classmethod
     def zero(cls) -> "WordPoly":
         return cls()
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from biorth import AWParams, is_valid
+from biorth.cli import GRID
 
 settings.register_profile(
     "exact",
@@ -13,18 +14,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("exact")
-
-# Grid shared with the CLI: five generic points, the c = d = 0 reduction,
-# and a near-singular point (abcd = 21/20).
-GRID = (
-    ("1", "1/2", "-1/3", "-1/4", "1/2"),
-    ("1/2", "1/3", "-1/5", "-1/7", "1/3"),
-    ("2", "2/5", "-1/2", "-1/5", "1/4"),
-    ("3/2", "3/4", "-1/6", "-1/8", "2/5"),
-    ("2/3", "2/3", "-1/3", "-1/3", "1/2"),
-    ("1", "1/2", "0", "0", "1/2"),
-    ("7/2", "3/5", "-5/7", "-7/10", "1/2"),
-)
 
 
 def make_params(point) -> AWParams:
