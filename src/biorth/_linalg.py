@@ -1,35 +1,64 @@
-"""Exact dense linear algebra over rationals.
+"""Exact dense linear algebra over rationals, on integer kernels.
 
-Kept deliberately small: dense list-of-list matrices of Fractions, a
-fraction-free (Bareiss) elimination for determinants and echelon forms, and
-a nullspace routine built on top of it.  Fraction-free means intermediate
-entries stay integers (after clearing row denominators), so entry growth is
-bounded by minor sizes instead of compounding rational arithmetic.
+Dense list-of-list matrices of Fractions come in and go out, but the work
+is done on plain integers.  ``Fraction`` reduces by a gcd after every
+``+`` and ``*``; clearing denominators once per row (or column) and
+reducing once per result avoids those gcds in the inner loops.
+
+* ``mat_mul`` scales each row of the left factor and each column of the
+  right factor by the lcm of its denominators, takes integer dot products
+  over the overlap of the two nonzero spans (so triangular factors cost
+  about half), and forms one Fraction per output entry.
+* ``det`` and ``nullspace`` run a fraction-free (Bareiss) elimination on
+  the row-scaled integer matrix, so entry growth is bounded by minor sizes
+  instead of compounding rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .core import BiorthError
 
 
+def _clear_denominators(vec):
+    """(integers, scale): vec times the lcm of its denominators."""
+    scale = lcm(*(value.denominator for value in vec))
+    return [value.numerator * (scale // value.denominator) for value in vec], scale
+
+
+def _spanned(vec):
+    """(integers, scale, lo, hi): vec cleared of denominators, with
+    [lo, hi) the span of its nonzero entries (empty when vec is zero)."""
+    ints, scale = _clear_denominators(vec)
+    nonzero = [k for k, value in enumerate(ints) if value]
+    if not nonzero:
+        return ints, scale, 0, 0
+    return ints, scale, nonzero[0], nonzero[-1] + 1
+
+
 def mat_mul(a, b):
-    """Dense exact product of two list-of-list matrices."""
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """Exact product of two list-of-list matrices of rationals.
+
+    Entry (i, j) is the integer dot product of the scaled row i of a and
+    the scaled column j of b over the overlap of their nonzero spans,
+    divided by the product of the two scales.
+    """
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise BiorthError("mat_mul needs as many columns in a as rows in b")
+    rows = [_spanned(row) for row in a]
+    cols = [_spanned(col) for col in zip(*b)]
     out = []
-    for i in range(rows):
-        ai = a[i]
-        row = []
-        for j in range(cols):
-            acc = Fraction(0)
-            for k in range(inner):
-                aik = ai[k]
-                if aik:
-                    acc += aik * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row, row_scale, row_lo, row_hi in rows:
+        out_row = []
+        for col, col_scale, col_lo, col_hi in cols:
+            lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
+            acc = sum(map(mul, row[lo:hi], col[lo:hi])) if lo < hi else 0
+            out_row.append(Fraction(acc, row_scale * col_scale))
+        out.append(out_row)
     return out
 
 
@@ -44,11 +73,11 @@ def mat_transpose(a):
 def _integer_rows(mat):
     """Scale each row to integers; return (rows, product of scales)."""
     scaled = []
-    scale_product = Fraction(1)
+    scale_product = 1
     for row in mat:
-        mult = lcm(*(value.denominator for value in row)) if row else 1
-        scale_product *= mult
-        scaled.append([int(value * mult) for value in row])
+        ints, scale = _clear_denominators(row)
+        scale_product *= scale
+        scaled.append(ints)
     return scaled, scale_product
 
 

@@ -199,13 +199,23 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
     return functional(word, p)
 
 
-def _site_operators(p: AWParams, length: int, variant: str):
-    """Empty-site and occupied-site operators for words of length <= L.
+def _representation(p: AWParams, length: int):
+    """Exact (d, e) truncations for words of length <= L, or None where
+    ``rep_rational`` meets a vanishing denominator.
 
     A closed walk of length L from level 0 never climbs above level L//2,
     so the truncation of size L//2 + 1 gives <e0| word |e0> exactly.
     """
-    dop, eop = rep_rational(p, length // 2 + 1)
+    try:
+        return rep_rational(p, length // 2 + 1)
+    except SingularParams:
+        return None
+
+
+def _site_operators(p: AWParams, rep, variant: str):
+    """Empty-site and occupied-site operators of one variant, built from
+    the exact (d, e) pair ``rep``."""
+    dop, eop = rep
     if variant == "shifted":
         return eop, dop
     scale = 1 / p.qprime
@@ -225,14 +235,42 @@ def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
 
     After k steps, vectors[s] = X_tau(L-k+1) ... X_tauL |e0> where s holds
     sites L-k+1..L in its k low bits, so each step prepends site L-k as
-    bit k of the state.
+    bit k of the state.  Only levels <= min(k, L - k) are kept: higher
+    ones are still zero (a step climbs at most one level) or can no longer
+    return to level 0 in the L - k steps left.
     """
-    e0 = [Fraction(0)] * empty.size
-    e0[0] = Fraction(1)
-    vectors = [e0]
-    for _ in range(length):
-        vectors = [op.matvec(v) for op in (empty, occupied) for v in vectors]
+    vectors = [[Fraction(1)]]
+    for k in range(1, length + 1):
+        levels = min(k, length - k) + 1
+        vectors = [op.matvec(v, levels) for op in (empty, occupied) for v in vectors]
     return [v[0] for v in vectors]
+
+
+def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistribution:
+    """``stationary_ansatz`` on the representation ``rep`` of
+    ``_representation(p, length)``; the word route where it is None."""
+    if variant not in VARIANTS:
+        raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if rep is None:
+        weights = [
+            ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)
+        ]
+    else:
+        weights = _transfer_weights(length, *_site_operators(p, rep, variant))
+    total = sum(weights)
+
+    site_sum = _site_letter_poly(True, variant, p.qprime) + _site_letter_poly(
+        False, variant, p.qprime
+    )
+    power = WordPoly.one()
+    for _ in range(length):
+        power = power * site_sum
+    if functional(power, p) != total:
+        raise BiorthError("normalization mismatch between weight sum and letter-sum power")
+    if total == 0:
+        raise BiorthError("ansatz normalization vanishes")
+    probs = tuple(w / total for w in weights)
+    return StationaryDistribution(length=length, probabilities=probs, normalization=total)
 
 
 def stationary_ansatz(
@@ -256,30 +294,7 @@ def stationary_ansatz(
         raise InvalidParams(f"L must be >= 1, got {length}")
     if length > _ANSATZ_LIMIT:
         raise SizeLimit(f"stationary_ansatz is guarded to L <= {_ANSATZ_LIMIT}")
-    if variant not in VARIANTS:
-        raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
-    try:
-        empty, occupied = _site_operators(p, length, variant)
-    except SingularParams:
-        weights = [
-            ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)
-        ]
-    else:
-        weights = _transfer_weights(length, empty, occupied)
-    total = sum(weights)
-
-    site_sum = _site_letter_poly(True, variant, p.qprime) + _site_letter_poly(
-        False, variant, p.qprime
-    )
-    power = WordPoly.one()
-    for _ in range(length):
-        power = power * site_sum
-    if functional(power, p) != total:
-        raise BiorthError("normalization mismatch between weight sum and letter-sum power")
-    if total == 0:
-        raise BiorthError("ansatz normalization vanishes")
-    probs = tuple(w / total for w in weights)
-    return StationaryDistribution(length=length, probabilities=probs, normalization=total)
+    return _ansatz(length, p, variant, _representation(p, length))
 
 
 @dataclass(frozen=True)
@@ -327,16 +342,18 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     """Compare the requested ansatz variants with the oracle at length L.
 
     Exact equality configuration by configuration; on mismatch the largest
-    absolute discrepancy is recorded.  Guarded to L <= 6 because the oracle
+    absolute discrepancy is recorded.  The exact representation is built
+    once and shared by the variants.  Guarded to L <= 6 because the oracle
     cost grows as 8^L.
     """
     if length > _COMPARE_LIMIT:
         raise SizeLimit(f"compare is guarded to L <= {_COMPARE_LIMIT}")
     rates = to_rates(p)
     oracle = stationary_exact(length, rates)
+    rep = _representation(p, length)
     rows = []
     for variant in variants:
-        dist = stationary_ansatz(length, p, variant)
+        dist = _ansatz(length, p, variant, rep)
         gap = max(
             abs(x - y) for x, y in zip(dist.probabilities, oracle.probabilities)
         )

@@ -12,7 +12,8 @@ moment block), so both constructions build it by swapping the parameters
 once and running the P route.
 
 Pairings against the functional must then be diagonal:
-L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor, and
+L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor (the
+whole grid of pairings is one matrix product P B Q^T), and
 for small orders the same polynomials arise from bordered determinants of
 the moment block.
 """
@@ -144,17 +145,40 @@ def pairing(p: AWParams, pcoeffs, qcoeffs) -> Fraction:
     return functional(WordPoly(terms), p)
 
 
+def _pairing_grid(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> list[list[Fraction]]:
+    """[[pairing(p, P_n, Q_m) for m] for n] as one product P B Q^T.
+
+    With P and Q the coefficient rows of the two families, zero-padded to
+    a square, L(P_n Q_m) = sum_ij P[n][i] B[i][j] Q[m][j] for B the moment
+    block of order count - 1.
+    """
+    count = pseq.count
+    pmat, qmat = (
+        [list(row) + [Fraction(0)] * (count - len(row)) for row in seq.coeffs]
+        for seq in (pseq, qseq)
+    )
+    block = bimoment_table(p).block(count - 1)
+    return _linalg.mat_mul(_linalg.mat_mul(pmat, block), _linalg.mat_transpose(qmat))
+
+
 def biorthogonality_check(p: AWParams, count: int) -> VerificationReport:
-    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count."""
+    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count.
+
+    The whole grid of pairings is one product P B Q^T (``_pairing_grid``).
+    It reads the same data as a loop over ``pairing``, which only ever
+    normal-orders words d^i e^j that are already normal and then reads the
+    same table entries: the polynomials still come from the inverse
+    factors and the moments from the table.  The grid is scanned row by
+    row and the first failure is reported.
+    """
     report = VerificationReport(params=p.to_map(), n=count - 1)
     pseq = polys_from_inverse(p, count, "d")
     qseq = polys_from_inverse(p, count, "e")
     lam = build_D(p, count - 1)
     failure = None
     with report.timed("pairing-grid"):
-        for n in range(count):
-            for m in range(count):
-                value = pairing(p, pseq.poly(n), qseq.poly(m))
+        for n, row in enumerate(_pairing_grid(p, pseq, qseq)):
+            for m, value in enumerate(row):
                 expected = lam.values[n] if n == m else Fraction(0)
                 if value != expected:
                     failure = {"n": n, "m": m, "value": value, "expected": expected}

@@ -22,6 +22,7 @@ from .core import (
     BiorthError,
     HoppingRates,
     InvalidParams,
+    SizeLimit,
     ZeroParameter,
     format_rational,
     parse_rational,
@@ -48,6 +49,18 @@ GRID = (
 )
 
 _AW_T_VALUES = (Fraction(2), Fraction(3, 2), Fraction(5))
+
+# Largest --n per subcommand.  At the costliest GRID point, (3/2, 3/4, -1/6,
+# -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 32 takes 15 s (n 40:
+# 100 s) and rep --n 96 takes 9 s (n 128: 42 s); bimoment --n 48 takes 1.3 s,
+# and at n 64 three GRID points have entries past the 4300 digits Python
+# will print.
+_N_LIMITS = {"bimoment": 48, "ldu": 32, "rep": 96}
+
+
+def _guard_n(command: str, n: int) -> None:
+    if n > _N_LIMITS[command]:
+        raise SizeLimit(f"{command} is guarded to --n <= {_N_LIMITS[command]}, got {n}")
 
 
 def _grid_params() -> list[AWParams]:
@@ -109,6 +122,7 @@ def _all_passed(reports: dict) -> bool:
 
 
 def _cmd_bimoment(args) -> int:
+    _guard_n("bimoment", args.n)
     p = _params_from_args(args)
     block = bimoment_block(p, args.n, fill=args.fill)
     if args.format == "csv":
@@ -146,6 +160,7 @@ def _ldu_report(p: AWParams, n: int, n_det: int) -> VerificationReport:
 
 
 def _cmd_ldu(args) -> int:
+    _guard_n("ldu", args.n)
     p = _params_from_args(args)
     report = _ldu_report(p, args.n, args.n)
     _emit(args, canonical_json(jsonable(_report_payload("ldu", p, {"ldu": report}))))
@@ -223,6 +238,7 @@ def _rep_reports(p: AWParams, n: int) -> dict:
 
 
 def _cmd_rep(args) -> int:
+    _guard_n("rep", args.n)
     p = _params_from_args(args)
     reports = _rep_reports(p, args.n)
     _emit(args, canonical_json(jsonable(_report_payload("rep", p, reports))))

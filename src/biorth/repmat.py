@@ -73,15 +73,20 @@ class TridiagonalOperator:
     def to_dense(self):
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
-    def matvec(self, vec):
-        """This operator applied to the column vector vec (a list of length size)."""
-        last = self.size - 1
-        return [
-            self.diag[i] * vec[i]
-            + (self.lower[i - 1] * vec[i - 1] if i else 0)
-            + (self.upper[i] * vec[i + 1] if i < last else 0)
-            for i in range(self.size)
-        ]
+    def matvec(self, vec, levels):
+        """The first ``levels`` components of this operator applied to the
+        column vector vec.  vec may be shorter than size; its missing
+        components are zero."""
+        known = len(vec)
+        out = []
+        for i in range(levels):
+            acc = self.diag[i] * vec[i] if i < known else 0
+            if i and i <= known:
+                acc += self.lower[i - 1] * vec[i - 1]
+            if i + 1 < known:
+                acc += self.upper[i] * vec[i + 1]
+            out.append(acc)
+        return out
 
     def to_json_dict(self) -> dict:
         def render(value):

@@ -18,6 +18,7 @@ from biorth import (
     polys_from_inverse,
     polys_from_recurrence,
 )
+from biorth import biortho
 
 from conftest import GRID, make_params
 
@@ -68,6 +69,53 @@ def test_biorthogonality_report(grid):
         # normalizations are exactly the diagonal factors
         lam = build_D(p, 7)
         assert all(v != 0 for v in lam.values)
+
+
+def test_pairing_grid_equals_single_pairings(grid):
+    for p in grid:
+        for count in range(1, 7):
+            pseq = polys_from_inverse(p, count, "d")
+            qseq = polys_from_inverse(p, count, "e")
+            assert biortho._pairing_grid(p, pseq, qseq) == [
+                [pairing(p, pseq.poly(n), qseq.poly(m)) for m in range(count)]
+                for n in range(count)
+            ]
+
+
+def _first_failure_by_pairing(p, pseq, qseq):
+    lam = build_D(p, pseq.count - 1).values
+    for n in range(pseq.count):
+        for m in range(qseq.count):
+            value = pairing(p, pseq.poly(n), qseq.poly(m))
+            expected = lam[n] if n == m else 0
+            if value != expected:
+                return {"n": n, "m": m, "value": value, "expected": expected}
+    return None
+
+
+def test_biorthogonality_reports_the_first_failing_pair(grid, monkeypatch):
+    real = biortho.polys_from_inverse
+
+    def perturbed(p, count, variable="d"):
+        seq = real(p, count, variable)
+        if variable == "d":
+            return seq
+        # Q_2 + 3 Q_1 fails only against P_1, Q_5 + Q_0/7 only against P_0:
+        # the row-by-row scan meets (0, 5) first, a column scan (1, 2).
+        rows = [list(row) for row in seq.coeffs]
+        for target, source, weight in ((2, 1, F(3)), (5, 0, F(1, 7))):
+            for k, value in enumerate(seq.poly(source)):
+                rows[target][k] += weight * value
+        return PolySeq("e", tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(biortho, "polys_from_inverse", perturbed)
+    for p in grid:
+        report = biorthogonality_check(p, 7)
+        (check,) = [c for c in report.checks if c.name == "diagonal-pairing"]
+        expected = _first_failure_by_pairing(p, perturbed(p, 7, "d"), perturbed(p, 7, "e"))
+        assert (expected["n"], expected["m"]) == (0, 5)
+        assert not check.passed
+        assert check.first_failure == expected
 
 
 def test_monomial_expansion(grid):

@@ -69,10 +69,15 @@ def test_config_errors_exit_2(capsys):
     # sizes below the smallest meaningful one
     assert main(["stationary", *CANONICAL, "--L", "-2"]) == 2
     assert main(["aw", *CANONICAL, "--n", "-1"]) == 2
+    # sizes above the guards
+    assert main(["bimoment", *CANONICAL, "--n", "49"]) == 2
+    assert main(["ldu", *CANONICAL, "--n", "33"]) == 2
+    assert main(["rep", *CANONICAL, "--n", "97"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = captured.err.splitlines()
-    assert len(errors) == 7 and all(line.startswith("error:") for line in errors)
+    assert len(errors) == 10 and all(line.startswith("error:") for line in errors)
+    assert all("guarded to --n <=" in line for line in errors[-3:])
 
 
 def test_singular_point_exits_2(capsys):

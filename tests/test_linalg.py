@@ -1,0 +1,68 @@
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, strategies as st
+
+from biorth import BiorthError
+from biorth._linalg import mat_identity, mat_mul
+
+
+def naive_mul(a, b):
+    """Reference product: a Fraction triple loop."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+# Zero often (so rows, columns and spans vanish), small and large
+# numerators of both signs, and denominators that differ entry by entry.
+entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def factor_pairs(draw):
+    rows = draw(st.integers(0, 6))
+    inner = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    for row in draw(st.sets(st.integers(0, 5))):
+        if row < rows:
+            a[row] = [F(0)] * inner
+    for col in draw(st.sets(st.integers(0, 5))):
+        for row in b:
+            if col < cols:
+                row[col] = F(0)
+    return a, b
+
+
+@given(factor_pairs())
+def test_mat_mul_matches_fraction_loop(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert product == naive_mul(a, b)
+    assert all(type(value) is F for row in product for value in row)
+
+
+def test_mat_mul_edge_shapes():
+    zero = [[F(0)] * 3 for _ in range(2)]
+    assert mat_mul(zero, [[F(1, 3)] * 4 for _ in range(3)]) == [[F(0)] * 4 for _ in range(2)]
+    assert mat_mul([], [[F(1)]]) == []
+    # triangular factors: the nonzero spans of row and column overlap in part
+    lower = [[F(i + j + 1, j + 2) if j <= i else F(0) for j in range(4)] for i in range(4)]
+    upper = [list(col) for col in zip(*lower)]
+    assert mat_mul(lower, upper) == naive_mul(lower, upper)
+    assert mat_mul(upper, lower) == naive_mul(upper, lower)
+    assert mat_mul(lower, mat_identity(4)) == lower
+    # integer entries are accepted as rationals
+    assert mat_mul([[1, -2]], [[F(1, 2)], [3]]) == [[F(-11, 2)]]
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(BiorthError):
+        mat_mul([[F(1), F(2)]], [[F(1)]])
