@@ -31,7 +31,6 @@ from .core import (
     SingularParams,
     SizeLimit,
     d_natural,
-    format_rational,
     g_coeff,
 )
 from .ldu import build_D, build_L, build_L_inverse, build_U
@@ -59,12 +58,6 @@ class PolySeq:
 
     def poly(self, n: int) -> tuple[Fraction, ...]:
         return self.coeffs[n]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "coeffs": [[format_rational(v) for v in row] for row in self.coeffs],
-        }
 
 
 def _require_variable(variable: str) -> None:

@@ -2,10 +2,11 @@
 
 Everything downstream works over arbitrary-precision rationals
 (``fractions.Fraction``), so every identity check in the package is an exact
-equality, never a tolerance comparison.  The only floating-point surface is
-the orthonormal operator representation; it uses mpmath at a precision
-controlled by the ``BIORTH_PRECISION_BITS`` environment variable (read by
-:func:`precision_bits`).
+equality, never a tolerance comparison.  Nothing is computed in floating
+point: the only floats are wall-clock timings and the decimal column of the
+stationary CSV, rounded from the exact value printed next to it.  Literals
+and printed values past Python's int/str digit limit raise InvalidParams and
+SizeLimit instead of ValueError.
 
 Two parameter records exist:
 
@@ -22,8 +23,8 @@ square roots, so it is rational only for perfect-square discriminants).
 
 from __future__ import annotations
 
-import os
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -62,10 +63,6 @@ class NotIrreducible(BiorthError):
     """A generator matrix does not have a one-dimensional stationary space."""
 
 
-class NegativeRadicand(BiorthError):
-    """An orthonormal representation needs sqrt of a negative value."""
-
-
 class ZeroParameter(BiorthError):
     """A formula needs all of a, b, c, d nonzero (it divides by them)."""
 
@@ -88,7 +85,13 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidParams(
             f"not an exact rational literal (use 'p' or 'p/q'): {text!r}"
         )
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # the regex leaves only Python's digit limit
+        raise InvalidParams(
+            f"rational literal has more than {sys.get_int_max_str_digits()} digits "
+            "(Python's int-from-str limit)"
+        ) from None
 
 
 def as_rational(value) -> Fraction:
@@ -103,8 +106,18 @@ def as_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p"`` or ``"p/q"`` in lowest terms."""
-    return str(Fraction(value))
+    """Render a Fraction as ``"p"`` or ``"p/q"`` in lowest terms.
+
+    Raises SizeLimit past Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits``).
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise SizeLimit(
+            f"cannot print an exact value with more than {sys.get_int_max_str_digits()} "
+            "digits (Python's int-to-str limit)"
+        ) from None
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -116,20 +129,6 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     if sn * sn == num and sd * sd == den:
         return Fraction(sn, sd)
     return None
-
-
-def precision_bits() -> int:
-    """Floating precision (bits) for the mpmath surfaces, default 256."""
-    raw = os.environ.get("BIORTH_PRECISION_BITS", "")
-    if not raw.strip():
-        return 256
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise InvalidParams(f"BIORTH_PRECISION_BITS is not an integer: {raw!r}") from exc
-    if bits < 8:
-        raise InvalidParams(f"BIORTH_PRECISION_BITS too small: {bits}")
-    return bits
 
 
 # ---------------------------------------------------------------------------

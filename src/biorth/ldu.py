@@ -27,7 +27,6 @@ from .core import (
     InvalidParams,
     SingularParams,
     d_natural,
-    format_rational,
     g_coeff,
     qpoch,
     qpoch_multi,
@@ -49,18 +48,8 @@ class TriangularFactor:
         if self.kind not in _KINDS:
             raise InvalidParams(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.order,
-            "entries": [[format_rational(v) for v in row] for row in self.entries],
-        }
 
 
 @dataclass(frozen=True)
@@ -69,12 +58,6 @@ class DiagonalFactor:
 
     order: int
     values: tuple[Fraction, ...]
-
-    def entry(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.order, "values": [format_rational(v) for v in self.values]}
 
 
 def _zeros(n):

@@ -1,19 +1,18 @@
-"""Tridiagonal operator representations and their recurrence cross-checks.
+"""Exact tridiagonal operator representations and their recurrence cross-checks.
 
-Two bases are provided for the pair of shifted boundary operators:
-
-* a rational monic basis, where the first operator has unit superdiagonal,
-  diagonal dnat_n, subdiagonal -bd q^n g_n, and the second operator has
-  subdiagonal g_n, diagonal enat_n, superdiagonal -ac q^n -- all exact;
-* an orthonormal basis obtained by the diagonal similarity sqrt(Lambda_n),
-  whose entries involve sqrt(g_n) and are therefore floating point.
+The pair of shifted boundary operators is represented in a rational monic
+basis: the first operator has unit superdiagonal, diagonal dnat_n and
+subdiagonal -bd q^n g_n; the second has subdiagonal g_n, diagonal enat_n
+and superdiagonal -ac q^n.  Every entry is an exact rational, and
+:func:`rep_rational` is the one place where the band is written down.
 
 The sum R of the two operators must reproduce the normalized three-term
 recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family:
 R[n][n] = B_n and R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger
-moments of the two Jacobi systems agree.  ``aw_eval`` evaluates the family
-through its terminating basic hypergeometric series so the recurrence can
-be validated against an independent construction.
+moments of the two Jacobi systems agree.  Both the check and
+:func:`t_polys` read R off :func:`rep_rational`.  ``aw_eval`` evaluates the
+family through its terminating basic hypergeometric series so the
+recurrence can be validated against an independent construction.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .core import (
     AWParams,
     InvalidParams,
-    NegativeRadicand,
     ShapeError,
     SingularParams,
     SizeLimit,
@@ -37,12 +33,9 @@ from .core import (
     format_rational,
     g_coeff,
     phi_terminating,
-    precision_bits,
     qpoch_multi,
 )
 from .reporting import VerificationReport
-
-_SCALAR_KINDS = ("exact", "float")
 
 
 @dataclass(frozen=True)
@@ -53,11 +46,8 @@ class TridiagonalOperator:
     diag: tuple
     upper: tuple
     lower: tuple
-    scalar_kind: str
 
     def __post_init__(self):
-        if self.scalar_kind not in _SCALAR_KINDS:
-            raise InvalidParams(f"scalar_kind must be one of {_SCALAR_KINDS}")
         if len(self.diag) != self.size or len(self.upper) != self.size - 1 or len(self.lower) != self.size - 1:
             raise ShapeError("band lengths inconsistent with size")
 
@@ -68,10 +58,7 @@ class TridiagonalOperator:
             return self.upper[i]
         if j == i - 1:
             return self.lower[j]
-        return Fraction(0) if self.scalar_kind == "exact" else mpmath.mpf(0)
-
-    def to_dense(self):
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
+        return Fraction(0)
 
     def matvec(self, vec, levels):
         """The first ``levels`` components of this operator applied to the
@@ -87,20 +74,6 @@ class TridiagonalOperator:
                 acc += self.upper[i] * vec[i + 1]
             out.append(acc)
         return out
-
-    def to_json_dict(self) -> dict:
-        def render(value):
-            if self.scalar_kind == "exact":
-                return format_rational(value)
-            return mpmath.nstr(value, 30)
-
-        return {
-            "size": self.size,
-            "diag": [render(v) for v in self.diag],
-            "super": [render(v) for v in self.upper],
-            "sub": [render(v) for v in self.lower],
-            "scalar_kind": self.scalar_kind,
-        }
 
 
 @dataclass(frozen=True)
@@ -176,52 +149,26 @@ def rep_rational(p: AWParams, size: int) -> tuple[TridiagonalOperator, Tridiagon
         diag=dnat,
         upper=tuple(Fraction(1) for _ in range(size - 1)),
         lower=tuple(-bd * q**k * g[k] for k in range(size - 1)),
-        scalar_kind="exact",
     )
     eop = TridiagonalOperator(
         size=size,
         diag=enat,
         upper=tuple(-ac * q**k for k in range(size - 1)),
         lower=tuple(g[k] for k in range(size - 1)),
-        scalar_kind="exact",
     )
     return dop, eop
 
 
-def rep_orthonormal(
-    p: AWParams, size: int, prec_bits: int | None = None
-) -> tuple[TridiagonalOperator, TridiagonalOperator]:
-    """Floating orthonormal-basis truncations (entries carry sqrt(g_n))."""
-    if size < 1:
-        raise InvalidParams(f"size must be >= 1, got {size}")
-    bits = precision_bits() if prec_bits is None else int(prec_bits)
-    q = p.q
-    ac = p.a * p.c
-    bd = p.b * p.d
-    g = [g_coeff(p, k) for k in range(size - 1)]
-    for k, value in enumerate(g):
-        if value < 0:
-            raise NegativeRadicand(f"g_{k} = {value} < 0 has no real square root")
-    with mpmath.workprec(bits):
-        def mpf(r):
-            return mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator)
-
-        roots = [mpmath.sqrt(mpf(value)) for value in g]
-        dop = TridiagonalOperator(
-            size=size,
-            diag=tuple(mpf(d_natural(p, k)) for k in range(size)),
-            upper=tuple(roots[k] for k in range(size - 1)),
-            lower=tuple(mpf(-bd * q**k) * roots[k] for k in range(size - 1)),
-            scalar_kind="float",
-        )
-        eop = TridiagonalOperator(
-            size=size,
-            diag=tuple(mpf(e_natural(p, k)) for k in range(size)),
-            upper=tuple(mpf(-ac * q**k) * roots[k] for k in range(size - 1)),
-            lower=tuple(roots[k] for k in range(size - 1)),
-            scalar_kind="float",
-        )
-    return dop, eop
+def _sum_band(p: AWParams, size: int):
+    """Band of R = d + e in the size-``size`` truncation of :func:`rep_rational`:
+    the diagonal R[n][n] and the products R[n][n+1] R[n+1][n]."""
+    dop, eop = rep_rational(p, size)
+    diag = [x + y for x, y in zip(dop.diag, eop.diag)]
+    products = [
+        (du + eu) * (dl + el)
+        for du, eu, dl, el in zip(dop.upper, eop.upper, dop.lower, eop.lower)
+    ]
+    return diag, products
 
 
 def _band_product(x: TridiagonalOperator, y: TridiagonalOperator):
@@ -249,8 +196,6 @@ def verify_algebra(
     The last two rows and columns of the product feel the cut, so equality
     is asserted for all i, j <= size - 3 only.
     """
-    if dop.scalar_kind != "exact" or eop.scalar_kind != "exact":
-        raise InvalidParams("verify_algebra needs exact-kind operators")
     if dop.size != eop.size:
         raise ShapeError("operator sizes differ")
     if dop.size < 3:
@@ -287,10 +232,10 @@ def verify_uchiyama_algebra(p: AWParams, size: int) -> VerificationReport:
 
         (1 - q^n ac)(1 - q^n bd) g_n  =  A_n C_{n+1},
 
-    under which the sharp/flat form is diagonally similar to the
-    orthonormal form.  The diagonal check therefore rescales the stored
-    products (whose quoted normalization uses square g_n) by
-    (1 - q^n ac)(1 - q^n bd) before combining them.  Everything here is
+    under which the sharp/flat form is diagonally similar to the exact
+    monic pair of :func:`rep_rational`.  The diagonal check therefore
+    rescales the stored products (whose quoted normalization uses square
+    g_n) by (1 - q^n ac)(1 - q^n bd) before combining them.  Everything here is
     exact rational arithmetic even though the matrix entries themselves
     are irrational.
     """
@@ -380,8 +325,6 @@ def verify_boundary(
     Column 0 of (d + bd e - (b+d) id) must vanish in rows 0..size-2 and
     row 0 of (e + ac d - (a+c) id) must vanish in columns 0..size-2.
     """
-    if dop.scalar_kind != "exact" or eop.scalar_kind != "exact":
-        raise InvalidParams("verify_boundary needs exact-kind operators")
     if dop.size != eop.size:
         raise ShapeError("operator sizes differ")
     size = dop.size
@@ -475,21 +418,18 @@ def jacobi_moments(diag, offdiag_products, kmax: int):
             f"truncation size {size} cannot produce exact moments to k = {kmax}; "
             f"need size >= {kmax // 2 + 1}"
         )
-    vec = [Fraction(0)] * size
-    vec[0] = Fraction(1)
-    out = [Fraction(1)]
-    for _ in range(kmax):
-        nxt = [Fraction(0)] * size
-        for i in range(size):
-            v = vec[i]
-            if not v:
-                continue
-            nxt[i] += diag[i] * v
-            if i + 1 < size:
-                nxt[i + 1] += v  # monic: super-diagonal 1
-            if i >= 1:
-                nxt[i - 1] += offdiag_products[i - 1] * v
-        vec = nxt
+    # monic form: the coupling products above the diagonal, ones below
+    jacobi = TridiagonalOperator(
+        size=size,
+        diag=tuple(diag),
+        upper=tuple(offdiag_products[: size - 1]),
+        lower=(1,) * (size - 1),
+    )
+    vec = [Fraction(1)]
+    out = [vec[0]]
+    for k in range(1, kmax + 1):
+        # after k steps only levels that can still return to 0 matter
+        vec = jacobi.matvec(vec, min(k, kmax - k) + 1)
         out.append(vec[0])
     return out
 
@@ -498,37 +438,32 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
     """Match the operator sum R = d + e against the recurrence data.
 
     Checks, all exact: R[n][n] = B_n and R[n][n+1] R[n+1][n] = A_n C_{n+1}
-    for n < levels, then equality of the Hamburger moments of the two
+    for n <= levels, then equality of the Hamburger moments of the two
     monic Jacobi systems (B_n/2, A_{n-1} C_n / 4) and
-    ((dnat+enat)_n / 2, offdiag products / 4) up to k = 2 levels.
+    (R[n][n] / 2, R[n-1][n] R[n][n-1] / 4) up to k = 2 levels.  R is read
+    off :func:`rep_rational`, the truncation the ansatz transfer walk uses.
     """
     if levels < 1:
         raise InvalidParams(f"levels must be >= 1, got {levels}")
-    q = p.q
-    ac = p.a * p.c
-    bd = p.b * p.d
     report = VerificationReport(params=p.to_map(), n=levels)
 
     coeffs = [aw_coeffs(p, k) for k in range(levels + 2)]
-    dnat = [d_natural(p, k) for k in range(levels + 1)]
-    enat = [e_natural(p, k) for k in range(levels + 1)]
-    g = [g_coeff(p, k) for k in range(levels + 1)]
+    diag, products = _sum_band(p, levels + 2)
 
     failure = None
     with report.timed("diagonal-match"):
         for n in range(levels + 1):
-            if dnat[n] + enat[n] != coeffs[n].B:
-                failure = {"n": n, "left": dnat[n] + enat[n], "right": coeffs[n].B}
+            if diag[n] != coeffs[n].B:
+                failure = {"n": n, "left": diag[n], "right": coeffs[n].B}
                 break
     report.add("diagonal-equals-B", failure is None, failure)
 
     failure = None
     with report.timed("offdiagonal-match"):
         for n in range(levels + 1):
-            left = (1 - ac * q**n) * (1 - bd * q**n) * g[n]
             right = coeffs[n].A * coeffs[n + 1].C
-            if left != right:
-                failure = {"n": n, "left": left, "right": right}
+            if products[n] != right:
+                failure = {"n": n, "left": products[n], "right": right}
                 break
     report.add("offdiagonal-product-equals-AC", failure is None, failure)
 
@@ -537,10 +472,8 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
         size = levels + 1
         rec_diag = [coeffs[n].B / 2 for n in range(size)]
         rec_off = [coeffs[n].A * coeffs[n + 1].C / 4 for n in range(size - 1)]
-        op_diag = [(dnat[n] + enat[n]) / 2 for n in range(size)]
-        op_off = [
-            (1 - ac * q**n) * (1 - bd * q**n) * g[n] / 4 for n in range(size - 1)
-        ]
+        op_diag = [diag[n] / 2 for n in range(size)]
+        op_off = [products[n] / 4 for n in range(size - 1)]
         kmax = 2 * levels
         rec_moments = jacobi_moments(rec_diag, rec_off, kmax)
         op_moments = jacobi_moments(op_diag, op_off, kmax)
@@ -592,19 +525,17 @@ def t_polys(p: AWParams, count: int):
 
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
-    q = p.q
-    ac = p.a * p.c
-    bd = p.b * p.d
+    diag, products = _sum_band(p, count - 1) if count > 1 else ((), ())
     seq = [(Fraction(1),)]
     prev_prev: tuple[Fraction, ...] = ()
     for n in range(count - 1):
-        b_half = (d_natural(p, n) + e_natural(p, n)) / 2
+        b_half = diag[n] / 2
         cur = seq[-1]
         nxt = [v for v in ((Fraction(0),) + cur)]
         for k, v in enumerate(cur):
             nxt[k] -= b_half * v
         if n >= 1:
-            lam = (1 - ac * q ** (n - 1)) * (1 - bd * q ** (n - 1)) * g_coeff(p, n - 1) / 4
+            lam = products[n - 1] / 4
             for k, v in enumerate(prev_prev):
                 nxt[k] -= lam * v
         seq.append(tuple(nxt))

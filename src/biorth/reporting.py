@@ -14,11 +14,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .core import format_rational
+
 
 def jsonable(value):
     """Map exact values (and containers of them) to JSON-stable forms."""
     if isinstance(value, Fraction):
-        return str(value)
+        return format_rational(value)
     if value is None or isinstance(value, (int, float, str)):
         return value
     if isinstance(value, dict):

@@ -137,20 +137,6 @@ class WordPoly:
         parts = [f"{c}*{w or '1'}" for w, c in sorted(self.terms.items())]
         return "WordPoly(" + " + ".join(parts) + ")"
 
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"word": word, "coeff": str(coeff)}
-            for word, coeff in sorted(self.terms.items())
-        ]
-
-    @classmethod
-    def from_json_list(cls, items) -> "WordPoly":
-        out: dict[str, Fraction] = {}
-        for item in items:
-            word = parse_word(item["word"])
-            out[word] = out.get(word, Fraction(0)) + as_rational(item["coeff"])
-        return cls(out)
-
 
 def is_normal(word: str) -> bool:
     """True iff every d precedes every e."""
@@ -219,39 +205,6 @@ def functional(wp: WordPoly, p: AWParams) -> Fraction:
         i, j = _split_normal(word)
         total += coeff * table.entry(i, j)
     return total
-
-
-def eliminate_left_e(wp: WordPoly, p: AWParams) -> WordPoly:
-    """Apply  e w -> (a+c) w - ac (d w)  to every term.
-
-    Every word in wp must begin with e; otherwise the rewrite is not an
-    identity of the functional and a ShapeError is raised.
-    """
-    ac = p.a * p.c
-    a_plus_c = p.a + p.c
-    out = WordPoly.zero()
-    for word, coeff in wp.terms.items():
-        if not word.startswith("e"):
-            raise ShapeError(f"word {word!r} does not begin with e")
-        rest = word[1:]
-        out += WordPoly({rest: coeff * a_plus_c}) + WordPoly({"d" + rest: -coeff * ac})
-    return out
-
-
-def eliminate_right_d(wp: WordPoly, p: AWParams) -> WordPoly:
-    """Apply  w d -> (b+d) w - bd (w e)  to every term.
-
-    Every word in wp must end with d.
-    """
-    bd = p.b * p.d
-    b_plus_d = p.b + p.d
-    out = WordPoly.zero()
-    for word, coeff in wp.terms.items():
-        if not word.endswith("d"):
-            raise ShapeError(f"word {word!r} does not end with d")
-        rest = word[:-1]
-        out += WordPoly({rest: coeff * b_plus_d}) + WordPoly({rest + "e": -coeff * bd})
-    return out
 
 
 def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:

@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import biorth
 from biorth.cli import _glue_values, main
 from biorth.reporting import canonical_json
 
@@ -78,6 +82,26 @@ def test_config_errors_exit_2(capsys):
     errors = captured.err.splitlines()
     assert len(errors) == 10 and all(line.startswith("error:") for line in errors)
     assert all("guarded to --n <=" in line for line in errors[-3:])
+
+
+def test_overlong_literal_exits_2(capsys):
+    flags = ["--a", "1" * 4400, "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2"]
+    assert main(["bimoment", *flags, "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: rational literal has more than 4300 digits (Python's int-from-str limit)"
+    ]
+
+
+def test_cli_import_needs_no_mpmath():
+    src = os.path.dirname(os.path.dirname(biorth.__file__))
+    probe = "import sys, biorth.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_singular_point_exits_2(capsys):

@@ -8,6 +8,7 @@ from biorth import (
     HoppingRates,
     InvalidParams,
     SingularParams,
+    SizeLimit,
     d_natural,
     e_natural,
     g_coeff,
@@ -19,7 +20,8 @@ from biorth import (
     to_rates,
     validate,
 )
-from biorth.core import exact_sqrt
+from biorth.core import exact_sqrt, format_rational
+from biorth.reporting import jsonable
 
 from conftest import rationals
 
@@ -31,6 +33,17 @@ def test_parse_rational():
     for bad in ("0.5", "1/0", "", "a/b"):
         with pytest.raises(InvalidParams):
             parse_rational(bad)
+
+
+def test_digit_limit_is_a_config_error():
+    # Python refuses int <-> str conversions past 4300 digits
+    with pytest.raises(InvalidParams, match="4300 digits"):
+        parse_rational("1" * 4400)
+    huge = F(10**4400)
+    with pytest.raises(SizeLimit, match="4300 digits"):
+        format_rational(huge)
+    with pytest.raises(SizeLimit, match="4300 digits"):
+        jsonable({"value": [huge]})
 
 
 def test_exact_sqrt():

@@ -48,9 +48,9 @@ def test_factors_match_elimination(grid):
 def test_low_order_entries(canonical):
     p = canonical
     low = build_L(p, 2)
-    assert low.entry(1, 0) == d_natural(p, 0)
-    assert low.entry(2, 0) == d_natural(p, 0) ** 2 - p.b * p.d * g_coeff(p, 0)
-    assert build_L_inverse(p, 2).entry(1, 0) == -d_natural(p, 0)
+    assert low.entries[1][0] == d_natural(p, 0)
+    assert low.entries[2][0] == d_natural(p, 0) ** 2 - p.b * p.d * g_coeff(p, 0)
+    assert build_L_inverse(p, 2).entries[1][0] == -d_natural(p, 0)
     d = build_D(p, 2)
     assert d.values[0] == 1
     assert d.values[1] == F(9240, 24863)  # g_0 at the canonical point
@@ -61,10 +61,10 @@ def test_triangular_structure(canonical):
     n = 6
     low, up = build_L(canonical, n), build_U(canonical, n)
     for i in range(n + 1):
-        assert low.entry(i, i) == 1 and up.entry(i, i) == 1
+        assert low.entries[i][i] == 1 and up.entries[i][i] == 1
         for j in range(i + 1, n + 1):
-            assert low.entry(i, j) == 0
-            assert up.entry(j, i) == 0
+            assert low.entries[i][j] == 0
+            assert up.entries[j][i] == 0
 
 
 @pytest.mark.parametrize("point", GRID)

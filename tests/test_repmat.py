@@ -1,12 +1,10 @@
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 
 from biorth import (
     AWParams,
     InvalidParams,
-    NegativeRadicand,
     SizeLimit,
     ZeroParameter,
     aw_coeffs,
@@ -15,7 +13,6 @@ from biorth import (
     e_natural,
     g_coeff,
     jacobi_moments,
-    rep_orthonormal,
     rep_rational,
     t_polys,
     verify_algebra,
@@ -23,6 +20,7 @@ from biorth import (
     verify_boundary,
     verify_uchiyama_algebra,
 )
+from biorth import repmat
 from biorth.repmat import uchiyama_coeffs
 
 
@@ -51,9 +49,6 @@ def test_algebra_input_guards(canonical):
     small = rep_rational(canonical, 2)
     with pytest.raises(InvalidParams):
         verify_algebra(*small, canonical.q)
-    fop, gop = rep_orthonormal(canonical, 4, prec_bits=64)
-    with pytest.raises(InvalidParams):
-        verify_algebra(fop, gop, canonical.q)
 
 
 def test_boundary_vectors(grid):
@@ -98,6 +93,23 @@ def test_aw_coeffs_edges(canonical):
 def test_aw_match(nonzero_grid):
     for p in nonzero_grid:
         assert verify_aw_match(p, 6).passed
+
+
+def test_aw_match_reads_the_representation(monkeypatch, canonical):
+    # the check compares rep_rational itself, not a copy of its formulas
+    exact = repmat.rep_rational
+
+    def perturbed(p, size):
+        dop, eop = exact(p, size)
+        diag = list(dop.diag)
+        diag[3] += 1
+        return repmat.TridiagonalOperator(dop.size, tuple(diag), dop.upper, dop.lower), eop
+
+    monkeypatch.setattr(repmat, "rep_rational", perturbed)
+    report = verify_aw_match(canonical, 6)
+    failed = [c for c in report.checks if not c.passed]
+    assert failed[0].name == "diagonal-equals-B"
+    assert failed[0].first_failure["n"] == 3
 
 
 def test_jacobi_moments_chebyshev():
@@ -157,50 +169,3 @@ def test_t_polys(canonical):
     t1 = seq.poly(1)
     expected = (-b1 * t1[0] - lam1, t1[0] - b1 * t1[1], t1[1])
     assert seq.poly(2) == expected
-
-
-def _dense_mul(x, y):
-    n = len(x)
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def test_orthonormal_rep_algebra_numerically(canonical):
-    size = 8
-    dop, eop = rep_orthonormal(canonical, size, prec_bits=256)
-    with mpmath.workprec(256):
-        de = _dense_mul(dop.to_dense(), eop.to_dense())
-        ed = _dense_mul(eop.to_dense(), dop.to_dense())
-        worst = mpmath.mpf(0)
-        for i in range(size - 2):
-            for j in range(size - 2):
-                target = mpmath.mpf(1) / 2 if i == j else mpmath.mpf(0)
-                worst = max(worst, abs(de[i][j] - canonical.q * ed[i][j] - target))
-        assert worst < mpmath.mpf(10) ** -60
-
-
-def test_orthonormal_is_similar_to_rational(canonical):
-    # conjugating the exact rep by diag(Lambda_n^(1/2)) must reproduce the
-    # orthonormal entries: super-diagonals become sqrt(g_n)
-    size = 6
-    dop_r, eop_r = rep_rational(canonical, size)
-    dop_o, eop_o = rep_orthonormal(canonical, size, prec_bits=128)
-    with mpmath.workprec(128):
-        roots = [mpmath.sqrt(mpmath.mpf(g_coeff(canonical, k).numerator)
-                             / mpmath.mpf(g_coeff(canonical, k).denominator))
-                 for k in range(size - 1)]
-        tol = mpmath.mpf(10) ** -30
-        for k in range(size - 1):
-            # upper entries gain a factor sqrt(g_k), lower entries lose one
-            assert abs(dop_o.entry(k, k + 1) - roots[k] * dop_r.entry(k, k + 1)) < tol
-            assert abs(eop_o.entry(k, k + 1) - roots[k] * eop_r.entry(k, k + 1)) < tol
-            assert abs(roots[k] * eop_o.entry(k + 1, k) - eop_r.entry(k + 1, k)) < tol
-            assert abs(roots[k] * dop_o.entry(k + 1, k) - dop_r.entry(k + 1, k)) < tol
-
-
-def test_negative_radicand_detected():
-    p = AWParams(2, 3, F(-1, 5), F(-1, 7), F(1, 2))
-    assert g_coeff(p, 0) < 0
-    with pytest.raises(NegativeRadicand):
-        rep_orthonormal(p, 4)
