@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Compare the matrix-product ansatz against the exact chain solution.
 
-For each system size L the script solves the master equation exactly,
-evaluates both ansatz readings (shifted letters literally vs. the
-substitution D = (1+d)/(1-q)), and prints which one reproduces the
-oracle together with the worst discrepancy of the other.  Optionally
-dumps the exact site-density profile of the stationary state.
+For each system size L the script evaluates both ansatz readings (shifted
+letters literally vs. the substitution D = (1+d)/(1-q)), takes as the exact
+chain solution the first one whose master-equation residual vanishes on the
+irreducible generator (solving the master equation densely only if neither
+does), and prints which one reproduces that oracle together with the worst
+discrepancy of the other.  Optionally dumps the exact site-density profile
+of the stationary state.
 """
 
 import argparse

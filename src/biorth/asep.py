@@ -6,10 +6,15 @@ right across a bond at rate 1 and left at rate q, injects/extracts at the
 left boundary at rates alpha/gamma and at the right boundary at rates
 delta/beta.
 
-The stationary distribution is computed two ways:
+The stationary distribution is obtained three ways:
 
-* ``stationary_exact`` solves pi M = 0 exactly (the oracle; no model
-  structure beyond the generator enters);
+* ``certify_stationary`` proves a candidate stationary: the generator is
+  strongly connected (so its left kernel is one-dimensional) and the
+  candidate's residual pi M is exactly zero.  Only the generator enters,
+  and the cost is linear in its nonzero entries;
+* ``stationary_exact`` solves pi M = 0 exactly by dense elimination on the
+  2^L x 2^L generator, at a cost of about 8^L operations (the fallback
+  oracle);
 * ``stationary_ansatz`` gives configuration tau the weight
   <e0| X_tau1 ... X_tauL |e0> in the tridiagonal representation of d and
   e (``repmat.rep_rational``).  Variant "shifted" uses the letters d, e
@@ -19,9 +24,10 @@ The stationary distribution is computed two ways:
   steps.  ``ansatz_weight`` evaluates one configuration by the word route
   instead (expand the letter product, normal order, read the moment
   table); it is the reference for the representation route and its
-  fallback where the representation is singular.  ``compare`` records
-  which variant(s) reproduce the oracle -- the comparison reports, it
-  never corrects.
+  fallback where the representation is singular.  ``compare`` takes the
+  first variant that certifies as the oracle, solves densely only when
+  none does, and records which variant(s) reproduce the oracle -- the
+  comparison reports, it never corrects.
 """
 
 from __future__ import annotations
@@ -45,9 +51,13 @@ from .core import (
 )
 from .repmat import rep_rational
 from .reporting import canonical_json, jsonable
-from .wordfun import WordPoly, functional
+from .wordfun import WordPoly, functional, power_functional
 
 _ANSATZ_LIMIT = 10
+# Dense elimination grows about 20x per site: at the costliest GRID point,
+# (3/2, 3/4, -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, L = 7 takes
+# 1.5 s and L = 8 takes 39 s.
+_EXACT_LIMIT = 8
 _GENERATOR_LIMIT = 12
 _COMPARE_LIMIT = 6
 VARIANTS = ("shifted", "unshifted")
@@ -155,8 +165,8 @@ def stationary_exact(length: int, rates: HoppingRates) -> StationaryDistribution
     """Oracle stationary state: exact nullspace of the transposed generator."""
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _ANSATZ_LIMIT:
-        raise SizeLimit(f"stationary_exact is guarded to L <= {_ANSATZ_LIMIT}")
+    if length > _EXACT_LIMIT:
+        raise SizeLimit(f"stationary_exact is guarded to L <= {_EXACT_LIMIT}")
     dense = _dense_generator(length, rates)
     basis = _linalg.nullspace(_linalg.mat_transpose(dense))
     if len(basis) != 1:
@@ -173,11 +183,67 @@ def stationary_exact(length: int, rates: HoppingRates) -> StationaryDistribution
     return StationaryDistribution(length=length, probabilities=probs, normalization=total)
 
 
-def _site_letter_poly(occupied: bool, variant: str, qprime: Fraction) -> WordPoly:
-    letter = "d" if occupied else "e"
+def _reaches_all(edges: dict[int, list[int]], size: int) -> bool:
+    """True iff every state 0..size-1 is reachable from state 0."""
+    seen = [False] * size
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append(nxt)
+    return all(seen)
+
+
+def certify_stationary(length: int, rates: HoppingRates, candidates):
+    """The first candidate distribution proven stationary, or None.
+
+    The generator is first checked strongly connected, by one search from
+    state 0 along its off-diagonal entries and one against them.  Then its
+    left kernel is one-dimensional and spanned by a positive vector, so a
+    candidate with exactly zero residual pi M and only positive entries is
+    the stationary state.  Raises ``NotIrreducible`` if the generator is
+    not strongly connected.
+
+    The residual is taken on integers: the rates and each candidate are
+    scaled by the lcm of their denominators, which moves no sign and no
+    zero.
+    """
+    matrix = generator(length, rates)
+    size = 1 << length
+    forward: dict[int, list[int]] = {}
+    backward: dict[int, list[int]] = {}
+    for src, dst in matrix:
+        if src != dst:
+            forward.setdefault(src, []).append(dst)
+            backward.setdefault(dst, []).append(src)
+    if not (_reaches_all(forward, size) and _reaches_all(backward, size)):
+        raise NotIrreducible(f"the generator at L={length} is not strongly connected")
+    int_rates, _ = _linalg._clear_denominators(list(matrix.values()))
+    entries = [(src, dst, rate) for (src, dst), rate in zip(matrix, int_rates)]
+    for dist in candidates:
+        if dist.length != length:
+            raise InvalidParams(f"candidate of length {dist.length} for L={length}")
+        weights, _ = _linalg._clear_denominators(dist.probabilities)
+        if not all(w > 0 for w in weights):
+            continue
+        residual = [0] * size
+        for src, dst, rate in entries:
+            residual[dst] += weights[src] * rate
+        if not any(residual):
+            return dist
+    return None
+
+
+def _site_letter(p: AWParams, variant: str) -> tuple[Fraction, Fraction]:
+    """(shift, scale) of a variant: the site letter is shift + scale x, with
+    x = d on an occupied site and x = e on an empty one."""
+    if variant not in VARIANTS:
+        raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "shifted":
-        return WordPoly({letter: 1})
-    return WordPoly({"": Fraction(1) / qprime, letter: Fraction(1) / qprime})
+        return Fraction(0), Fraction(1)
+    return 1 / p.qprime, 1 / p.qprime
 
 
 def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
@@ -188,14 +254,13 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
     (d for occupied, e for empty), either literally ("shifted") or after
     the substitution D = (1+d)/(1-q), E = (1+e)/(1-q) ("unshifted").
     """
-    if variant not in VARIANTS:
-        raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
+    shift, scale = _site_letter(p, variant)
     bits = [int(b) for b in tau]
     if any(b not in (0, 1) for b in bits):
         raise InvalidParams(f"occupation values must be 0/1, got {tau!r}")
     word = WordPoly.one()
     for bit in bits:
-        word = word * _site_letter_poly(bool(bit), variant, p.qprime)
+        word = word * WordPoly({"": shift, "d" if bit else "e": scale})
     return functional(word, p)
 
 
@@ -216,13 +281,11 @@ def _site_operators(p: AWParams, rep, variant: str):
     """Empty-site and occupied-site operators of one variant, built from
     the exact (d, e) pair ``rep``."""
     dop, eop = rep
-    if variant == "shifted":
-        return eop, dop
-    scale = 1 / p.qprime
+    shift, scale = _site_letter(p, variant)
     return tuple(
         replace(
             op,
-            diag=tuple((1 + x) * scale for x in op.diag),
+            diag=tuple(shift + x * scale for x in op.diag),
             upper=tuple(x * scale for x in op.upper),
             lower=tuple(x * scale for x in op.lower),
         )
@@ -249,8 +312,7 @@ def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
 def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistribution:
     """``stationary_ansatz`` on the representation ``rep`` of
     ``_representation(p, length)``; the word route where it is None."""
-    if variant not in VARIANTS:
-        raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
+    shift, scale = _site_letter(p, variant)
     if rep is None:
         weights = [
             ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)
@@ -258,14 +320,7 @@ def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistributi
     else:
         weights = _transfer_weights(length, *_site_operators(p, rep, variant))
     total = sum(weights)
-
-    site_sum = _site_letter_poly(True, variant, p.qprime) + _site_letter_poly(
-        False, variant, p.qprime
-    )
-    power = WordPoly.one()
-    for _ in range(length):
-        power = power * site_sum
-    if functional(power, p) != total:
+    if power_functional(p, length, 2 * shift, scale) != total:
         raise BiorthError("normalization mismatch between weight sum and letter-sum power")
     if total == 0:
         raise BiorthError("ansatz normalization vanishes")
@@ -283,12 +338,13 @@ def stationary_ansatz(
     denominator (abcd = q or q^2, say) that the moment table does not, each
     weight is computed by the word route of ``ansatz_weight`` instead.
 
-    The normalization is then recomputed by the word route, as the
-    functional of the expanded L-th power of the summed site letters, and
-    checked against the sum of the weights.  The representation and the
-    moment table share nothing above the parameters, so a mismatch means
-    one route is broken; under the fallback the check still guards the
-    expansion of the letter products.
+    The normalization is then recomputed from the moment table, as the
+    functional of the L-th power of the summed site letters (normal ordered
+    in closed form by ``wordfun.power_functional``), and checked against
+    the sum of the weights.  The representation and the moment table share
+    nothing above the parameters, so a mismatch means one route is broken;
+    under the fallback the check still guards the expansion of the letter
+    products.
     """
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")
@@ -343,17 +399,21 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
 
     Exact equality configuration by configuration; on mismatch the largest
     absolute discrepancy is recorded.  The exact representation is built
-    once and shared by the variants.  Guarded to L <= 6 because the oracle
-    cost grows as 8^L.
+    once and shared by the variants.  The oracle is the first variant that
+    ``certify_stationary`` proves stationary (linear in the 2^L states);
+    only when none certifies is it solved by ``stationary_exact``.  That
+    fallback costs about 8^L, so it still sets the guard L <= 6.
     """
     if length > _COMPARE_LIMIT:
         raise SizeLimit(f"compare is guarded to L <= {_COMPARE_LIMIT}")
     rates = to_rates(p)
-    oracle = stationary_exact(length, rates)
     rep = _representation(p, length)
+    dists = [(variant, _ansatz(length, p, variant, rep)) for variant in variants]
+    oracle = certify_stationary(length, rates, (dist for _, dist in dists))
+    if oracle is None:
+        oracle = stationary_exact(length, rates)
     rows = []
-    for variant in variants:
-        dist = _ansatz(length, p, variant, rep)
+    for variant, dist in dists:
         gap = max(
             abs(x - y) for x, y in zip(dist.probabilities, oracle.probabilities)
         )

@@ -18,7 +18,7 @@ entries above the diagonal of the fill direction: column j is filled down
 to row 2n - j.
 
 The column fill is the shared :class:`BimomentTable`, cached per parameter
-set, grown in place and locked so concurrent checkers can share it.  The
+set and grown in place, so every checker in a process reads one table.  The
 row fill is coded separately: derived from the swapped column fill, the
 agreement of the two fills would only repeat :func:`check_transpose_symmetry`.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +74,6 @@ class BimomentTable:
         self._entries: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
         self._order = 0
         self._col_depth = {0: 0}
-        self._lock = threading.RLock()
 
     @property
     def order(self) -> int:
@@ -85,68 +83,62 @@ class BimomentTable:
         """Grow the stored trapezoid to cover the square block of order n."""
         if n < 0:
             raise InvalidParams(f"block order must be >= 0, got {n}")
-        with self._lock:
-            if n <= self._order:
-                return
-            p = self.params
-            a, c, q = p.a, p.c, p.q
-            ac = a * c
-            entries = self._entries
+        if n <= self._order:
+            return
+        p = self.params
+        a, c, q = p.a, p.c, p.q
+        ac = a * c
+        entries = self._entries
 
-            col0 = boundary_column(p, 2 * n)
-            for i, value in enumerate(col0):
-                entries[(i, 0)] = value
-            self._col_depth[0] = 2 * n
+        col0 = boundary_column(p, 2 * n)
+        for i, value in enumerate(col0):
+            entries[(i, 0)] = value
+        self._col_depth[0] = 2 * n
 
-            row0 = boundary_row(p, n)
-            for j in range(1, n + 1):
-                entries[(0, j)] = row0[j]
-                depth = 2 * n - j
-                start = self._col_depth.get(j, 0) + 1
-                qi = q**start
-                for i in range(start, depth + 1):
-                    entries[(i, j)] = (
-                        (1 - qi) * entries[(i - 1, j - 1)]
-                        + (a + c) * qi * entries[(i, j - 1)]
-                        - ac * qi * entries[(i + 1, j - 1)]
-                    )
-                    qi *= q
-                self._col_depth[j] = depth
-            self._order = n
+        row0 = boundary_row(p, n)
+        for j in range(1, n + 1):
+            entries[(0, j)] = row0[j]
+            depth = 2 * n - j
+            start = self._col_depth.get(j, 0) + 1
+            qi = q**start
+            for i in range(start, depth + 1):
+                entries[(i, j)] = (
+                    (1 - qi) * entries[(i - 1, j - 1)]
+                    + (a + c) * qi * entries[(i, j - 1)]
+                    - ac * qi * entries[(i + 1, j - 1)]
+                )
+                qi *= q
+            self._col_depth[j] = depth
+        self._order = n
 
     def entry(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
             raise InvalidParams(f"indices must be >= 0, got ({i}, {j})")
         key = (i, j)
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.ensure(max(j, (i + j + 1) // 2))
-                value = self._entries[key]
-            return value
+        value = self._entries.get(key)
+        if value is None:
+            self.ensure(max(j, (i + j + 1) // 2))
+            value = self._entries[key]
+        return value
 
     def block(self, n: int) -> list[list[Fraction]]:
         self.ensure(n)
-        with self._lock:
-            return [[self._entries[(i, j)] for j in range(n + 1)] for i in range(n + 1)]
+        return [[self._entries[(i, j)] for j in range(n + 1)] for i in range(n + 1)]
 
     def stored_items(self):
-        with self._lock:
-            return dict(self._entries)
+        return dict(self._entries)
 
 
 _TABLES: dict[AWParams, BimomentTable] = {}
-_TABLES_LOCK = threading.Lock()
 
 
 def bimoment_table(p: AWParams) -> BimomentTable:
     """Shared cached table for p (grown on demand, never shrunk)."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(p)
-        if table is None:
-            table = BimomentTable(p)
-            _TABLES[p] = table
-        return table
+    table = _TABLES.get(p)
+    if table is None:
+        table = BimomentTable(p)
+        _TABLES[p] = table
+    return table
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,52 @@ def functional(wp: WordPoly, p: AWParams) -> Fraction:
     return total
 
 
+def normal_power(const, weight, length: int, q) -> dict[tuple[int, int], Fraction]:
+    """Normal-ordered coefficients {(i, j): coeff of d^i e^j} of
+    (const + weight (d + e))^length.
+
+    Right multiplication keeps a normal-ordered polynomial normal ordered:
+
+        d^i e^j . e = d^i e^(j+1)
+        d^i e^j . d = q^(-j) d^(i+1) e^j + (1 - q^(-j)) d^i e^(j-1),
+
+    the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
+    relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.  Each step
+    updates every stored term once, so the power costs O(length^3)
+    coefficient updates; no word is expanded and nothing is memoized.
+    """
+    q, const, weight = as_rational(q), as_rational(const), as_rational(weight)
+    if q == 0:
+        raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
+    if length < 0:
+        raise InvalidParams(f"power must be >= 0, got {length}")
+    qinv = [1 / q**j for j in range(length)]
+    poly = {(0, 0): Fraction(1)}
+    for _ in range(length):
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, j), coeff in poly.items():
+            scaled = weight * coeff
+            moves = [((i, j + 1), scaled), ((i + 1, j), scaled * qinv[j])]
+            if j:
+                moves.append(((i, j - 1), scaled * (1 - qinv[j])))
+            if const:
+                moves.append(((i, j), const * coeff))
+            for key, value in moves:
+                out[key] = out.get(key, 0) + value
+        poly = {key: value for key, value in out.items() if value}
+    return poly
+
+
+def power_functional(p: AWParams, length: int, const, weight) -> Fraction:
+    """Functional of (const + weight (d + e))^length, by :func:`normal_power`
+    and the moment table."""
+    table = bimoment_table(p)
+    total = Fraction(0)
+    for (i, j), coeff in normal_power(const, weight, length, p.q).items():
+        total += coeff * table.entry(i, j)
+    return total
+
+
 def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:
     """Evaluate the functional through boundary eliminations only.
 

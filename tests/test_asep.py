@@ -6,6 +6,7 @@ from hypothesis import given
 from biorth import (
     BiorthError,
     InvalidParams,
+    NotIrreducible,
     SizeLimit,
     StationaryDistribution,
     ansatz_weight,
@@ -21,6 +22,7 @@ from biorth.asep import (
     _representation,
     _site_operators,
     _transfer_weights,
+    certify_stationary,
     config_bits,
     config_string,
     generator,
@@ -172,6 +174,67 @@ def test_compare_reports(canonical):
     assert set(payload) == {"params", "rates", "L", "variants", "oracle"}
 
 
+def test_certified_oracle_equals_dense_oracle(grid):
+    for p in grid + [make_params(point) for point in SINGULAR_REP]:
+        rates = to_rates(p)
+        for length in range(1, 7):
+            candidates = [stationary_ansatz(length, p, v) for v in VARIANTS]
+            certified = certify_stationary(length, rates, candidates)
+            assert certified is not None
+            assert certified.probabilities == stationary_exact(length, rates).probabilities
+
+
+def test_compare_certifies_without_the_dense_solve(canonical, monkeypatch):
+    def refuse(length, rates):
+        raise AssertionError("dense oracle called")
+
+    monkeypatch.setattr(asep, "stationary_exact", refuse)
+    assert compare(5, canonical).matching_variants == ("unshifted",)
+
+
+def test_compare_falls_back_to_the_dense_oracle(canonical, monkeypatch):
+    def swapped_ends(length, empty, occupied):
+        # same sum, so the normalization check passes; wrong distribution
+        weights = _transfer_weights(length, empty, occupied)
+        return [weights[-1]] + weights[1:-1] + [weights[0]]
+
+    dense_calls = []
+
+    def dense(length, rates):
+        dense_calls.append(length)
+        return stationary_exact(length, rates)
+
+    monkeypatch.setattr(asep, "_transfer_weights", swapped_ends)
+    monkeypatch.setattr(asep, "stationary_exact", dense)
+    report = compare(3, canonical)
+    assert dense_calls == [3]
+    assert report.matching_variants == ()
+    assert all(v.max_abs_discrepancy > 0 for v in report.variants)
+    assert report.oracle.probabilities == stationary_exact(3, to_rates(canonical)).probabilities
+
+
+def test_certificate_refuses_a_reducible_generator(canonical, monkeypatch):
+    rates = to_rates(canonical)
+    candidate = stationary_exact(2, rates)
+    split = {(0, 1): F(1), (1, 0): F(1), (2, 3): F(1), (3, 2): F(1)}
+    one_way = {(0, 1): F(1), (1, 2): F(1), (2, 3): F(1), (3, 1): F(1)}
+    for matrix in (split, one_way):  # 2, 3 unreachable from 0; 0 unreachable
+        for s in range(4):
+            matrix[(s, s)] = -sum(r for (src, dst), r in matrix.items() if src == s != dst)
+        monkeypatch.setattr(asep, "generator", lambda length, rates, m=matrix: m)
+        with pytest.raises(NotIrreducible):
+            certify_stationary(2, rates, [candidate])
+
+
+def test_certificate_rejects_non_stationary_candidates(canonical):
+    rates = to_rates(canonical)
+    shifted = stationary_ansatz(3, canonical, "shifted")
+    uniform = StationaryDistribution(3, tuple([F(1, 8)] * 8), F(8))
+    assert certify_stationary(3, rates, [shifted, uniform]) is None
+    with pytest.raises(InvalidParams):
+        certify_stationary(2, rates, [shifted])
+
+
 def test_compare_across_lengths(grid):
     for p in (grid[0], grid[1], grid[5]):
         for length in range(1, 5):
@@ -199,6 +262,8 @@ def test_size_guards(canonical):
     rates = to_rates(canonical)
     with pytest.raises(SizeLimit):
         generator(13, rates)
+    with pytest.raises(SizeLimit):
+        stationary_exact(9, rates)
     with pytest.raises(SizeLimit):
         stationary_exact(11, rates)
     with pytest.raises(SizeLimit):

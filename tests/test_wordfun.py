@@ -13,7 +13,7 @@ from biorth import (
     normal_order,
     parse_word,
 )
-from biorth.wordfun import is_normal
+from biorth.wordfun import is_normal, normal_power, power_functional
 
 from conftest import make_params
 
@@ -67,6 +67,24 @@ def test_normal_order_idempotent(wp):
 def test_normal_order_rejects_q_zero():
     with pytest.raises(UnsupportedQ):
         normal_order(WordPoly({"ed": 1}), 0)
+    with pytest.raises(UnsupportedQ):
+        normal_power(0, 1, 2, 0)
+
+
+def test_closed_form_power_equals_word_route(grid):
+    # the site-letter sums of the two ansatz variants: d + e (shifted) and
+    # (2 + d + e)/(1 - q) (unshifted)
+    for p in grid:
+        for const, weight in ((F(0), F(1)), (2 / p.qprime, 1 / p.qprime)):
+            site_sum = WordPoly({"": const, "d": weight, "e": weight})
+            power = WordPoly.one()
+            for length in range(9):
+                assert power_functional(p, length, const, weight) == functional(power, p)
+                assert normal_power(const, weight, length, p.q) == {
+                    (w.count("d"), w.count("e")): c
+                    for w, c in normal_order(power, p.q).terms.items()
+                }
+                power = power * site_sum
 
 
 def test_functional_oracle(canonical):
