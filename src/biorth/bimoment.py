@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,15 +130,21 @@ class BimomentTable:
         return dict(self._entries)
 
 
-_TABLES: dict[AWParams, BimomentTable] = {}
+# Tables kept at once, least recently used first out.  A benchmark round
+# touches at most 24 points and verify-all 7.
+_TABLES_MAX = 64
+_TABLES: OrderedDict[AWParams, BimomentTable] = OrderedDict()
 
 
 def bimoment_table(p: AWParams) -> BimomentTable:
     """Shared cached table for p (grown on demand, never shrunk)."""
     table = _TABLES.get(p)
     if table is None:
-        table = BimomentTable(p)
-        _TABLES[p] = table
+        table = _TABLES[p] = BimomentTable(p)
+        if len(_TABLES) > _TABLES_MAX:
+            _TABLES.popitem(last=False)
+    else:
+        _TABLES.move_to_end(p)
     return table
 
 

@@ -1,0 +1,185 @@
+"""Verification suites and the built-in parameter grid.
+
+Each suite checks one link of the paper's chain (L·D·U, the P/Q families,
+the word functional, the tridiagonal representation, the Askey-Wilson
+recurrence, the stationary state) and returns ``{name: VerificationReport}``.
+The report subcommands call a suite at their flag values; ``verify_point``
+runs every suite of ``SUITES`` at the sizes declared there.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from . import asep, biortho, ldu, repmat, wordfun
+from .core import AWParams, InvalidParams, ZeroParameter, format_rational, parse_rational
+from .reporting import VerificationReport
+
+# Generic points, a three-parameter reduction (c = d = 0), and a point with
+# abcd q^k near (but never equal to) 1, to exercise denominator handling.
+GRID = (
+    ("1", "1/2", "-1/3", "-1/4", "1/2"),
+    ("1/2", "1/3", "-1/5", "-1/7", "1/3"),
+    ("2", "2/5", "-1/2", "-1/5", "1/4"),
+    ("3/2", "3/4", "-1/6", "-1/8", "2/5"),
+    ("2/3", "2/3", "-1/3", "-1/3", "1/2"),
+    ("1", "1/2", "0", "0", "1/2"),
+    ("7/2", "3/5", "-5/7", "-7/10", "1/2"),
+)
+
+AW_T_VALUES = (Fraction(2), Fraction(3, 2), Fraction(5))
+
+
+def grid_params() -> list[AWParams]:
+    return [AWParams(*map(parse_rational, point)) for point in GRID]
+
+
+def _unless_zero(p: AWParams, name: str, n: int, build) -> dict:
+    """``build()``, or, where its formula needs a, b, c, d all nonzero, a
+    report under ``name`` whose single check did not run and says why."""
+    try:
+        return build()
+    except ZeroParameter as exc:
+        report = VerificationReport(params=p.to_map(), n=n)
+        report.add(name, True, skipped_reason=str(exc))
+        return {name: report}
+
+
+def ldu_suite(p: AWParams, n: int, n_det: int | None = None) -> dict:
+    """B = L D U at order n, then the determinant triple at order n_det
+    (default n)."""
+    report = ldu.verify_ldu(p, n)
+    with report.timed("determinants"):
+        triple = ldu.det_bimoment(p, n if n_det is None else n_det)
+        routes = dict(zip(("from_diagonal", "from_closed_form", "from_elimination"), triple))
+        agree = len(set(triple)) == 1
+        report.add("determinant-triple-agreement", agree, None if agree else routes)
+    return {"ldu": report}
+
+
+def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
+    """Diagonal pairing, equality of the two construction routes, and the
+    monomial expansion, for the first n polynomials of each family; then,
+    if ``bordered``, the bordered determinant at order min(n, 4)."""
+    report = biortho.biorthogonality_check(p, n)
+    with report.timed("construction-routes"):
+        for variable in ("d", "e"):
+            same = biortho.polys_from_inverse(p, n, variable) == biortho.polys_from_recurrence(
+                p, n, variable
+            )
+            report.add(f"route-equality-{variable}", same)
+    with report.timed("monomial-expansion"):
+        report.add("monomial-expansion", biortho.monomial_expansion_check(p, n))
+    if bordered:
+        with report.timed("bordered-determinant"):
+            order = min(n, 4)
+            report.add(f"bordered-determinant-n{order}", biortho.bordered_determinant_check(p, order))
+    return {"polys": report}
+
+
+def _sweep_eval_paths(p: AWParams, max_len: int):
+    """First word (if any) where normal ordering and boundary elimination
+    disagree, over every word of length <= max_len."""
+    for length in range(max_len + 1):
+        for letters in itertools.product("de", repeat=length):
+            word = "".join(letters)
+            wp = wordfun.WordPoly({word: Fraction(1)})
+            if wordfun.functional(wp, p) != wordfun.eval_by_elimination(wp, p):
+                return {"word": word}
+    return None
+
+
+def functional_suite(p: AWParams, max_len: int, trials: int, seed: int) -> dict:
+    """Fuzzed defining relations, then every word up to length
+    min(max_len, 8) through both evaluation paths."""
+    report = wordfun.check_defining_relations(p, max_len=max_len, trials=trials, seed=seed)
+    with report.timed("evaluation-paths"):
+        sweep_len = min(max_len, 8)
+        failure = _sweep_eval_paths(p, sweep_len)
+        report.add(f"evaluation-path-agreement-len{sweep_len}", failure is None, failure)
+    return {"functional": report}
+
+
+def rep_suite(p: AWParams, n: int) -> dict:
+    """Algebra, boundary and sharp/flat products of the order-n truncation,
+    then the match with the AW recurrence to level max(n // 2, 2)."""
+    dop, eop = repmat.rep_rational(p, n)
+    reports = {
+        "algebra": repmat.verify_algebra(dop, eop, p.q),
+        "boundary": repmat.verify_boundary(dop, eop, p),
+        "sharp-flat-products": repmat.verify_uchiyama_algebra(p, n),
+    }
+    reports.update(
+        _unless_zero(p, "aw-match", n, lambda: {"aw-match": repmat.verify_aw_match(p, max(n // 2, 2))})
+    )
+    return reports
+
+
+def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
+    """The terminating 4phi3 series against the three-term recurrence at
+    levels 0..n, at each t in t_values."""
+    if n < 0:
+        raise InvalidParams(f"--n must be >= 0, got {n}")
+    report = VerificationReport(params=p.to_map(), n=n)
+    coeffs = [repmat.aw_coeffs(p, k) for k in range(n + 1)]
+    for t in t_values:
+        x = (t + 1 / t) / 2
+        failure = None
+        with report.timed(f"t={format_rational(t)}"):
+            values = [repmat.aw_eval(p, k, t) for k in range(n + 2)]
+            for k, c in enumerate(coeffs):
+                below = c.C * values[k - 1] if k else 0
+                residual = c.A * values[k + 1] + (c.B - 2 * x) * values[k] + below
+                if residual != 0:
+                    failure = {"n": k, "residual": residual}
+                    break
+        report.add(f"series-matches-recurrence-t{format_rational(t)}", failure is None, failure)
+    return {"aw": report}
+
+
+def stationary_suite(p: AWParams, max_L: int) -> dict:
+    """Some ansatz variant equals the exact chain state at each L up to
+    max_L, and one variant does so at every L."""
+    report = VerificationReport(params=p.to_map(), n=max_L)
+    matching_by_length = []
+    with report.timed("oracle-comparison"):
+        for length in range(1, max_L + 1):
+            comparison = asep.compare(length, p)
+            matching = set(comparison.matching_variants)
+            matching_by_length.append(matching)
+            failure = None if matching else {
+                "variants": [
+                    {"name": v.name, "max_abs_discrepancy": v.max_abs_discrepancy}
+                    for v in comparison.variants
+                ]
+            }
+            report.add(f"ansatz-matches-oracle-L{length}", bool(matching), failure)
+    consistent = set.intersection(*matching_by_length) if matching_by_length else set()
+    report.add(
+        "matching-variant-consistent-across-L",
+        bool(consistent),
+        None if consistent else {"per_length": [sorted(s) for s in matching_by_length]},
+    )
+    return {"stationary": report}
+
+
+# Every suite once: its name, its builder and the arguments after p that
+# verify-all gives it.  The first is the order a skipped report carries as n.
+SUITES = (
+    ("ldu", ldu_suite, (10, 8)),
+    ("polys", polys_suite, (8, False)),
+    ("functional", functional_suite, (6, 60, wordfun.DEFAULT_FUZZ_SEED)),
+    ("rep", rep_suite, (16,)),
+    ("aw", aw_suite, (6, AW_T_VALUES[:2])),
+    ("stationary", stationary_suite, (4,)),
+)
+
+
+def verify_point(p: AWParams) -> dict:
+    """Every suite of ``SUITES`` at one point, at its verify-all sizes; a
+    suite whose formula is undefined there is reported as skipped."""
+    reports = {}
+    for name, build, sizes in SUITES:
+        reports.update(_unless_zero(p, name, sizes[0], lambda: build(p, *sizes)))
+    return reports

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from biorth import AWParams, is_valid
-from biorth.cli import GRID
+from biorth.suites import GRID
 
 settings.register_profile(
     "exact",

@@ -32,7 +32,7 @@ def test_transpose_swaps(grid):
 
 def test_recurrences_hold(grid):
     for p in grid:
-        assert check_recurrences(p, 6)
+        assert check_recurrences(p, 8)
 
 
 def test_entries_match_functional(canonical):

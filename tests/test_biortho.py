@@ -120,7 +120,7 @@ def test_biorthogonality_reports_the_first_failing_pair(grid, monkeypatch):
 
 def test_monomial_expansion(grid):
     for p in grid:
-        assert monomial_expansion_check(p, 8)
+        assert monomial_expansion_check(p, 10)
 
 
 def test_bordered_determinants(grid):

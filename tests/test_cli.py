@@ -73,6 +73,8 @@ def test_config_errors_exit_2(capsys):
     # sizes below the smallest meaningful one
     assert main(["stationary", *CANONICAL, "--L", "-2"]) == 2
     assert main(["aw", *CANONICAL, "--n", "-1"]) == 2
+    # a formula undefined at c = d = 0: only verify-all reports it as skipped
+    assert main(["aw", "--a", "1", "--b", "1/2", "--c", "0", "--d", "0", "--q", "1/2"]) == 2
     # sizes above the guards
     assert main(["bimoment", *CANONICAL, "--n", "49"]) == 2
     assert main(["ldu", *CANONICAL, "--n", "33"]) == 2
@@ -80,7 +82,7 @@ def test_config_errors_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = captured.err.splitlines()
-    assert len(errors) == 10 and all(line.startswith("error:") for line in errors)
+    assert len(errors) == 11 and all(line.startswith("error:") for line in errors)
     assert all("guarded to --n <=" in line for line in errors[-3:])
 
 
@@ -102,6 +104,17 @@ def test_cli_import_needs_no_mpmath():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_stationary_scan_script():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(biorth.__file__)))
+    result = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "stationary_scan.py"), "--max-L", "2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "matching variant(s)" in result.stdout
 
 
 def test_singular_point_exits_2(capsys):
@@ -230,6 +243,23 @@ def test_deterministic_payloads_are_pinned(verify_all_run):
         assert payload_digest(text) == (
             "7d0b99e004d161347de0f0becde64002eb154b25c9bc433c7f84687af2deb9c8"
         )
+    # Each report subcommand at the canonical point, and rep at c = d = 0.
+    zero_cd = ["--a", "1", "--b", "1/2", "--c", "0", "--d", "0", "--q", "1/2"]
+    pinned = {
+        ("ldu", *CANONICAL, "--n", "10"): "bc96bcea5a5eadf5397e1f2f7927e4b33bf65128cdde49951c556fe695abe98b",
+        ("polys", *CANONICAL, "--n", "8"): "c4534650818c776a3fe8bfabc4fa0f6a35cbc8d171982cab8ca8b18c41e0b28b",
+        ("functional", *CANONICAL, "--max-len", "6", "--trials", "60"): (
+            "68c8e1d771a225d8d05b2db124dd3723919f8da8404d4689d40fc745164079e4"
+        ),
+        ("rep", *CANONICAL, "--n", "16"): "26c8986d013a507411135a28568641c7b05818c5950aeeb9390b6f318e0ec740",
+        ("rep", *zero_cd, "--n", "16"): "15e4f86fd74fd0ec00985a01ef7827d070f2d0187fc58200e7f03cd9ab90bd86",
+        ("aw", *CANONICAL, "--n", "6"): "4295872aa7bec6652de918b01472b5b58d1ef52eec1d88915a70146c6be9b08c",
+        ("stationary", *CANONICAL, "--L", "4"): "73a16c71d0ca2e0cfab8bddae479eaa5f1b152bd0320dc108a484f1778df3178",
+    }
+    for argv, digest in pinned.items():
+        code, text = run_main(list(argv))
+        assert code == 0
+        assert payload_digest(text) == digest, argv[0]
 
 
 def test_verify_all(verify_all_run):

@@ -59,7 +59,7 @@ def test_boundary_vectors(grid):
 
 def test_sharp_flat_products_pass(grid):
     for p in grid:
-        assert verify_uchiyama_algebra(p, 10).passed
+        assert verify_uchiyama_algebra(p, 32).passed
 
 
 def test_sharp_flat_literal_radical_fails_on_diagonal(canonical):

@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from biorth import (
     normal_order,
     parse_word,
 )
+from biorth import bimoment, wordfun
 from biorth.wordfun import is_normal, normal_power, power_functional
 
 from conftest import make_params
@@ -123,3 +125,23 @@ def test_fuzz_report_is_deterministic(canonical):
     first = check_defining_relations(canonical, max_len=4, trials=25, seed=7)
     second = check_defining_relations(canonical, max_len=4, trials=25, seed=7)
     assert first.to_dict(include_timings=False) == second.to_dict(include_timings=False)
+
+
+def test_caches_evict_least_recently_used(grid, monkeypatch):
+    # With room for two entries, a hit refreshes "first", so the third
+    # insertion evicts "second".
+    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
+    monkeypatch.setattr(bimoment, "_TABLES_MAX", 2)
+    first, second, third = grid[:3]
+    kept = bimoment.bimoment_table(first)
+    bimoment.bimoment_table(second)
+    assert bimoment.bimoment_table(first) is kept
+    bimoment.bimoment_table(third)
+    assert list(bimoment._TABLES) == [first, third]
+
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_MAX", 2)
+    q = grid[0].q
+    for word in ("d", "e", "d", "de"):
+        wordfun._normal_order_word(word, q)
+    assert list(wordfun._NORMAL_CACHE) == [("d", q), ("de", q)]
