@@ -342,9 +342,10 @@ def stationary_ansatz(
     functional of the L-th power of the summed site letters (normal ordered
     in closed form by ``wordfun.power_functional``), and checked against
     the sum of the weights.  The representation and the moment table share
-    nothing above the parameters, so a mismatch means one route is broken;
-    under the fallback the check still guards the expansion of the letter
-    products.
+    nothing above the parameters, so a mismatch means one route is broken.
+    Under the fallback both sides are normal ordered by the same
+    right-multiplication step of ``wordfun``, so there the independent check
+    is the exact chain oracle of :func:`compare`.
     """
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")

@@ -33,17 +33,22 @@ _RATE_FLAGS = ("alpha", "beta", "gamma", "delta")
 _PARAM_FLAGS = _AW_FLAGS + _RATE_FLAGS + ("q",)
 _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 
-# Largest --n per subcommand.  At the costliest GRID point, (3/2, 3/4, -1/6,
-# -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 32 takes 15 s (n 40:
-# 100 s) and rep --n 96 takes 9 s (n 128: 42 s); bimoment --n 48 takes 1.3 s,
-# and at n 64 three GRID points have entries past the 4300 digits Python
-# will print.
-_N_LIMITS = {"bimoment": 48, "ldu": 32, "rep": 96}
+# Largest size flag per subcommand.  At the costliest GRID point, (3/2, 3/4,
+# -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 32 takes 15 s
+# (n 40: 100 s), rep --n 96 takes 9 s (n 128: 42 s) and functional
+# --max-len 64 with the default 200 trials takes 18 s (96: 52 s); bimoment
+# --n 48 takes 1.3 s, and at n 64 three GRID points have entries past the
+# 4300 digits Python will print.
+_LIMITS = {"bimoment": ("n", 48), "ldu": ("n", 32), "rep": ("n", 96), "functional": ("max_len", 64)}
 
 
-def _guard_n(command: str, n: int) -> None:
-    if n > _N_LIMITS[command]:
-        raise SizeLimit(f"{command} is guarded to --n <= {_N_LIMITS[command]}, got {n}")
+def _guard_size(args) -> None:
+    if args.command in _LIMITS:
+        dest, limit = _LIMITS[args.command]
+        value = getattr(args, dest)
+        if value > limit:
+            flag = "--" + dest.replace("_", "-")
+            raise SizeLimit(f"{args.command} is guarded to {flag} <= {limit}, got {value}")
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -90,7 +95,7 @@ def _all_passed(reports: dict) -> bool:
 
 
 def _cmd_bimoment(args) -> int:
-    _guard_n("bimoment", args.n)
+    _guard_size(args)
     p = _params_from_args(args)
     block = bimoment_block(p, args.n, fill=args.fill)
     if args.format == "csv":
@@ -103,8 +108,7 @@ def _cmd_bimoment(args) -> int:
 def _cmd_report(args) -> int:
     """The five report subcommands: the suite ``args.build`` at the flag
     values named in ``args.sizes``."""
-    if args.command in _N_LIMITS:
-        _guard_n(args.command, args.n)
+    _guard_size(args)
     p = _params_from_args(args)
     reports = args.build(p, *(getattr(args, name) for name in args.sizes))
     payload = {

@@ -120,7 +120,7 @@ def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
     """The terminating 4phi3 series against the three-term recurrence at
     levels 0..n, at each t in t_values."""
     if n < 0:
-        raise InvalidParams(f"--n must be >= 0, got {n}")
+        raise InvalidParams(f"n must be >= 0, got {n}")
     report = VerificationReport(params=p.to_map(), n=n)
     coeffs = [repmat.aw_coeffs(p, k) for k in range(n + 1)]
     for t in t_values:

@@ -76,13 +76,15 @@ def test_config_errors_exit_2(capsys):
     # a formula undefined at c = d = 0: only verify-all reports it as skipped
     assert main(["aw", "--a", "1", "--b", "1/2", "--c", "0", "--d", "0", "--q", "1/2"]) == 2
     # sizes above the guards
+    assert main(["functional", *CANONICAL, "--max-len", "65"]) == 2
     assert main(["bimoment", *CANONICAL, "--n", "49"]) == 2
     assert main(["ldu", *CANONICAL, "--n", "33"]) == 2
     assert main(["rep", *CANONICAL, "--n", "97"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = captured.err.splitlines()
-    assert len(errors) == 11 and all(line.startswith("error:") for line in errors)
+    assert len(errors) == 12 and all(line.startswith("error:") for line in errors)
+    assert "guarded to --max-len <= 64" in errors[-4]
     assert all("guarded to --n <=" in line for line in errors[-3:])
 
 
@@ -250,6 +252,9 @@ def test_deterministic_payloads_are_pinned(verify_all_run):
         ("polys", *CANONICAL, "--n", "8"): "c4534650818c776a3fe8bfabc4fa0f6a35cbc8d171982cab8ca8b18c41e0b28b",
         ("functional", *CANONICAL, "--max-len", "6", "--trials", "60"): (
             "68c8e1d771a225d8d05b2db124dd3723919f8da8404d4689d40fc745164079e4"
+        ),
+        ("functional", *CANONICAL, "--max-len", "12", "--trials", "40"): (
+            "a684c3aa17867570ce5af5a54ca2275a72ac39c3b7f751879ca5480e31ee3693"
         ),
         ("rep", *CANONICAL, "--n", "16"): "26c8986d013a507411135a28568641c7b05818c5950aeeb9390b6f318e0ec740",
         ("rep", *zero_cd, "--n", "16"): "15e4f86fd74fd0ec00985a01ef7827d070f2d0187fc58200e7f03cd9ab90bd86",

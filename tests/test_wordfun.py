@@ -1,3 +1,4 @@
+import random
 from collections import OrderedDict
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from biorth import (
     parse_word,
 )
 from biorth import bimoment, wordfun
+from biorth.repmat import rep_rational
 from biorth.wordfun import is_normal, normal_power, power_functional
 
 from conftest import make_params
@@ -81,12 +83,43 @@ def test_closed_form_power_equals_word_route(grid):
             site_sum = WordPoly({"": const, "d": weight, "e": weight})
             power = WordPoly.one()
             for length in range(9):
-                assert power_functional(p, length, const, weight) == functional(power, p)
+                value = power_functional(p, length, const, weight)
+                assert value == functional(power, p)
+                # the boundary moves share no code with the right-multiplication step
+                assert value == eval_by_elimination(power, p)
                 assert normal_power(const, weight, length, p.q) == {
                     (w.count("d"), w.count("e")): c
                     for w, c in normal_order(power, p.q).terms.items()
                 }
                 power = power * site_sum
+
+
+def transfer_value(word: str, p) -> F:
+    """<e0| word |e0> on the tridiagonal truncation, letters applied right to
+    left; a closed walk of length n never climbs above level n // 2."""
+    dop, eop = rep_rational(p, len(word) // 2 + 1)
+    vec = [F(1)]
+    for k, letter in enumerate(reversed(word), 1):
+        vec = (dop if letter == "d" else eop).matvec(vec, min(k, len(word) - k) + 1)
+    return vec[0]
+
+
+def test_long_words_match_transfer_route(canonical, grid):
+    # 1,600 inversions: one recursion per "ed" rewrite passes the recursion limit
+    word = "e" * 40 + "d" * 40
+    assert functional(WordPoly({word: 1}), canonical) == transfer_value(word, canonical)
+    rng = random.Random(1)
+    for p in grid:
+        for _ in range(16):
+            word = "".join(rng.choice("de") for _ in range(rng.randint(0, 30)))
+            assert functional(WordPoly({word: 1}), p) == transfer_value(word, p), word
+
+
+def test_normal_order_memoises_prefixes(canonical, monkeypatch):
+    # one entry per prefix of the word, not one per intermediate rewrite
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+    normal_order(WordPoly({"e" * 8 + "d" * 8: 1}), canonical.q)
+    assert len(wordfun._NORMAL_CACHE) <= 17
 
 
 def test_functional_oracle(canonical):
