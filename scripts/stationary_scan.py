@@ -7,14 +7,16 @@ chain solution the first one whose master-equation residual vanishes on the
 irreducible generator (solving the master equation densely only if neither
 does), and prints which one reproduces that oracle together with the worst
 discrepancy of the other.  Optionally dumps the exact site-density profile
-of the stationary state.
+of the stationary state.  Parameters are exact rationals, as for the
+``biorth`` command line; an unusable configuration prints one ``error:``
+line and exits 2.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from biorth import AWParams, compare, to_rates
+from biorth import AWParams, BiorthError, compare, parse_rational, to_rates
 from biorth.asep import config_bits
 
 
@@ -39,8 +41,15 @@ def main() -> int:
     ap.add_argument("--max-L", type=int, default=5, dest="max_length")
     ap.add_argument("--profile", action="store_true", help="print exact density profiles")
     args = ap.parse_args()
+    try:
+        return scan(args)
+    except BiorthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    p = AWParams(*(Fraction(x) for x in (args.a, args.b, args.c, args.d, args.q)))
+
+def scan(args) -> int:
+    p = AWParams(*(parse_rational(x) for x in (args.a, args.b, args.c, args.d, args.q)))
     rates = to_rates(p)
     print(f"rates: alpha={rates.alpha} beta={rates.beta} gamma={rates.gamma} delta={rates.delta} q={rates.q}\n")
 

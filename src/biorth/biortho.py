@@ -3,8 +3,11 @@
 P_n lives in the first letter, Q_n in the second.  Two independent
 constructions must agree:
 
-* rows of the inverse lower factor give the coefficients of P_n;
-* the three-term recurrence driven by the tridiagonal coefficients:
+* rows of the inverse lower factor (``ldu.build_L_inverse``, its own
+  recurrence) give the coefficients of P_n;
+* ``repmat.monic_recurrence`` on the band of the first operator
+  (``repmat.d_band``), i.e. the characteristic polynomials of its leading
+  blocks:
       P_{n+1} = (x - dnat_n) P_n + bd q^(n-1) g_{n-1} P_{n-1}.
 
 Q_n is P_n at the swapped point a<->b, c<->d (the swap transposes the
@@ -23,16 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
+from . import _linalg, repmat
 from .bimoment import bimoment_table
-from .core import (
-    AWParams,
-    InvalidParams,
-    SingularParams,
-    SizeLimit,
-    d_natural,
-    g_coeff,
-)
+from .core import AWParams, InvalidParams, SingularParams, SizeLimit
 from .ldu import build_D, build_L, build_L_inverse, build_U
 from .reporting import VerificationReport
 from .wordfun import WordPoly, functional
@@ -59,6 +55,10 @@ class PolySeq:
     def poly(self, n: int) -> tuple[Fraction, ...]:
         return self.coeffs[n]
 
+    def square(self) -> list[list[Fraction]]:
+        """The coefficient rows zero-padded to a count x count matrix."""
+        return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
+
 
 def _require_variable(variable: str) -> None:
     if variable not in _VARIABLES:
@@ -79,51 +79,31 @@ def polys_from_inverse(p: AWParams, count: int, variable: str = "d") -> PolySeq:
 
 
 def polys_from_recurrence(p: AWParams, count: int, variable: str = "d") -> PolySeq:
-    """Same sequences generated by their three-term recurrences."""
+    """Same sequences generated by their three-term recurrences: the monic
+    recurrence on the band of d (Q: the same at the swapped point)."""
     _require_variable(variable)
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
     if variable == "e":
         p = p.swap_ab_cd()
-    bd = p.b * p.d
-    q = p.q
-    seq = [(Fraction(1),)]
-    prev_prev: tuple[Fraction, ...] = ()
-    for n in range(count - 1):
-        cur = seq[-1]
-        shifted = (Fraction(0),) + cur
-        scaled = tuple(d_natural(p, n) * v for v in cur) + (Fraction(0),)
-        nxt = [s - t for s, t in zip(shifted, scaled)]
-        if n >= 1:
-            lam = bd * q ** (n - 1) * g_coeff(p, n - 1)
-            for k, v in enumerate(prev_prev):
-                nxt[k] += lam * v
-        seq.append(tuple(nxt))
-        prev_prev = cur
-    return PolySeq(variable=variable, coeffs=tuple(seq))
+    if count == 1:
+        return PolySeq(variable=variable, coeffs=((Fraction(1),),))
+    dop, _ = repmat.d_band(p, count - 1)
+    products = [upper * lower for upper, lower in zip(dop.upper, dop.lower)]
+    return PolySeq(variable=variable, coeffs=repmat.monic_recurrence(dop.diag, products))
 
 
 def monomial_expansion_check(p: AWParams, count: int) -> bool:
-    """Verify x^n = sum_k L[n][k] P_k and y^n = sum_k Q_k U[k][n]."""
-    n = count - 1
-    lower = build_L(p, n)
-    upper = build_U(p, n)
-    pseq = polys_from_inverse(p, count, "d")
-    qseq = polys_from_inverse(p, count, "e")
-    for m in range(count):
-        acc_p = [Fraction(0)] * (m + 1)
-        acc_q = [Fraction(0)] * (m + 1)
-        for k in range(m + 1):
-            lval = lower.entries[m][k]
-            uval = upper.entries[k][m]
-            for idx, coeff in enumerate(pseq.poly(k)):
-                acc_p[idx] += lval * coeff
-            for idx, coeff in enumerate(qseq.poly(k)):
-                acc_q[idx] += uval * coeff
-        expected = [Fraction(0)] * m + [Fraction(1)]
-        if acc_p != expected or acc_q != expected:
-            return False
-    return True
+    """Verify x^n = sum_k L[n][k] P_k and y^n = sum_k Q_k U[k][n], i.e.
+    L P = I and Q^T U = I for P, Q the square coefficient matrices."""
+    lower, upper = build_L(p, count - 1).rows(), build_U(p, count - 1).rows()
+    pmat = polys_from_inverse(p, count, "d").square()
+    qmat = polys_from_inverse(p, count, "e").square()
+    identity = _linalg.mat_identity(count)
+    return (
+        _linalg.mat_mul(lower, pmat) == identity
+        and _linalg.mat_mul(_linalg.mat_transpose(qmat), upper) == identity
+    )
 
 
 def pairing(p: AWParams, pcoeffs, qcoeffs) -> Fraction:
@@ -145,13 +125,8 @@ def _pairing_grid(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> list[list[Fracti
     a square, L(P_n Q_m) = sum_ij P[n][i] B[i][j] Q[m][j] for B the moment
     block of order count - 1.
     """
-    count = pseq.count
-    pmat, qmat = (
-        [list(row) + [Fraction(0)] * (count - len(row)) for row in seq.coeffs]
-        for seq in (pseq, qseq)
-    )
-    block = bimoment_table(p).block(count - 1)
-    return _linalg.mat_mul(_linalg.mat_mul(pmat, block), _linalg.mat_transpose(qmat))
+    block = bimoment_table(p).block(pseq.count - 1)
+    return _linalg.mat_mul(_linalg.mat_mul(pseq.square(), block), _linalg.mat_transpose(qseq.square()))
 
 
 def biorthogonality_check(p: AWParams, count: int) -> VerificationReport:

@@ -2,9 +2,13 @@
 
 The conjectured decomposition is B = L D U with L unit lower triangular,
 U unit upper triangular, and D diagonal with D_0 = 1, D_k = D_{k-1} g_{k-1}.
-L and its inverse are generated directly by first-order entry recurrences;
-nothing here inverts a matrix numerically, which is what lets verify_ldu
-treat L L^{-1} = I and U^{-1} U = I as real checks instead of tautologies.
+Row n of L is <e0| d^n for d the first operator of the monic
+representation, so L is built by applying the band of ``repmat.d_band``
+row after row.  L^{-1} comes from its own entry recurrence, written here
+from d_natural and g_coeff and deliberately not from the band: nothing
+inverts a matrix numerically, so L L^{-1} = I and U^{-1} U = I are real
+checks of the representation instead of tautologies, and B = L D U ties
+the moment table to the same band.
 
 The exchange a<->b, c<->d transposes the block and fixes every g_j, so U
 and U^{-1} are built as the transposes of L and L^{-1} at the swapped
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
+from . import _linalg, repmat
 from .bimoment import bimoment_table
 from .core import (
     AWParams,
@@ -33,20 +37,13 @@ from .core import (
 )
 from .reporting import VerificationReport
 
-_KINDS = ("lower", "upper", "lower-inverse", "upper-inverse")
-
 
 @dataclass(frozen=True)
 class TriangularFactor:
-    """Unit triangular matrix stored dense; kind records its role."""
+    """Unit triangular matrix of order ``order``, stored dense."""
 
-    kind: str
     order: int
     entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParams(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
@@ -60,38 +57,28 @@ class DiagonalFactor:
     values: tuple[Fraction, ...]
 
 
-def _zeros(n):
-    return [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-
-
 def build_L(p: AWParams, n: int) -> TriangularFactor:
-    """Unit lower factor from the row recurrence
+    """Unit lower factor: row i is <e0| d^i, row i-1 times the d band, i.e.
 
     L[i][j] = L[i-1][j-1] + dnat_j L[i-1][j] - bd q^j g_j L[i-1][j+1].
+
+    Rows are computed as the transposed band applied to the previous row;
+    only the size-n band is read, and L[i][i] = 1 is the unit superdiagonal.
     """
     if n < 0:
         raise InvalidParams(f"order must be >= 0, got {n}")
-    bd = p.b * p.d
-    q = p.q
-    dnat = [d_natural(p, j) for j in range(n)]
-    g = [g_coeff(p, j) for j in range(max(n - 1, 0))]
-    m = _zeros(n)
-    m[0][0] = Fraction(1)
-    for i in range(1, n + 1):
-        prev = m[i - 1]
-        row = m[i]
-        for j in range(i + 1):
-            acc = prev[j - 1] if j >= 1 else Fraction(0)
-            if j <= i - 1:
-                acc += dnat[j] * prev[j]
-            if j + 1 <= i - 1:
-                acc -= bd * q**j * g[j] * prev[j + 1]
-            row[j] = acc
-    return TriangularFactor("lower", n, tuple(tuple(r) for r in m))
+    rows = [[Fraction(1)]]
+    if n:
+        dop, _ = repmat.d_band(p, n)
+        transposed = repmat.TridiagonalOperator(dop.size, dop.diag, dop.lower, dop.upper)
+        for i in range(1, n + 1):
+            rows.append(transposed.matvec(rows[-1], i) + [Fraction(1)])
+    zero = (Fraction(0),)
+    return TriangularFactor(n, tuple(tuple(row) + zero * (n - i) for i, row in enumerate(rows)))
 
 
-def _transposed(factor: TriangularFactor, kind: str) -> TriangularFactor:
-    return TriangularFactor(kind, factor.order, tuple(zip(*factor.entries)))
+def _transposed(factor: TriangularFactor) -> TriangularFactor:
+    return TriangularFactor(factor.order, tuple(zip(*factor.entries)))
 
 
 def build_U(p: AWParams, n: int) -> TriangularFactor:
@@ -100,7 +87,7 @@ def build_U(p: AWParams, n: int) -> TriangularFactor:
     Entrywise this is the column recurrence
     U[i][j] = U[i-1][j-1] + enat_i U[i][j-1] - ac q^i g_i U[i+1][j-1].
     """
-    return _transposed(build_L(p.swap_ab_cd(), n), "upper")
+    return _transposed(build_L(p.swap_ab_cd(), n))
 
 
 def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
@@ -117,7 +104,7 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
     q = p.q
     dnat = [d_natural(p, j) for j in range(n)]
     g = [g_coeff(p, j) for j in range(max(n - 1, 0))]
-    m = _zeros(n)
+    m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     m[0][0] = Fraction(1)
     for i in range(1, n + 1):
         for j in range(i + 1):
@@ -126,7 +113,7 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
             if i >= 2:
                 acc += bd * q ** (i - 2) * g[i - 2] * m[i - 2][j]
             m[i][j] = acc
-    return TriangularFactor("lower-inverse", n, tuple(tuple(r) for r in m))
+    return TriangularFactor(n, tuple(tuple(r) for r in m))
 
 
 def build_U_inverse(p: AWParams, n: int) -> TriangularFactor:
@@ -136,7 +123,7 @@ def build_U_inverse(p: AWParams, n: int) -> TriangularFactor:
     Uinv[i][j] = Uinv[i-1][j-1] - enat_{j-1} Uinv[i][j-1]
                  + ac q^(j-2) g_{j-2} Uinv[i][j-2].
     """
-    return _transposed(build_L_inverse(p.swap_ab_cd(), n), "upper-inverse")
+    return _transposed(build_L_inverse(p.swap_ab_cd(), n))
 
 
 def build_D(p: AWParams, n: int) -> DiagonalFactor:

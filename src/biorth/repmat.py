@@ -3,14 +3,19 @@
 The pair of shifted boundary operators is represented in a rational monic
 basis: the first operator has unit superdiagonal, diagonal dnat_n and
 subdiagonal -bd q^n g_n; the second has subdiagonal g_n, diagonal enat_n
-and superdiagonal -ac q^n.  Every entry is an exact rational, and
-:func:`rep_rational` is the one place where the band is written down.
+and superdiagonal -ac q^n.  Every entry is an exact rational.
+:func:`d_band` is the one writer of the first operator's band: it is the d
+of :func:`rep_rational`, and the boundary basis reads it too (the rows of
+the lower factor L are <e0| d^n, and the P_n of the recurrence route are
+its characteristic polynomials).  ``ldu.build_L_inverse`` keeps its own
+recurrence on purpose, as the independent reference for both.
 
 The sum R of the two operators must reproduce the normalized three-term
 recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family:
 R[n][n] = B_n and R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger
 moments of the two Jacobi systems agree.  Both the check and
-:func:`t_polys` read R off :func:`rep_rational`.  ``aw_eval`` evaluates the
+:func:`t_polys` read R off :func:`rep_rational`; :func:`t_polys` and the P/Q
+recurrence route share :func:`monic_recurrence`.  ``aw_eval`` evaluates the
 family through its terminating basic hypergeometric series so the
 recurrence can be validated against an independent construction.
 """
@@ -93,15 +98,13 @@ class UchiyamaCoeffs:
     """Level-n entries of the tridiagonal pair, radical-free form.
 
     The off-diagonal entries carry a common radical factor with square
-    a_squared = g_n; only the four pairwise products (each rational) are
-    stored, alongside the two diagonals.
+    a_squared = g_n; only the two cross products dsharp eflat and
+    esharp dflat (each rational) are stored, alongside the two diagonals.
     """
 
     n: int
     d_nat: Fraction
     e_nat: Fraction
-    dsharp_dflat_product: Fraction
-    esharp_eflat_product: Fraction
     dsharp_eflat_product: Fraction
     esharp_dflat_product: Fraction
     a_squared: Fraction
@@ -126,35 +129,41 @@ def uchiyama_coeffs(p: AWParams, n: int) -> UchiyamaCoeffs:
         n=n,
         d_nat=d_natural(p, n),
         e_nat=e_natural(p, n),
-        dsharp_dflat_product=(-qn * bd) * g / (den_ac * den_bd),
-        esharp_eflat_product=(-qn * ac) * g / (den_ac * den_bd),
         dsharp_eflat_product=g / (den_ac * den_bd),
         esharp_dflat_product=(qn * qn * ac * bd) * g / (den_ac * den_bd),
         a_squared=g,
     )
 
 
-def rep_rational(p: AWParams, size: int) -> tuple[TridiagonalOperator, TridiagonalOperator]:
-    """Exact monic-basis truncations of the two operators."""
+def d_band(p: AWParams, size: int) -> tuple[TridiagonalOperator, list[Fraction]]:
+    """The size-``size`` truncation of the first operator -- diagonal
+    dnat_n, unit superdiagonal, subdiagonal -bd q^n g_n -- and the g_n it
+    read, g_0 .. g_(size-2)."""
     if size < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    q = p.q
-    ac = p.a * p.c
     bd = p.b * p.d
+    q = p.q
     dnat = tuple(d_natural(p, k) for k in range(size))
-    enat = tuple(e_natural(p, k) for k in range(size))
     g = [g_coeff(p, k) for k in range(size - 1)]
     dop = TridiagonalOperator(
         size=size,
         diag=dnat,
-        upper=tuple(Fraction(1) for _ in range(size - 1)),
+        upper=(Fraction(1),) * (size - 1),
         lower=tuple(-bd * q**k * g[k] for k in range(size - 1)),
     )
+    return dop, g
+
+
+def rep_rational(p: AWParams, size: int) -> tuple[TridiagonalOperator, TridiagonalOperator]:
+    """Exact monic-basis truncations of the two operators: :func:`d_band`
+    and the second operator on the same g_n."""
+    dop, g = d_band(p, size)
+    ac = p.a * p.c
     eop = TridiagonalOperator(
         size=size,
-        diag=enat,
-        upper=tuple(-ac * q**k for k in range(size - 1)),
-        lower=tuple(g[k] for k in range(size - 1)),
+        diag=tuple(e_natural(p, k) for k in range(size)),
+        upper=tuple(-ac * p.q**k for k in range(size - 1)),
+        lower=tuple(g),
     )
     return dop, eop
 
@@ -514,6 +523,28 @@ def aw_eval(p: AWParams, n: int, t) -> Fraction:
     return prefactor * series
 
 
+def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficient rows (constant term first) of T_0 .. T_len(diag), where
+
+        T_0 = 1,  T_(n+1)(x) = (x - diag[n]) T_n(x) - products[n-1] T_(n-1)(x):
+
+    the characteristic polynomials of the leading blocks of the tridiagonal
+    matrix whose diagonal is diag and whose off-diagonal pairs multiply to
+    products."""
+    seq = [(Fraction(1),)]
+    for n, value in enumerate(diag):
+        cur = seq[-1]
+        nxt = [Fraction(0), *cur]
+        for k, v in enumerate(cur):
+            nxt[k] -= value * v
+        if n:
+            lam = products[n - 1]
+            for k, v in enumerate(seq[-2]):
+                nxt[k] -= lam * v
+        seq.append(tuple(nxt))
+    return tuple(seq)
+
+
 def t_polys(p: AWParams, count: int):
     """Monic polynomials generated by the operator-sum recurrence.
 
@@ -526,18 +557,5 @@ def t_polys(p: AWParams, count: int):
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
     diag, products = _sum_band(p, count - 1) if count > 1 else ((), ())
-    seq = [(Fraction(1),)]
-    prev_prev: tuple[Fraction, ...] = ()
-    for n in range(count - 1):
-        b_half = diag[n] / 2
-        cur = seq[-1]
-        nxt = [v for v in ((Fraction(0),) + cur)]
-        for k, v in enumerate(cur):
-            nxt[k] -= b_half * v
-        if n >= 1:
-            lam = products[n - 1] / 4
-            for k, v in enumerate(prev_prev):
-                nxt[k] -= lam * v
-        seq.append(tuple(nxt))
-        prev_prev = cur
-    return PolySeq(variable="x", coeffs=tuple(seq))
+    coeffs = monic_recurrence([v / 2 for v in diag], [v / 4 for v in products])
+    return PolySeq(variable="x", coeffs=coeffs)

@@ -184,6 +184,11 @@ def _times_letter(poly, const, d_coeff, e_coeff, q) -> dict[tuple[int, int], Fra
 # `functional --max-len 64` (its guard) 41,382.
 _NORMAL_CACHE_MAX = 65536
 _NORMAL_CACHE: OrderedDict[tuple[str, Fraction], dict[tuple[int, int], Fraction]] = OrderedDict()
+# A word whose cold prefix chain is longer than this has its prefixes filled
+# in steps of this many letters first, so the recursion below stays within
+# one step while the memo holds a step's entries (a 1,000-letter word would
+# otherwise pass the interpreter's recursion limit).
+_WARM_STEP = 256
 
 
 def _normal_order_word(word: str, q: Fraction) -> dict[tuple[int, int], Fraction]:
@@ -194,6 +199,9 @@ def _normal_order_word(word: str, q: Fraction) -> dict[tuple[int, int], Fraction
     if cached is not None:
         _NORMAL_CACHE.move_to_end(key)
         return cached
+    if len(word) > _WARM_STEP and (word[:-_WARM_STEP], q) not in _NORMAL_CACHE:
+        for cut in range(_WARM_STEP, len(word), _WARM_STEP):
+            _normal_order_word(word[:cut], q)
     if word:
         d_coeff = 1 if word[-1] == "d" else 0
         result = _times_letter(_normal_order_word(word[:-1], q), 0, d_coeff, 1 - d_coeff, q)

@@ -111,12 +111,19 @@ def test_cli_import_needs_no_mpmath():
 def test_stationary_scan_script():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(biorth.__file__)))
-    result = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "stationary_scan.py"), "--max-L", "2"],
-        env=env, capture_output=True, text=True,
-    )
+    script = os.path.join(root, "scripts", "stationary_scan.py")
+
+    def scan(*args):
+        return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True)
+
+    result = scan("--max-L", "2")
     assert result.returncode == 0, result.stderr
     assert "matching variant(s)" in result.stdout
+    # q = 1, a length past compare's guard, a decimal literal: one error line, exit 2
+    for args in (("--q", "1"), ("--max-L", "7"), ("--q", "0.5")):
+        result = scan(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
 
 
 def test_singular_point_exits_2(capsys):

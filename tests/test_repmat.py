@@ -5,23 +5,30 @@ import pytest
 from biorth import (
     AWParams,
     InvalidParams,
+    SingularParams,
     SizeLimit,
     ZeroParameter,
     aw_coeffs,
     aw_eval,
+    build_L,
+    build_U,
     d_natural,
     e_natural,
     g_coeff,
     jacobi_moments,
+    polys_from_recurrence,
     rep_rational,
     t_polys,
     verify_algebra,
     verify_aw_match,
     verify_boundary,
+    verify_ldu,
     verify_uchiyama_algebra,
 )
-from biorth import repmat
+from biorth import repmat, suites
 from biorth.repmat import uchiyama_coeffs
+
+from conftest import make_params
 
 
 def test_rational_rep_entries(canonical):
@@ -110,6 +117,60 @@ def test_aw_match_reads_the_representation(monkeypatch, canonical):
     failed = [c for c in report.checks if not c.passed]
     assert failed[0].name == "diagonal-equals-B"
     assert failed[0].first_failure["n"] == 3
+
+
+def test_boundary_basis_reads_the_band(monkeypatch, canonical):
+    # L and the recurrence route of P/Q read repmat.d_band; build_L_inverse
+    # and the pairing grid do not, so a wrong band shows against them
+    exact = repmat.d_band
+
+    def perturbed(p, size):
+        dop, g = exact(p, size)
+        diag = list(dop.diag)
+        if size > 2:
+            diag[2] += 1
+        return repmat.TridiagonalOperator(dop.size, tuple(diag), dop.upper, dop.lower), g
+
+    monkeypatch.setattr(repmat, "d_band", perturbed)
+    checks = {c.name: c.passed for c in verify_ldu(canonical, 8).checks}
+    checks.update({c.name: c.passed for c in suites.polys_suite(canonical, 8, False)["polys"].checks})
+    assert not checks["bimoment-equals-LDU"]
+    assert not checks["lower-times-inverse"]
+    assert not checks["route-equality-d"]
+    assert checks["diagonal-pairing"]
+
+
+# abcd = q, abcd = q^2 and abcd q = 1, each with the first order of L whose
+# band meets a vanishing denominator (the polynomials need count = order + 1)
+SINGULAR_BANDS = (
+    (("1", "1", "-1/2", "-1/2", "1/4"), 2),
+    (("1", "1", "-1/4", "-1/4", "1/4"), 1),
+    (("2", "1", "1", "1", "1/2"), 2),
+)
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("point, first_singular", SINGULAR_BANDS)
+def test_band_readers_raise_where_the_band_is_singular(point, first_singular):
+    p = make_params(point)
+    for n in range(14):
+        for build in (build_L, build_U):
+            expected = SingularParams if n >= first_singular else None
+            assert _raised(lambda: build(p, n)) is expected, (build.__name__, n)
+        expected = InvalidParams if n == 0 else SingularParams if n > first_singular else None
+        for build in (
+            lambda: polys_from_recurrence(p, n, "d"),
+            lambda: polys_from_recurrence(p, n, "e"),
+            lambda: t_polys(p, n),
+        ):
+            assert _raised(build) is expected, n
 
 
 def test_jacobi_moments_chebyshev():

@@ -122,6 +122,24 @@ def test_normal_order_memoises_prefixes(canonical, monkeypatch):
     assert len(wordfun._NORMAL_CACHE) <= 17
 
 
+def test_thousand_letter_words_on_a_cold_memo(canonical, monkeypatch):
+    # a cold memo is filled in bounded steps, so the recursion depth stays
+    # below the interpreter's limit; the values match a memo warmed by hand
+    q = canonical.q
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+
+    def on_empty_memo(word, warm_cuts):
+        wordfun._NORMAL_CACHE.clear()
+        for cut in warm_cuts:
+            normal_order(WordPoly({word[:cut]: 1}), q)
+        return normal_order(WordPoly({word: 1}), q)
+
+    for word in ("d" * 1000, "e" * 1000, "e" + "d" * 999):
+        assert on_empty_memo(word, ()) == on_empty_memo(word, range(500, len(word), 500))
+    expected = WordPoly({"d" * 999 + "e": q**-999, "d" * 998: 1 - q**-999})
+    assert on_empty_memo("e" + "d" * 999, ()) == expected
+
+
 def test_functional_oracle(canonical):
     assert functional(WordPoly.one(), canonical) == 1
     assert functional(WordPoly({"ed": 1}), canonical) == F(311, 1081)
