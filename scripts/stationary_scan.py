@@ -8,8 +8,9 @@ irreducible generator (solving the master equation densely only if neither
 does), and prints which one reproduces that oracle together with the worst
 discrepancy of the other.  Optionally dumps the exact site-density profile
 of the stationary state.  Parameters are exact rationals, as for the
-``biorth`` command line; an unusable configuration prints one ``error:``
-line and exits 2.
+``biorth`` command line; an unusable configuration, or a ``--max-L``
+outside 1 .. ``compare``'s guard, prints one ``error:`` line and exits 2
+before any size is computed.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from biorth import AWParams, BiorthError, compare, parse_rational, to_rates
-from biorth.asep import config_bits
+from biorth.asep import _COMPARE_LIMIT, config_bits
 
 
 def density_profile(dist):
@@ -41,6 +42,12 @@ def main() -> int:
     ap.add_argument("--max-L", type=int, default=5, dest="max_length")
     ap.add_argument("--profile", action="store_true", help="print exact density profiles")
     args = ap.parse_args()
+    if not 1 <= args.max_length <= _COMPARE_LIMIT:
+        print(
+            f"error: --max-L must be between 1 and {_COMPARE_LIMIT}, got {args.max_length}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         return scan(args)
     except BiorthError as exc:

@@ -5,6 +5,25 @@ is done on plain integers.  ``Fraction`` reduces by a gcd after every
 ``+`` and ``*``; clearing denominators once per row (or column) and
 reducing once per result avoids those gcds in the inner loops.
 
+The kernel rule, here and in every hot three-term recurrence of the
+package: clear the recurrence's rational coefficients to integers with one
+scale per row or step (outside the entry loop), clear the values an entry
+reads of denominators with ``_clear_denominators`` (their lcm is the
+scale), combine them in plain ``int`` arithmetic, and build exactly one
+Fraction per produced entry.  A three-term recurrence clears the three
+neighbours of each entry, not a whole column: down a moment-table column
+the denominators grow from about 100 to 10,000 bits (order 48), so one
+column-wide scale would bring every entry up to the largest and make each
+final reduction a gcd at that size.  Besides ``mat_mul``, ``det`` and
+``nullspace`` below, the rule is followed by the moment table's column
+fill, the row fill and the boundary column (``bimoment``),
+``TridiagonalOperator.matvec`` and ``monic_recurrence`` (``repmat``; the
+band walks of ``ldu.build_L``, ``jacobi_moments`` and the ``asep``
+transfer weights run on ``matvec``), ``ldu.build_L_inverse``, the row sums
+of ``asep.generator`` and the residual of ``asep.certify_stationary``.
+The helper is the only code these share; each recurrence keeps its own
+coefficients.
+
 * ``mat_mul`` scales each row of the left factor and each column of the
   right factor by the lcm of its denominators, takes integer dot products
   over the overlap of the two nonzero spans (so triangular factors cost

@@ -118,38 +118,44 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
         raise InvalidParams(f"L must be >= 1, got {length}")
     if length > _GENERATOR_LIMIT:
         raise SizeLimit(f"generator is guarded to L <= {_GENERATOR_LIMIT}")
-    q = rates.q
     size = 1 << length
     left_mask = 1 << (length - 1)
     entries: dict[tuple[int, int], Fraction] = {}
-    row_sums = [Fraction(0)] * size
+    # Each rate paired with its integer over one common scale: a row sum is
+    # added up on the integers and reduced once.
+    values = (rates.alpha, rates.beta, rates.gamma, rates.delta, Fraction(1), rates.q)
+    integers, scale = _linalg._clear_denominators(values)
+    alpha, beta, gamma, delta, right, left = zip(values, integers)
+    row_sums = [0] * size
 
-    def add(src: int, dst: int, rate: Fraction):
-        if rate:
+    def add(src: int, dst: int, rate: tuple[Fraction, int]):
+        value, integer = rate
+        if value:
             key = (src, dst)
-            entries[key] = entries.get(key, Fraction(0)) + rate
-            row_sums[src] += rate
+            # at L = 1 the one site is at both boundaries, so both moves share a key
+            entries[key] = entries[key] + value if key in entries else value
+            row_sums[src] += integer
 
     for s in range(size):
         if s & left_mask:
-            add(s, s & ~left_mask, rates.gamma)
+            add(s, s & ~left_mask, gamma)
         else:
-            add(s, s | left_mask, rates.alpha)
+            add(s, s | left_mask, alpha)
         if s & 1:
-            add(s, s & ~1, rates.beta)
+            add(s, s & ~1, beta)
         else:
-            add(s, s | 1, rates.delta)
+            add(s, s | 1, delta)
         for bond in range(length - 1):
             hi = 1 << (length - 1 - bond)
             lo = hi >> 1
             pair = s & (hi | lo)
             if pair == hi:
-                add(s, (s & ~hi) | lo, Fraction(1))
+                add(s, (s & ~hi) | lo, right)
             elif pair == lo:
-                add(s, (s | hi) & ~lo, q)
+                add(s, (s | hi) & ~lo, left)
     for s, total in enumerate(row_sums):
         if total:
-            entries[(s, s)] = -total
+            entries[(s, s)] = Fraction(-total, scale)
     return entries
 
 

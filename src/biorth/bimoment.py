@@ -21,6 +21,13 @@ The column fill is the shared :class:`BimomentTable`, cached per parameter
 set and grown in place, so every checker in a process reads one table.  The
 row fill is coded separately: derived from the swapped column fill, the
 agreement of the two fills would only repeat :func:`check_transpose_symmetry`.
+
+All three recurrences run on integer kernels (see ``_linalg``): the column
+fill clears its step coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per
+growth and, for each entry, the three entries of column j-1 it reads; the
+row fill does the same on row i-1 with its own (b, d) coefficients; the
+boundary column clears its step and its two previous entries.  Each entry
+is then one integer combination and one Fraction.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._linalg import _clear_denominators
 from .core import AWParams, InvalidParams, SingularParams, format_rational
 
 _FILLS = ("columns", "rows")
@@ -56,8 +64,11 @@ def boundary_column(p: AWParams, depth: int) -> list[Fraction]:
         den = 1 - abcd * qi
         if den == 0:
             raise SingularParams(f"boundary column denominator vanishes at depth {i}")
-        prev2 = out[i - 2] if i >= 2 else Fraction(0)
-        out.append((((b + d) - bd * (a + c) * qi) * out[i - 1] - bd * (1 - qi) * prev2) / den)
+        (one_back, two_back, step_den), _ = _clear_denominators(
+            [(b + d) - bd * (a + c) * qi, -bd * (1 - qi), den]
+        )
+        prev, scale = _clear_denominators([out[i - 1], out[i - 2] if i >= 2 else 0])
+        out.append(Fraction(one_back * prev[0] + two_back * prev[1], step_den * scale))
     return out
 
 
@@ -96,19 +107,25 @@ class BimomentTable:
             entries[(i, 0)] = value
         self._col_depth[0] = 2 * n
 
+        # steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
+        # (i-1, j-1), (i, j-1), (i+1, j-1), as integers over one scale
+        steps = [None]
+        qi = q
+        for _ in range(1, 2 * n):
+            steps.append(_clear_denominators([1 - qi, (a + c) * qi, -ac * qi]))
+            qi *= q
+
         row0 = boundary_row(p, n)
         for j in range(1, n + 1):
             entries[(0, j)] = row0[j]
             depth = 2 * n - j
             start = self._col_depth.get(j, 0) + 1
-            qi = q**start
             for i in range(start, depth + 1):
-                entries[(i, j)] = (
-                    (1 - qi) * entries[(i - 1, j - 1)]
-                    + (a + c) * qi * entries[(i, j - 1)]
-                    - ac * qi * entries[(i + 1, j - 1)]
+                (left, mid, down), step_scale = steps[i]
+                (x, y, z), scale = _clear_denominators(
+                    (entries[(i - 1, j - 1)], entries[(i, j - 1)], entries[(i + 1, j - 1)])
                 )
-                qi *= q
+                entries[(i, j)] = Fraction(left * x + mid * y + down * z, step_scale * scale)
             self._col_depth[j] = depth
         self._order = n
 
@@ -180,6 +197,13 @@ class BimomentMatrix:
 def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     b, d, q = p.b, p.d, p.q
     bd = b * d
+    # coeffs[j]: the coefficients (1 - q^j, (b + d) q^j, -bd q^j) of
+    # (i-1, j-1), (i-1, j), (i-1, j+1), as integers over one scale
+    coeffs = [None]
+    qj = q
+    for _ in range(1, 2 * n):
+        coeffs.append(_clear_denominators([1 - qj, (b + d) * qj, -bd * qj]))
+        qj *= q
     row = boundary_row(p, 2 * n)
     col0 = boundary_column(p, n)
     rows = [row[: n + 1]]
@@ -187,10 +211,10 @@ def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     for i in range(1, n + 1):
         depth = 2 * n - i
         cur = [col0[i]]
-        qj = q
         for j in range(1, depth + 1):
-            cur.append((1 - qj) * prev[j - 1] + (b + d) * qj * prev[j] - bd * qj * prev[j + 1])
-            qj *= q
+            (left, mid, right), coeff_scale = coeffs[j]
+            (x, y, z), scale = _clear_denominators(prev[j - 1 : j + 2])
+            cur.append(Fraction(left * x + mid * y + right * z, coeff_scale * scale))
         rows.append(cur[: n + 1])
         prev = cur
     return rows

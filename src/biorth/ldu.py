@@ -17,6 +17,12 @@ point; B = L D U still checks U against the block of the unswapped point.
 Determinants of the bimoment block are computed by three independent
 routes: the product of the diagonal factors, a closed-form q-Pochhammer
 product, and fraction-free elimination of the block itself.
+
+Both triangular recurrences run on integer kernels (see ``_linalg``): L on
+``TridiagonalOperator.matvec``; L^{-1} clears its step coefficients once
+per row and the three entries of rows i-1 and i-2 each entry reads, and
+forms one Fraction per entry.  The closed form extends its q-Pochhammer
+products from i-1 to i, O(n) factor updates in all.
 """
 
 from __future__ import annotations
@@ -32,8 +38,6 @@ from .core import (
     SingularParams,
     d_natural,
     g_coeff,
-    qpoch,
-    qpoch_multi,
 )
 from .reporting import VerificationReport
 
@@ -107,12 +111,15 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     m[0][0] = Fraction(1)
     for i in range(1, n + 1):
+        two_back = bd * q ** (i - 2) * g[i - 2] if i >= 2 else 0
+        (shift, here, back), step_scale = _linalg._clear_denominators(
+            [1, -dnat[i - 1], two_back]
+        )
+        last = [0, *m[i - 1]]  # last[j] is Linv[i-1][j-1]
+        before = m[i - 2] if i >= 2 else [0] * (n + 1)  # before[j] is Linv[i-2][j]
         for j in range(i + 1):
-            acc = m[i - 1][j - 1] if j >= 1 else Fraction(0)
-            acc -= dnat[i - 1] * m[i - 1][j]
-            if i >= 2:
-                acc += bd * q ** (i - 2) * g[i - 2] * m[i - 2][j]
-            m[i][j] = acc
+            (x, y, z), scale = _linalg._clear_denominators((last[j], last[j + 1], before[j]))
+            m[i][j] = Fraction(shift * x + here * y + back * z, step_scale * scale)
     return TriangularFactor(n, tuple(tuple(r) for r in m))
 
 
@@ -182,19 +189,21 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     q2 = q * q
-    out = Fraction(1)
+    # (x; q)_i and (x; q^2)_i are extended from i-1 to i by their last factor:
+    # num_terms[k] is x_k q^(i-1), den_terms[k] is x_k q^(2(i-1))
+    num_terms = [abcd / q, q, a * b, b * c, a * d, c * d]
+    den_terms = [abcd / q, abcd, abcd * q]
+    num = den = out = Fraction(1)
     for i in range(1, n + 1):
-        num = qpoch_multi(
-            [abcd / q, q, a * b, b * c, a * d, c * d], q, i
-        )
-        den = (
-            qpoch(abcd / q, q2, i)
-            * qpoch(abcd, q2, i) ** 2
-            * qpoch(abcd * q, q2, i)
-        )
+        for term in num_terms:
+            num *= 1 - term
+        low, mid, high = (1 - term for term in den_terms)
+        den *= low * mid * mid * high
         if den == 0:
             raise SingularParams(f"closed-form determinant denominator vanishes at i={i}")
         out *= num / den
+        num_terms = [term * q for term in num_terms]
+        den_terms = [term * q2 for term in den_terms]
     return out
 
 

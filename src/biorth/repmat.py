@@ -18,13 +18,22 @@ moments of the two Jacobi systems agree.  Both the check and
 recurrence route share :func:`monic_recurrence`.  ``aw_eval`` evaluates the
 family through its terminating basic hypergeometric series so the
 recurrence can be validated against an independent construction.
+
+:meth:`TridiagonalOperator.matvec` is an integer kernel (see ``_linalg``):
+each band row is cleared of denominators once per operator, each output
+component clears the three input components it reads, and each output
+component is one Fraction.  The band walks of ``ldu.build_L``,
+:func:`jacobi_moments` and the ``asep`` transfer weights all run on it;
+:func:`monic_recurrence` follows the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from ._linalg import _clear_denominators
 from .core import (
     AWParams,
     InvalidParams,
@@ -65,19 +74,28 @@ class TridiagonalOperator:
             return self.lower[j]
         return Fraction(0)
 
+    @cached_property
+    def _cleared_rows(self):
+        """Row i of the band, (lower[i-1], diag[i], upper[i]) with zeros past
+        the edges, scaled to integers by the lcm of its denominators."""
+        zero = (0,)
+        lower, upper = zero + self.lower, self.upper + zero
+        return [_clear_denominators(row) for row in zip(lower, self.diag, upper)]
+
     def matvec(self, vec, levels):
         """The first ``levels`` components of this operator applied to the
         column vector vec.  vec may be shorter than size; its missing
-        components are zero."""
-        known = len(vec)
+        components are zero.
+
+        Output component i clears the three components it reads of
+        denominators and combines them with the integer band row i: one
+        Fraction per component."""
+        # padded[i + 1] is component i; zeros beyond both ends
+        padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
         out = []
-        for i in range(levels):
-            acc = self.diag[i] * vec[i] if i < known else 0
-            if i and i <= known:
-                acc += self.lower[i - 1] * vec[i - 1]
-            if i + 1 < known:
-                acc += self.upper[i] * vec[i + 1]
-            out.append(acc)
+        for i, ((low, mid, up), row_scale) in enumerate(self._cleared_rows[:levels]):
+            (x, y, z), scale = _clear_denominators(padded[i : i + 3])
+            out.append(Fraction(low * x + mid * y + up * z, row_scale * scale))
         return out
 
 
@@ -533,14 +551,15 @@ def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
     products."""
     seq = [(Fraction(1),)]
     for n, value in enumerate(diag):
-        cur = seq[-1]
-        nxt = [Fraction(0), *cur]
-        for k, v in enumerate(cur):
-            nxt[k] -= value * v
-        if n:
-            lam = products[n - 1]
-            for k, v in enumerate(seq[-2]):
-                nxt[k] -= lam * v
+        (shift, here, back), step_scale = _clear_denominators(
+            [1, -value, -products[n - 1] if n else 0]
+        )
+        cur = [0, *seq[-1], 0]  # cur[k] is the x^(k-1) coefficient of T_n
+        before = [*(seq[-2] if n else ()), 0, 0]  # before[k] is the x^k coefficient of T_(n-1)
+        nxt = []
+        for k in range(n + 2):
+            (x, y, z), scale = _clear_denominators((cur[k], cur[k + 1], before[k]))
+            nxt.append(Fraction(shift * x + here * y + back * z, step_scale * scale))
         seq.append(tuple(nxt))
     return tuple(seq)
 

@@ -124,6 +124,12 @@ def test_stationary_scan_script():
         result = scan(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
+    # a length outside 1 .. compare's guard is refused before any size is computed
+    for args in (("--max-L", "7"), ("--max-L", "0")):
+        result = scan(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
+        assert "L=" not in result.stdout, args
 
 
 def test_singular_point_exits_2(capsys):
