@@ -3,12 +3,12 @@
 
 For each system size L the script evaluates both ansatz readings (shifted
 letters literally vs. the substitution D = (1+d)/(1-q)), takes as the exact
-chain solution the first one whose master-equation residual vanishes on the
-irreducible generator (solving the master equation densely only if neither
-does), and prints which one reproduces that oracle together with the worst
-discrepancy of the other.  Optionally dumps the exact site-density profile
-of the stationary state.  Parameters are exact rationals, as for the
-``biorth`` command line; an unusable configuration, or a ``--max-L``
+chain solution the one whose master-equation residual vanishes on the
+irreducible generator, and prints which one reproduces that oracle together
+with the worst discrepancy of the other; where neither does, there is no
+oracle and it prints ``none``.  Optionally dumps the exact site-density
+profile of the stationary state.  Parameters are exact rationals, as for
+the ``biorth`` command line; an unusable configuration, or a ``--max-L``
 outside 1 .. ``compare``'s guard, prints one ``error:`` line and exits 2
 before any size is computed.
 """
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from biorth import AWParams, BiorthError, compare, parse_rational, to_rates
-from biorth.asep import _COMPARE_LIMIT, config_bits
+from biorth.asep import _ANSATZ_LIMIT, config_bits
 
 
 def density_profile(dist):
@@ -42,9 +42,9 @@ def main() -> int:
     ap.add_argument("--max-L", type=int, default=5, dest="max_length")
     ap.add_argument("--profile", action="store_true", help="print exact density profiles")
     args = ap.parse_args()
-    if not 1 <= args.max_length <= _COMPARE_LIMIT:
+    if not 1 <= args.max_length <= _ANSATZ_LIMIT:
         print(
-            f"error: --max-L must be between 1 and {_COMPARE_LIMIT}, got {args.max_length}",
+            f"error: --max-L must be between 1 and {_ANSATZ_LIMIT}, got {args.max_length}",
             file=sys.stderr,
         )
         return 2
@@ -64,6 +64,10 @@ def scan(args) -> int:
     for length in range(1, args.max_length + 1):
         report = compare(length, p)
         matching = ", ".join(report.matching_variants) or "none"
+        if report.oracle is None:
+            print(f"L={length}: matching variant(s): {matching:12s} no candidate certifies")
+            matched_everywhere = False
+            continue
         worst = max(v.max_abs_discrepancy for v in report.variants)
         print(f"L={length}: matching variant(s): {matching:12s} worst discrepancy {worst} (~{float(worst):.3g})")
         matched_everywhere &= bool(report.matching_variants)

@@ -6,15 +6,8 @@ right across a bond at rate 1 and left at rate q, injects/extracts at the
 left boundary at rates alpha/gamma and at the right boundary at rates
 delta/beta.
 
-The stationary distribution is obtained three ways:
+The stationary distribution is certified, not solved for:
 
-* ``certify_stationary`` proves a candidate stationary: the generator is
-  strongly connected (so its left kernel is one-dimensional) and the
-  candidate's residual pi M is exactly zero.  Only the generator enters,
-  and the cost is linear in its nonzero entries;
-* ``stationary_exact`` solves pi M = 0 exactly by dense elimination on the
-  2^L x 2^L generator, at a cost of about 8^L operations (the fallback
-  oracle);
 * ``stationary_ansatz`` gives configuration tau the weight
   <e0| X_tau1 ... X_tauL |e0> in the tridiagonal representation of d and
   e (``repmat.rep_rational``).  Variant "shifted" uses the letters d, e
@@ -24,10 +17,20 @@ The stationary distribution is obtained three ways:
   steps.  ``ansatz_weight`` evaluates one configuration by the word route
   instead (expand the letter product, normal order, read the moment
   table); it is the reference for the representation route and its
-  fallback where the representation is singular.  ``compare`` takes the
-  first variant that certifies as the oracle, solves densely only when
-  none does, and records which variant(s) reproduce the oracle -- the
-  comparison reports, it never corrects.
+  fallback where the representation is singular;
+* ``certify_stationary`` proves a candidate stationary: the generator is
+  strongly connected (so its left kernel is one-dimensional) and the
+  candidate's residual pi M is exactly zero.  Only the generator enters,
+  and the cost is linear in its nonzero entries.
+
+``compare`` hands the requested variants and the unshifted one to the
+certificate; the distribution it proves is the oracle, and the comparison
+records which requested variant(s) reproduce it -- it reports, it never
+corrects.  When no candidate certifies there is no oracle.
+``stationary_exact`` solves pi M = 0 by dense elimination on the
+2^L x 2^L generator, at a cost of about 8^L operations; the library does
+not call it, it is the independent reference the tests hold the
+certificate to.
 """
 
 from __future__ import annotations
@@ -53,13 +56,20 @@ from .repmat import rep_rational
 from .reporting import canonical_json, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
+# Also the guard of ``compare``, whose costliest step is the ansatz.  On a
+# 2-core host with Python 3.11, compare(10) takes at most 0.16 s over GRID;
+# where the representation is singular (a = b = 1, c = d = -1/2 or -1/4,
+# q = 1/4: abcd = q or q^2) every weight takes the word route, and it takes
+# 10.8 s and 6.7 s (L = 8: 1.0 s and 0.5 s).
 _ANSATZ_LIMIT = 10
 # Dense elimination grows about 20x per site: at the costliest GRID point,
 # (3/2, 3/4, -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, L = 7 takes
 # 1.5 s and L = 8 takes 39 s.
 _EXACT_LIMIT = 8
+# The generator is linear in its 2^L states: at L = 12 it has 34,816 entries
+# (5 MB) and takes 0.04 s over GRID, the certificate without candidates
+# 0.09 s, on the same host; both double per site.
 _GENERATOR_LIMIT = 12
-_COMPARE_LIMIT = 6
 VARIANTS = ("shifted", "unshifted")
 
 
@@ -364,18 +374,19 @@ def stationary_ansatz(
 class VariantComparison:
     name: str
     matches_oracle: bool
-    max_abs_discrepancy: Fraction
+    max_abs_discrepancy: Fraction | None
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side of ansatz variants against the Markov-chain oracle."""
+    """Side-by-side of ansatz variants against the certified chain state
+    (None where no candidate certifies)."""
 
     params: AWParams
     rates: HoppingRates
     length: int
     variants: tuple[VariantComparison, ...]
-    oracle: StationaryDistribution
+    oracle: StationaryDistribution | None
 
     @property
     def matching_variants(self) -> tuple[str, ...]:
@@ -390,11 +401,11 @@ class ComparisonReport:
                 {
                     "name": v.name,
                     "matches_oracle": v.matches_oracle,
-                    "max_abs_discrepancy": format_rational(v.max_abs_discrepancy),
+                    "max_abs_discrepancy": jsonable(v.max_abs_discrepancy),
                 }
                 for v in self.variants
             ],
-            "oracle": {"probabilities": self.oracle.to_map()},
+            "oracle": None if self.oracle is None else {"probabilities": self.oracle.to_map()},
         }
 
     def to_json(self) -> str:
@@ -406,29 +417,29 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
 
     Exact equality configuration by configuration; on mismatch the largest
     absolute discrepancy is recorded.  The exact representation is built
-    once and shared by the variants.  The oracle is the first variant that
-    ``certify_stationary`` proves stationary (linear in the 2^L states);
-    only when none certifies is it solved by ``stationary_exact``.  That
-    fallback costs about 8^L, so it still sets the guard L <= 6.
+    once and shared by the variants.  The oracle is the first of the
+    requested variants, then the unshifted one (computed only as a
+    candidate if not requested), that ``certify_stationary`` proves
+    stationary, at a cost linear in the 2^L states.  If none certifies,
+    the ansatz itself is wrong: the oracle is None, and so is every
+    discrepancy.  The ansatz is the costliest step, so its guard is this
+    one's.
     """
-    if length > _COMPARE_LIMIT:
-        raise SizeLimit(f"compare is guarded to L <= {_COMPARE_LIMIT}")
+    if length < 1:
+        raise InvalidParams(f"L must be >= 1, got {length}")
+    if length > _ANSATZ_LIMIT:
+        raise SizeLimit(f"compare is guarded to L <= {_ANSATZ_LIMIT}")
     rates = to_rates(p)
     rep = _representation(p, length)
-    dists = [(variant, _ansatz(length, p, variant, rep)) for variant in variants]
-    oracle = certify_stationary(length, rates, (dist for _, dist in dists))
-    if oracle is None:
-        oracle = stationary_exact(length, rates)
+    candidates = dict.fromkeys((*variants, "unshifted"))
+    dists = {variant: _ansatz(length, p, variant, rep) for variant in candidates}
+    oracle = certify_stationary(length, rates, dists.values())
     rows = []
-    for variant, dist in dists:
-        gap = max(
-            abs(x - y) for x, y in zip(dist.probabilities, oracle.probabilities)
+    for variant in variants:
+        gap = None if oracle is None else max(
+            abs(x - y) for x, y in zip(dists[variant].probabilities, oracle.probabilities)
         )
-        rows.append(
-            VariantComparison(
-                name=variant, matches_oracle=(gap == 0), max_abs_discrepancy=gap
-            )
-        )
+        rows.append(VariantComparison(variant, matches_oracle=(gap == 0), max_abs_discrepancy=gap))
     return ComparisonReport(
         params=p, rates=rates, length=length, variants=tuple(rows), oracle=oracle
     )

@@ -34,11 +34,11 @@ _PARAM_FLAGS = _AW_FLAGS + _RATE_FLAGS + ("q",)
 _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 
 # Largest size flag per subcommand.  At the costliest GRID point, (3/2, 3/4,
-# -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 32 takes 15 s
-# (n 40: 100 s), rep --n 96 takes 9 s (n 128: 42 s) and functional
-# --max-len 64 with the default 200 trials takes 18 s (96: 52 s); bimoment
-# --n 48 takes 1.3 s, and at n 64 three GRID points have entries past the
-# 4300 digits Python will print.
+# -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 32 takes 19 s
+# (n 40: 120 s) and functional --max-len 64 with the default 200 trials
+# takes 18 s (96: 55 s); rep --n 96 takes 1.2 s (n 128: 3.8 s) and bimoment
+# --n 48 1.0-1.4 s, and at bimoment n 64 two GRID points have entries past
+# the 4300 digits Python will print.
 _LIMITS = {"bimoment": ("n", 48), "ldu": ("n", 32), "rep": ("n", 96), "functional": ("max_len", 64)}
 
 
@@ -121,13 +121,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
+    """Exit 1 unless a requested variant reproduces the certified chain
+    state; the CSV form is that state, so nothing is written without one."""
     p = _params_from_args(args)
     variants = asep.VARIANTS if args.variant == "both" else (args.variant,)
     comparison = asep.compare(args.L, p, variants)
-    if args.format == "csv":
-        _emit(args, comparison.oracle.to_csv())
-    else:
+    if args.format == "json":
         _emit(args, comparison.to_json())
+    elif comparison.oracle is not None:
+        _emit(args, comparison.oracle.to_csv())
     return 0 if comparison.matching_variants else 1
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,8 @@ from biorth.asep import (
     config_string,
     generator,
 )
+from biorth.cli import main
+from biorth.suites import stationary_suite
 
 from conftest import make_params, valid_params
 
@@ -192,25 +195,57 @@ def test_compare_certifies_without_the_dense_solve(canonical, monkeypatch):
     assert compare(5, canonical).matching_variants == ("unshifted",)
 
 
-def test_compare_falls_back_to_the_dense_oracle(canonical, monkeypatch):
+def _refuse_dense_solve(length, rates):
+    raise AssertionError("dense oracle called")
+
+
+def test_single_variant_compare_never_solves_densely(grid, monkeypatch):
+    # the unshifted ansatz is a candidate even when only "shifted" is asked for
+    oracles = {}
+    for p in grid:
+        for length in range(1, 7):
+            oracles[p, length] = stationary_exact(length, to_rates(p)).probabilities
+
+    monkeypatch.setattr(asep, "stationary_exact", _refuse_dense_solve)
+    for p in grid:
+        for length in range(1, 7):
+            for variant in VARIANTS:
+                report = compare(length, p, (variant,))
+                assert [v.name for v in report.variants] == [variant]
+                assert report.oracle.probabilities == oracles[p, length]
+                if variant == "unshifted":
+                    assert report.matching_variants == ("unshifted",)
+
+
+def test_certified_oracle_past_the_old_guard(canonical):
+    oracle = compare(7, canonical).oracle
+    assert oracle.probabilities == stationary_exact(7, to_rates(canonical)).probabilities
+
+
+def test_wrong_ansatz_has_no_oracle(canonical, monkeypatch, capsys):
     def swapped_ends(length, empty, occupied):
         # same sum, so the normalization check passes; wrong distribution
         weights = _transfer_weights(length, empty, occupied)
         return [weights[-1]] + weights[1:-1] + [weights[0]]
 
-    dense_calls = []
-
-    def dense(length, rates):
-        dense_calls.append(length)
-        return stationary_exact(length, rates)
-
     monkeypatch.setattr(asep, "_transfer_weights", swapped_ends)
-    monkeypatch.setattr(asep, "stationary_exact", dense)
-    report = compare(3, canonical)
-    assert dense_calls == [3]
-    assert report.matching_variants == ()
-    assert all(v.max_abs_discrepancy > 0 for v in report.variants)
-    assert report.oracle.probabilities == stationary_exact(3, to_rates(canonical)).probabilities
+    monkeypatch.setattr(asep, "stationary_exact", _refuse_dense_solve)
+    for variants in (VARIANTS, ("shifted",)):
+        report = compare(3, canonical, variants)
+        assert report.matching_variants == ()
+        assert report.oracle is None
+        assert all(v.max_abs_discrepancy is None for v in report.variants)
+    check = stationary_suite(canonical, 3)["stationary"].checks[-2]
+    assert check.name == "ansatz-matches-oracle-L3" and not check.passed
+    assert [v["name"] for v in check.first_failure["variants"]] == list(VARIANTS)
+
+    flags = ["--a", "1", "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2", "--L", "3"]
+    assert main(["stationary", *flags]) == 1
+    out = capsys.readouterr().out
+    assert '"oracle": null' in out
+    assert all(v["max_abs_discrepancy"] is None for v in json.loads(out)["variants"])
+    assert main(["stationary", *flags, "--format", "csv"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_certificate_refuses_a_reducible_generator(canonical, monkeypatch):
@@ -267,5 +302,7 @@ def test_size_guards(canonical):
     with pytest.raises(SizeLimit):
         stationary_exact(11, rates)
     with pytest.raises(SizeLimit):
-        compare(7, canonical)
+        compare(11, canonical)
+    with pytest.raises(InvalidParams):
+        compare(0, canonical)
     assert set(VARIANTS) == {"shifted", "unshifted"}

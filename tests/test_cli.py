@@ -120,16 +120,26 @@ def test_stationary_scan_script():
     assert result.returncode == 0, result.stderr
     assert "matching variant(s)" in result.stdout
     # q = 1, a length past compare's guard, a decimal literal: one error line, exit 2
-    for args in (("--q", "1"), ("--max-L", "7"), ("--q", "0.5")):
+    for args in (("--q", "1"), ("--max-L", "11"), ("--q", "0.5")):
         result = scan(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
     # a length outside 1 .. compare's guard is refused before any size is computed
-    for args in (("--max-L", "7"), ("--max-L", "0")):
+    for args in (("--max-L", "11"), ("--max-L", "0")):
         result = scan(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
         assert "L=" not in result.stdout, args
+
+
+def test_stationary_refuses_a_negative_length(capsys):
+    # refused by compare before any work, naming L and the value given
+    assert main(["stationary", *CANONICAL, "--L", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert "L" in errors[0] and "-1" in errors[0]
 
 
 def test_singular_point_exits_2(capsys):
