@@ -64,7 +64,8 @@ class NotIrreducible(BiorthError):
 
 
 class ZeroParameter(BiorthError):
-    """A formula needs all of a, b, c, d nonzero (it divides by them)."""
+    """A formula divides by a value that is zero: the AW series at
+    a = b = c = d = 0, or at t = 0."""
 
 
 # ---------------------------------------------------------------------------

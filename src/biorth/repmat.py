@@ -107,8 +107,6 @@ class AWRecurrenceCoeffs:
     A: Fraction
     B: Fraction
     C: Fraction
-    s: Fraction
-    sprime: Fraction
 
 
 @dataclass(frozen=True)
@@ -384,22 +382,21 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
 
     A_n = (1 - q^(n-1) abcd) / ((1 - q^(2n-1) abcd)(1 - q^(2n) abcd))
     B_n = q^(n-1) / ((1 - q^(2n-2) abcd)(1 - q^(2n) abcd)) *
-          ((1 + q^(2n-1) abcd)(q s + abcd s') - q^(n-1) (1+q) abcd (s + q s'))
+          ((1 + q^(2n-1) abcd)(q s + e3) - q^(n-1) (1+q)(abcd s + q e3))
     C_n = (1 - q^n)(1 - q^(n-1) ab)(1 - q^(n-1) ac)(1 - q^(n-1) ad)
           (1 - q^(n-1) bc)(1 - q^(n-1) bd)(1 - q^(n-1) cd)
           / ((1 - q^(2n-1) abcd)(1 - q^(2n-2) abcd))
 
-    with s = a+b+c+d and s' = 1/a + 1/b + 1/c + 1/d (hence the
-    all-nonzero requirement).
+    with s = a+b+c+d and e3 = abc + abd + acd + bcd, the third elementary
+    symmetric function, so every coefficient is a polynomial in a, b, c, d
+    over the q-denominators and is defined at zero parameters.
     """
     if n < 0:
         raise InvalidParams(f"aw_coeffs needs n >= 0, got {n}")
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    if 0 in (a, b, c, d):
-        raise ZeroParameter("aw_coeffs needs a, b, c, d all nonzero")
     abcd = p.abcd
     s = a + b + c + d
-    sprime = 1 / a + 1 / b + 1 / c + 1 / d
+    e3 = a * b * (c + d) + (a + b) * c * d
 
     den_a = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n) * abcd)
     den_b = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
@@ -412,8 +409,8 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
         q ** (n - 1)
         / den_b
         * (
-            (1 + q ** (2 * n - 1) * abcd) * (q * s + abcd * sprime)
-            - q ** (n - 1) * (1 + q) * abcd * (s + q * sprime)
+            (1 + q ** (2 * n - 1) * abcd) * (q * s + e3)
+            - q ** (n - 1) * (1 + q) * (abcd * s + q * e3)
         )
     )
     qn1 = q ** (n - 1)
@@ -426,7 +423,7 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
         * (1 - qn1 * b * d)
         * (1 - qn1 * c * d)
     ) / den_c
-    return AWRecurrenceCoeffs(n=n, A=A, B=B, C=C, s=s, sprime=sprime)
+    return AWRecurrenceCoeffs(n=n, A=A, B=B, C=C)
 
 
 def jacobi_moments(diag, offdiag_products, kmax: int):
@@ -520,14 +517,17 @@ def aw_eval(p: AWParams, n: int, t) -> Fraction:
         a^(-n) (ab, ac, ad; q)_n *
         phi([q^(-n), q^(n-1) abcd, a t, a/t], [ab, ac, ad]; q, z=q)
 
-    which is rational for rational t != 0 (requires a != 0).
+    which is rational for rational t != 0.  The family is symmetric in
+    (a, b, c, d), so the series is expanded about the first nonzero
+    parameter, which takes the role of a; only a = b = c = d = 0 is refused.
     """
     if n < 0:
         raise InvalidParams(f"aw_eval needs n >= 0, got {n}")
     t = as_rational(t)
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    a, b, c, d = sorted((p.a, p.b, p.c, p.d), key=lambda x: x == 0)
+    q = p.q
     if a == 0:
-        raise ZeroParameter("aw_eval needs a != 0")
+        raise ZeroParameter("aw_eval needs one of a, b, c, d nonzero")
     if t == 0:
         raise ZeroParameter("aw_eval needs t != 0")
     prefactor = a ** (-n) * qpoch_multi([a * b, a * c, a * d], q, n)

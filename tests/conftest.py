@@ -30,11 +30,6 @@ def grid() -> list[AWParams]:
     return [make_params(point) for point in GRID]
 
 
-@pytest.fixture(scope="session")
-def nonzero_grid(grid) -> list[AWParams]:
-    return [p for p in grid if 0 not in (p.a, p.b, p.c, p.d)]
-
-
 _small = st.integers(min_value=1, max_value=6)
 
 

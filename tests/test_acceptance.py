@@ -107,9 +107,9 @@ def test_criterion_4_representation(grid):
     )
 
 
-def test_criterion_5_aw_match(nonzero_grid):
+def test_criterion_5_aw_match(grid):
     ok = True
-    for p in nonzero_grid:
+    for p in grid:
         ok = ok and verify_aw_match(p, 20).passed  # also moments to k = 40
         for t in (F(2), F(3, 2), F(5)):
             values = [aw_eval(p, n, t) for n in range(10)]
@@ -125,7 +125,7 @@ def test_criterion_5_aw_match(nonzero_grid):
         ok,
         "R diagonal/off-diagonal match B_n and A_n C_{n+1} to n = 20, Jacobi "
         "moments to k = 40, series recurrence to n = 8 at t in {2, 3/2, 5} "
-        f"({len(nonzero_grid)} sets with all parameters nonzero)",
+        f"({len(grid)} sets)",
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -93,12 +94,14 @@ def test_aw_coeffs_edges(canonical):
     p = canonical
     assert aw_coeffs(p, 0).A == 1 / (1 - p.abcd)
     assert aw_coeffs(p, 0).C == 0  # the (1 - q^0) factor
-    with pytest.raises(ZeroParameter):
-        aw_coeffs(AWParams(1, F(1, 2), 0, 0, F(1, 2)), 1)
+    # defined at c = d = 0 too, where B_n is the diagonal of R = d + e
+    zero_cd = AWParams(1, F(1, 2), 0, 0, F(1, 2))
+    diag, _ = repmat._sum_band(zero_cd, 6)
+    assert [aw_coeffs(zero_cd, n).B for n in range(6)] == diag
 
 
-def test_aw_match(nonzero_grid):
-    for p in nonzero_grid:
+def test_aw_match(grid):
+    for p in grid:
         assert verify_aw_match(p, 6).passed
 
 
@@ -192,27 +195,48 @@ def test_aw_eval_low_levels(canonical):
     c = aw_coeffs(p, 0)
     assert c.C == 0
     assert c.A * aw_eval(p, 1, t) + c.B == 2 * x
-    assert c.s == p.a + p.b + p.c + p.d
-    assert c.sprime == 1 / p.a + 1 / p.b + 1 / p.c + 1 / p.d
 
 
-def test_aw_eval_recurrence(nonzero_grid):
-    for p in nonzero_grid[:3]:
-        for t in (F(2), F(3, 2), F(5)):
-            values = [aw_eval(p, n, t) for n in range(8)]
-            twox = t + 1 / t
-            for n in range(1, 7):
-                c = aw_coeffs(p, n)
-                assert c.A * values[n + 1] + c.B * values[n] + c.C * values[n - 1] == (
-                    twox * values[n]
-                )
+def _series_satisfies_recurrence(p, top):
+    for t in suites.AW_T_VALUES:
+        values = [aw_eval(p, n, t) for n in range(top + 2)]
+        twox = t + 1 / t
+        for n in range(1, top + 1):
+            c = aw_coeffs(p, n)
+            if c.A * values[n + 1] + c.B * values[n] + c.C * values[n - 1] != twox * values[n]:
+                return False
+    return True
+
+
+def test_aw_eval_recurrence(grid):
+    for p in grid:
+        assert _series_satisfies_recurrence(p, 6)
+
+
+def test_aw_eval_with_a_zero():
+    # the series is expanded about the first nonzero parameter
+    for point in (
+        (0, F(1, 2), F(-1, 3), F(-1, 4), F(1, 2)),
+        (0, F(1, 3), 0, 0, F(1, 3)),
+    ):
+        assert _series_satisfies_recurrence(AWParams(*point), 8)
+
+
+def test_aw_eval_is_symmetric(grid):
+    # a permutation that puts a zero first is expanded about the pivot
+    for p in grid:
+        expected = {(n, t): aw_eval(p, n, t) for n in range(6) for t in suites.AW_T_VALUES}
+        for a, b, c, d in itertools.permutations((p.a, p.b, p.c, p.d)):
+            swapped = AWParams(a, b, c, d, p.q)
+            for (n, t), value in expected.items():
+                assert aw_eval(swapped, n, t) == value, (p, (a, b, c, d), n, t)
 
 
 def test_aw_eval_guards(canonical):
     with pytest.raises(ZeroParameter):
         aw_eval(canonical, 1, 0)
     with pytest.raises(ZeroParameter):
-        aw_eval(AWParams(0, F(1, 2), F(-1, 3), F(-1, 4), F(1, 2)), 1, 2)
+        aw_eval(AWParams(0, 0, 0, 0, F(1, 2)), 1, 2)
 
 
 def test_t_polys(canonical):
