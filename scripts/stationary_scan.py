@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from biorth import AWParams, BiorthError, compare, parse_rational, to_rates
-from biorth.asep import _ANSATZ_LIMIT, config_bits
+from biorth.asep import _GENERATOR_LIMIT, config_bits
 
 
 def density_profile(dist):
@@ -42,9 +42,9 @@ def main() -> int:
     ap.add_argument("--max-L", type=int, default=5, dest="max_length")
     ap.add_argument("--profile", action="store_true", help="print exact density profiles")
     args = ap.parse_args()
-    if not 1 <= args.max_length <= _ANSATZ_LIMIT:
+    if not 1 <= args.max_length <= _GENERATOR_LIMIT:
         print(
-            f"error: --max-L must be between 1 and {_ANSATZ_LIMIT}, got {args.max_length}",
+            f"error: --max-L must be between 1 and {_GENERATOR_LIMIT}, got {args.max_length}",
             file=sys.stderr,
         )
         return 2

@@ -1,4 +1,4 @@
-"""Open exclusion chain: exact stationary state, two ansatz routes, oracle.
+"""Open exclusion chain: exact stationary state, the ansatz, oracle.
 
 A configuration of L sites is an integer 0 <= s < 2^L whose most
 significant bit is site 1.  The continuous-time generator moves a particle
@@ -16,8 +16,7 @@ The stationary distribution is certified, not solved for:
   X_tauk ... X_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
   steps.  ``ansatz_weight`` evaluates one configuration by the word route
   instead (expand the letter product, normal order, read the moment
-  table); it is the reference for the representation route and its
-  fallback where the representation is singular;
+  table); it is the tests' reference for the representation route;
 * ``certify_stationary`` proves a candidate stationary: the generator is
   strongly connected (so its left kernel is one-dimensional) and the
   candidate's residual pi M is exactly zero.  Only the generator enters,
@@ -47,7 +46,6 @@ from .core import (
     HoppingRates,
     InvalidParams,
     NotIrreducible,
-    SingularParams,
     SizeLimit,
     format_rational,
     to_rates,
@@ -56,19 +54,15 @@ from .repmat import rep_rational
 from .reporting import canonical_json, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
-# Also the guard of ``compare``, whose costliest step is the ansatz.  On a
-# 2-core host with Python 3.11, compare(10) takes at most 0.16 s over GRID;
-# where the representation is singular (a = b = 1, c = d = -1/2 or -1/4,
-# q = 1/4: abcd = q or q^2) every weight takes the word route, and it takes
-# 10.8 s and 6.7 s (L = 8: 1.0 s and 0.5 s).
-_ANSATZ_LIMIT = 10
 # Dense elimination grows about 20x per site: at the costliest GRID point,
 # (3/2, 3/4, -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, L = 7 takes
 # 1.5 s and L = 8 takes 39 s.
 _EXACT_LIMIT = 8
 # The generator is linear in its 2^L states: at L = 12 it has 34,816 entries
 # (5 MB) and takes 0.04 s over GRID, the certificate without candidates
-# 0.09 s, on the same host; both double per site.
+# 0.09 s, on the same host; both double per site.  Also the guard of
+# ``stationary_ansatz`` and ``compare``: compare(12) takes at most 0.72 s over
+# GRID and the four abcd = q or q^2 points of the tests (L = 11: 0.38 s).
 _GENERATOR_LIMIT = 12
 VARIANTS = ("shifted", "unshifted")
 
@@ -281,16 +275,12 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
 
 
 def _representation(p: AWParams, length: int):
-    """Exact (d, e) truncations for words of length <= L, or None where
-    ``rep_rational`` meets a vanishing denominator.
+    """Exact (d, e) truncations for words of length <= L.
 
     A closed walk of length L from level 0 never climbs above level L//2,
     so the truncation of size L//2 + 1 gives <e0| word |e0> exactly.
     """
-    try:
-        return rep_rational(p, length // 2 + 1)
-    except SingularParams:
-        return None
+    return rep_rational(p, length // 2 + 1)
 
 
 def _site_operators(p: AWParams, rep, variant: str):
@@ -327,14 +317,9 @@ def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
 
 def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistribution:
     """``stationary_ansatz`` on the representation ``rep`` of
-    ``_representation(p, length)``; the word route where it is None."""
+    ``_representation(p, length)``."""
     shift, scale = _site_letter(p, variant)
-    if rep is None:
-        weights = [
-            ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)
-        ]
-    else:
-        weights = _transfer_weights(length, *_site_operators(p, rep, variant))
+    weights = _transfer_weights(length, *_site_operators(p, rep, variant))
     total = sum(weights)
     if power_functional(p, length, 2 * shift, scale) != total:
         raise BiorthError("normalization mismatch between weight sum and letter-sum power")
@@ -350,23 +335,18 @@ def stationary_ansatz(
     """Normalized ansatz distribution for all 2^L configurations.
 
     The weights come from the tridiagonal representation, shared across
-    configurations by suffix.  Where ``rep_rational`` meets a vanishing
-    denominator (abcd = q or q^2, say) that the moment table does not, each
-    weight is computed by the word route of ``ansatz_weight`` instead.
+    configurations by suffix.
 
     The normalization is then recomputed from the moment table, as the
     functional of the L-th power of the summed site letters (normal ordered
     in closed form by ``wordfun.power_functional``), and checked against
     the sum of the weights.  The representation and the moment table share
     nothing above the parameters, so a mismatch means one route is broken.
-    Under the fallback both sides are normal ordered by the same
-    right-multiplication step of ``wordfun``, so there the independent check
-    is the exact chain oracle of :func:`compare`.
     """
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _ANSATZ_LIMIT:
-        raise SizeLimit(f"stationary_ansatz is guarded to L <= {_ANSATZ_LIMIT}")
+    if length > _GENERATOR_LIMIT:
+        raise SizeLimit(f"stationary_ansatz is guarded to L <= {_GENERATOR_LIMIT}")
     return _ansatz(length, p, variant, _representation(p, length))
 
 
@@ -422,13 +402,12 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     candidate if not requested), that ``certify_stationary`` proves
     stationary, at a cost linear in the 2^L states.  If none certifies,
     the ansatz itself is wrong: the oracle is None, and so is every
-    discrepancy.  The ansatz is the costliest step, so its guard is this
-    one's.
+    discrepancy.  Guarded with the generator it certifies against.
     """
     if length < 1:
         raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _ANSATZ_LIMIT:
-        raise SizeLimit(f"compare is guarded to L <= {_ANSATZ_LIMIT}")
+    if length > _GENERATOR_LIMIT:
+        raise SizeLimit(f"compare is guarded to L <= {_GENERATOR_LIMIT}")
     rates = to_rates(p)
     rep = _representation(p, length)
     candidates = dict.fromkeys((*variants, "unshifted"))

@@ -308,7 +308,9 @@ def g_coeff(p: AWParams, j: int) -> Fraction:
           (1 - ad q^j) (1 - cd q^j)
         / ((1 - abcd q^(2j-1)) (1 - abcd q^(2j))^2 (1 - abcd q^(2j+1)))
 
-    Raises SingularParams when the denominator vanishes.
+    At j = 0 the first factors of numerator and denominator are both
+    1 - abcd/q; they cancel and are left out (lowest terms), so abcd = q is
+    a regular point.  Raises SingularParams when the denominator vanishes.
     """
     if j < 0:
         raise InvalidParams(f"g_coeff needs j >= 0, got {j}")
@@ -316,7 +318,7 @@ def g_coeff(p: AWParams, j: int) -> Fraction:
     abcd = p.abcd
     qj = q**j
     num = (
-        (1 - abcd * q ** (j - 1))
+        (1 - abcd * q ** (j - 1) if j else 1)
         * (1 - q ** (j + 1))
         * (1 - a * b * qj)
         * (1 - b * c * qj)
@@ -324,7 +326,7 @@ def g_coeff(p: AWParams, j: int) -> Fraction:
         * (1 - c * d * qj)
     )
     den = (
-        (1 - abcd * q ** (2 * j - 1))
+        (1 - abcd * q ** (2 * j - 1) if j else 1)
         * (1 - abcd * q ** (2 * j)) ** 2
         * (1 - abcd * q ** (2 * j + 1))
     )
@@ -334,15 +336,23 @@ def g_coeff(p: AWParams, j: int) -> Fraction:
 
 
 def d_natural(p: AWParams, n: int) -> Fraction:
-    """Diagonal coefficient of the first tridiagonal operator at level n."""
+    """Diagonal coefficient of the first tridiagonal operator at level n.
+
+    Level 0 is written in lowest terms, (b + d - bd(a + c)) / (1 - abcd), so
+    abcd = q^2 is a regular point.
+    """
     if n < 0:
         raise InvalidParams(f"d_natural needs n >= 0, got {n}")
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     bd = b * d
-    den = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
+    den = 1 - abcd if n == 0 else (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
     if den == 0:
         raise SingularParams(f"d_natural({n}) denominator vanishes for {p.to_map()}")
+    if n == 0:
+        # the bracket below is (q - abcd/q)(b + d - bd(a + c)) at n = 0, and
+        # q^-1 (q - abcd/q) is the cancelled factor 1 - abcd/q^2
+        return (b + d - bd * (a + c)) / den
     bracket = (
         bd * (a + c)
         + (b + d) * q
@@ -366,17 +376,17 @@ def validate(p: AWParams, n: int) -> None:
 
     Admissibility is defined operationally: every denominator appearing in
     any coefficient (g_j, the tridiagonal diagonals, the boundary moment
-    recurrences, the determinant product) evaluated up to order n must be
-    nonzero, and the diagonal ratios g_0 .. g_{n-1} must themselves be
-    nonzero so the factorization diagonal stays invertible.  Raises
-    SingularParams on the first violation.
+    recurrences, the determinant product), written in lowest terms and
+    evaluated up to order n, must be nonzero, and the diagonal ratios
+    g_0 .. g_{n-1} must themselves be nonzero so the factorization diagonal
+    stays invertible.  So abcd = q and abcd = q^2, where the level-0 closed
+    forms only look singular, are accepted.  Raises SingularParams on the
+    first violation.
     """
     if n < 0:
         raise InvalidParams(f"validate needs n >= 0, got {n}")
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
-    if abcd == q:
-        raise SingularParams("abcd = q is singular (first diagonal ratio degenerates)")
     for k in range(2 * n + 2):
         if abcd * q**k == 1:
             raise SingularParams(f"abcd q^{k} = 1 is singular")

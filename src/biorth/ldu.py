@@ -185,6 +185,10 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
 
     prod_{i=1}^{n} (abcd/q, q, ab, bc, ad, cd; q)_i
                    / ((abcd/q; q^2)_i (abcd; q^2)_i^2 (abcd q; q^2)_i)
+
+    (abcd/q; q)_i and (abcd/q; q^2)_i share their first factor, 1 - abcd/q;
+    it cancels and is left out of both (lowest terms), so abcd = q is a
+    regular point.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
@@ -195,10 +199,11 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
     den_terms = [abcd / q, abcd, abcd * q]
     num = den = out = Fraction(1)
     for i in range(1, n + 1):
-        for term in num_terms:
+        shared = 1 if i == 1 else 0  # the cancelled first factor is met at i = 1
+        for term in num_terms[shared:]:
             num *= 1 - term
         low, mid, high = (1 - term for term in den_terms)
-        den *= low * mid * mid * high
+        den *= (1 if shared else low) * mid * mid * high
         if den == 0:
             raise SingularParams(f"closed-form determinant denominator vanishes at i={i}")
         out *= num / den

@@ -389,7 +389,9 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
 
     with s = a+b+c+d and e3 = abc + abd + acd + bcd, the third elementary
     symmetric function, so every coefficient is a polynomial in a, b, c, d
-    over the q-denominators and is defined at zero parameters.
+    over the q-denominators and is defined at zero parameters.  Level 0 is
+    written in lowest terms, A_0 = 1/(1 - abcd), B_0 = (s - e3)/(1 - abcd),
+    C_0 = 0, so abcd = q and abcd = q^2 are regular points.
     """
     if n < 0:
         raise InvalidParams(f"aw_coeffs needs n >= 0, got {n}")
@@ -397,6 +399,10 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
     abcd = p.abcd
     s = a + b + c + d
     e3 = a * b * (c + d) + (a + b) * c * d
+    if n == 0:
+        if abcd == 1:
+            raise SingularParams("recurrence denominators vanish at level 0")
+        return AWRecurrenceCoeffs(n=0, A=1 / (1 - abcd), B=(s - e3) / (1 - abcd), C=Fraction(0))
 
     den_a = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n) * abcd)
     den_b = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)

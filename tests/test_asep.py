@@ -136,22 +136,36 @@ def test_normalization_checks_the_weights_against_the_word_route(canonical, monk
         stationary_ansatz(3, canonical)
 
 
-# abcd = q and abcd = q^2: the representation's denominators vanish, the
-# moment table's do not
+# abcd = q and abcd = q^2, where the level-0 closed forms carry a removable
+# 0/0 (here with g_0 = 0, since ab = 1)
 SINGULAR_REP = (("1", "1", "-1/2", "-1/2", "1/4"), ("1", "1", "-1/4", "-1/4", "1/4"))
+# abcd = q and abcd = q^2 again, with g_0 != 0
+REGULAR_REP = (("2", "1/3", "-1/2", "-3/4", "1/4"), ("2", "1/3", "-1/2", "-3/16", "1/4"))
 
 
 def test_singular_representation_falls_back_to_word_route():
-    for point in SINGULAR_REP:
+    for point in SINGULAR_REP + REGULAR_REP:
         p = make_params(point)
-        for length in range(1, 6):
+        for length in range(1, 8):
             for variant in VARIANTS:
-                if length > 1:  # size 1 holds no g_0, singular at abcd = q
-                    assert _representation(p, length) is None
                 weights = _word_route(length, p, variant)
                 total = sum(weights)
                 dist = stationary_ansatz(length, p, variant)
                 assert dist.probabilities == tuple(w / total for w in weights)
+
+
+def test_ansatz_at_abcd_q_and_q_squared_takes_the_transfer_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("word route called")
+
+    monkeypatch.setattr(asep, "ansatz_weight", refuse)
+    for point in SINGULAR_REP + REGULAR_REP:
+        p = make_params(point)
+        for variant in VARIANTS:
+            stationary_ansatz(8, p, variant)
+        report = compare(10, p)
+        assert report.oracle is not None
+        assert "unshifted" in report.matching_variants
 
 
 def test_ansatz_matches_oracle(grid):
@@ -302,7 +316,7 @@ def test_size_guards(canonical):
     with pytest.raises(SizeLimit):
         stationary_exact(11, rates)
     with pytest.raises(SizeLimit):
-        compare(11, canonical)
+        compare(13, canonical)
     with pytest.raises(InvalidParams):
         compare(0, canonical)
     assert set(VARIANTS) == {"shifted", "unshifted"}

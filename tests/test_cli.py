@@ -122,12 +122,12 @@ def test_stationary_scan_script():
     assert result.returncode == 0, result.stderr
     assert "matching variant(s)" in result.stdout
     # q = 1, a length past compare's guard, a decimal literal: one error line, exit 2
-    for args in (("--q", "1"), ("--max-L", "11"), ("--q", "0.5")):
+    for args in (("--q", "1"), ("--max-L", "13"), ("--q", "0.5")):
         result = scan(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
     # a length outside 1 .. compare's guard is refused before any size is computed
-    for args in (("--max-L", "11"), ("--max-L", "0")):
+    for args in (("--max-L", "13"), ("--max-L", "0")):
         result = scan(*args)
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
@@ -224,12 +224,25 @@ def test_rep_command_with_zero_parameters(capsys):
 
 
 def test_stationary_where_representation_is_singular(capsys):
-    # abcd = q and abcd = q^2: the ansatz takes the word route
+    # abcd = q and abcd = q^2, where the level-0 closed forms carry a 0/0
     for c_and_d in ("-1/2", "-1/4"):
         flags = ["--a", "1", "--b", "1", "--c", c_and_d, "--d", c_and_d, "--q", "1/4"]
         assert main(["stationary", *flags, "--L", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "unshifted" in [v["name"] for v in payload["variants"] if v["matches_oracle"]]
+
+
+@pytest.mark.parametrize("d", ["-3/4", "-3/16"])  # abcd = q and abcd = q^2
+def test_every_command_runs_where_abcd_is_q_or_q_squared(capsys, d):
+    flags = ["--a", "2", "--b", "1/3", "--c=-1/2", "--d", d, "--q", "1/4"]
+    for command in (["ldu", "--n", "10"], ["polys", "--n", "8"], ["rep", "--n", "16"], ["aw", "--n", "6"]):
+        assert main([*command, *flags]) == 0, command
+        reports = json.loads(capsys.readouterr().out)["reports"].values()
+        checks = [check for report in reports for check in report["checks"]]
+        assert checks and all(check["pass"] for check in checks), command
+    assert main(["stationary", *flags, "--L", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["name"] for v in payload["variants"] if v["matches_oracle"]] == ["unshifted"]
 
 
 def test_stationary_command(capsys):
