@@ -9,8 +9,9 @@ The kernel rule, here and in every hot three-term recurrence of the
 package: clear the recurrence's rational coefficients to integers with one
 scale per row or step (outside the entry loop), clear the values an entry
 reads of denominators with ``_clear_denominators`` (their lcm is the
-scale), combine them in plain ``int`` arithmetic, and build exactly one
-Fraction per produced entry.  A three-term recurrence clears the three
+scale; the helper lives in ``core``, whose sweeps use it too), combine
+them in plain ``int`` arithmetic, and build exactly one Fraction per
+produced entry.  A three-term recurrence clears the three
 neighbours of each entry, not a whole column: down a moment-table column
 the denominators grow from about 100 to 10,000 bits (order 48), so one
 column-wide scale would bring every entry up to the largest and make each
@@ -20,9 +21,14 @@ fill, the row fill and the boundary column (``bimoment``),
 ``TridiagonalOperator.matvec`` and ``monic_recurrence`` (``repmat``; the
 band walks of ``ldu.build_L``, ``jacobi_moments`` and the ``asep``
 transfer weights run on ``matvec``), ``ldu.build_L_inverse``, the row sums
-of ``asep.generator`` and the residual of ``asep.certify_stationary``.
-The helper is the only code these share; each recurrence keeps its own
-coefficients.
+of ``asep.generator``, the residual of ``asep.certify_stationary``, the
+normal-ordering step ``wordfun._times_letter`` (one scale t^J for q^-j,
+0 <= j <= J, q = t/s) and the moment sum ``wordfun._moment_sum`` (one
+integer dot product).  The closed-form sweeps ``core.g_sweep``,
+``core.d_natural_sweep`` and ``repmat.aw_sweep`` follow it per level: their
+constants are cleared once, q = t/s is read through integer powers of t and
+s, and each coefficient is one Fraction.  The helper is the only code these
+share; each recurrence keeps its own coefficients.
 
 * ``mat_mul`` scales each row of the left factor and each column of the
   right factor by the lcm of its denominators, takes integer dot products
@@ -36,16 +42,9 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .core import BiorthError
-
-
-def _clear_denominators(vec):
-    """(integers, scale): vec times the lcm of its denominators."""
-    scale = lcm(*(value.denominator for value in vec))
-    return [value.numerator * (scale // value.denominator) for value in vec], scale
+from .core import BiorthError, _clear_denominators
 
 
 def _spanned(vec):

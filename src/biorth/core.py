@@ -27,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -299,70 +299,145 @@ def phi_terminating(
 
 # ---------------------------------------------------------------------------
 # coefficient functions shared by the factorization and operator layers
+#
+# Each closed form has one writer, a sweep over levels start .. stop-1 in the
+# pair data S1 = a + c, P1 = ac, S2 = b + d, P2 = bd (abcd = P1 P2).  A sweep
+# clears its rational constants to integers once, reads q = t/s through the
+# integer powers t^k and s^k, and builds one Fraction per level; the
+# per-level functions read a one-level sweep.
 
 
-def g_coeff(p: AWParams, j: int) -> Fraction:
-    """Diagonal growth ratio g_j.
+def _clear_denominators(vec):
+    """(integers, scale): vec times the lcm of its denominators."""
+    scale = lcm(*(value.denominator for value in vec))
+    return [value.numerator * (scale // value.denominator) for value in vec], scale
+
+
+def _powers(x: int, count: int) -> list[int]:
+    """x^0 .. x^(count-1), at least x^0."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def g_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
+    """Diagonal growth ratios g_start .. g_(stop-1), where
 
     g_j = (1 - abcd q^(j-1)) (1 - q^(j+1)) (1 - ab q^j) (1 - bc q^j)
           (1 - ad q^j) (1 - cd q^j)
-        / ((1 - abcd q^(2j-1)) (1 - abcd q^(2j))^2 (1 - abcd q^(2j+1)))
+        / ((1 - abcd q^(2j-1)) (1 - abcd q^(2j))^2 (1 - abcd q^(2j+1))).
 
     At j = 0 the first factors of numerator and denominator are both
     1 - abcd/q; they cancel and are left out (lowest terms), so abcd = q is
-    a regular point.  Raises SingularParams when the denominator vanishes.
+    a regular point.  The four cross factors are one quartic in x = q^j,
+    1 - e1 x + e2 x^2 - e3 x^3 + e4 x^4, with e1 = S1 S2,
+    e2 = P2 S1^2 + P1 S2^2 - 2 P1 P2, e3 = P1 P2 S1 S2 and e4 = (P1 P2)^2.
+    Raises SingularParams at the first level whose denominator vanishes.
     """
+    S1, P1, S2, P2 = p.a + p.c, p.a * p.c, p.b + p.d, p.b * p.d
+    abcd = P1 * P2
+    (e1, e2, e3, e4), quartic_scale = _clear_denominators(
+        [S1 * S2, P2 * S1 * S1 + P1 * S2 * S2 - 2 * abcd, abcd * S1 * S2, abcd * abcd]
+    )
+    m, w = abcd.numerator, abcd.denominator
+    tp = _powers(p.q.numerator, 4 * stop)
+    sp = _powers(p.q.denominator, 4 * stop)
+    w3 = w**3
+
+    def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
+        return w * sp[k] - m * tp[k]
+
+    out = []
+    for j in range(start, stop):
+        quartic = (
+            quartic_scale * sp[4 * j]
+            - e1 * tp[j] * sp[3 * j]
+            + e2 * tp[2 * j] * sp[2 * j]
+            - e3 * tp[3 * j] * sp[j]
+            + e4 * tp[4 * j]
+        )
+        # the scales w s^k of the poles, s^(j+1) of 1 - q^(j+1) and
+        # quartic_scale s^(4j) of the quartic leave w^3 s^(2j) / quartic_scale
+        num = (sp[j + 1] - tp[j + 1]) * quartic * w3 * sp[2 * j]
+        den = quartic_scale * pole(2 * j) ** 2 * pole(2 * j + 1)
+        if j:
+            num *= pole(j - 1)
+            den *= pole(2 * j - 1)
+        if den == 0:
+            raise SingularParams(f"g_{j} denominator vanishes for {p.to_map()}")
+        out.append(Fraction(num, den))
+    return out
+
+
+def g_coeff(p: AWParams, j: int) -> Fraction:
+    """Diagonal growth ratio g_j: level j of :func:`g_sweep`."""
     if j < 0:
         raise InvalidParams(f"g_coeff needs j >= 0, got {j}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
-    qj = q**j
-    num = (
-        (1 - abcd * q ** (j - 1) if j else 1)
-        * (1 - q ** (j + 1))
-        * (1 - a * b * qj)
-        * (1 - b * c * qj)
-        * (1 - a * d * qj)
-        * (1 - c * d * qj)
-    )
-    den = (
-        (1 - abcd * q ** (2 * j - 1) if j else 1)
-        * (1 - abcd * q ** (2 * j)) ** 2
-        * (1 - abcd * q ** (2 * j + 1))
-    )
-    if den == 0:
-        raise SingularParams(f"g_{j} denominator vanishes for {p.to_map()}")
-    return num / den
+    return g_sweep(p, j + 1, j)[0]
+
+
+def d_natural_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
+    """Diagonal coefficients dnat_start .. dnat_(stop-1) of the first
+    tridiagonal operator, where, with u = bd (a + c) = P2 S1 and
+    v = b + d = S2,
+
+    dnat_n = q^(n-1) / ((1 - abcd q^(2n-2)) (1 - abcd q^(2n)))
+             * (u + v q - abcd v q^(n-1) - (u + abcd v) q^n - u q^(n+1)
+                + abcd u q^(2n-1) + abcd v q^(2n)).
+
+    Level 0 is written in lowest terms, (v - u) / (1 - abcd): the bracket
+    carries q - abcd/q there, and q^-1 (q - abcd/q) is the cancelled factor
+    1 - abcd/q^2, so abcd = q^2 is a regular point.  Raises SingularParams
+    at the first level whose denominator vanishes.
+    """
+    S1, P1, S2, P2 = p.a + p.c, p.a * p.c, p.b + p.d, p.b * p.d
+    abcd = P1 * P2
+    u, v = P2 * S1, S2
+    (u, v, mu, mv), scale = _clear_denominators([u, v, abcd * u, abcd * v])
+    m, w = abcd.numerator, abcd.denominator
+    tp = _powers(p.q.numerator, 2 * stop)
+    sp = _powers(p.q.denominator, 2 * stop)
+
+    def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
+        return w * sp[k] - m * tp[k]
+
+    out = []
+    for n in range(start, stop):
+        if n == 0:
+            num, den = (v - u) * w, scale * pole(0)
+        else:
+            # the bracket times scale s^(2n); with q^(n-1) = t^(n-1)/s^(n-1)
+            # and the poles' scales w^2 s^(4n-2), w^2 s^(n-1) is left
+            bracket = (
+                u * sp[2 * n]
+                + v * tp[1] * sp[2 * n - 1]
+                - mv * tp[n - 1] * sp[n + 1]
+                - (u + mv) * tp[n] * sp[n]
+                - u * tp[n + 1] * sp[n - 1]
+                + mu * tp[2 * n - 1] * sp[1]
+                + mv * tp[2 * n]
+            )
+            num = tp[n - 1] * bracket * w * w * sp[n - 1]
+            den = scale * pole(2 * n - 2) * pole(2 * n)
+        if den == 0:
+            raise SingularParams(f"d_natural({n}) denominator vanishes for {p.to_map()}")
+        out.append(Fraction(num, den))
+    return out
 
 
 def d_natural(p: AWParams, n: int) -> Fraction:
-    """Diagonal coefficient of the first tridiagonal operator at level n.
-
-    Level 0 is written in lowest terms, (b + d - bd(a + c)) / (1 - abcd), so
-    abcd = q^2 is a regular point.
-    """
+    """Diagonal coefficient of the first tridiagonal operator at level n:
+    level n of :func:`d_natural_sweep`."""
     if n < 0:
         raise InvalidParams(f"d_natural needs n >= 0, got {n}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
-    bd = b * d
-    den = 1 - abcd if n == 0 else (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
-    if den == 0:
-        raise SingularParams(f"d_natural({n}) denominator vanishes for {p.to_map()}")
-    if n == 0:
-        # the bracket below is (q - abcd/q)(b + d - bd(a + c)) at n = 0, and
-        # q^-1 (q - abcd/q) is the cancelled factor 1 - abcd/q^2
-        return (b + d - bd * (a + c)) / den
-    bracket = (
-        bd * (a + c)
-        + (b + d) * q
-        - abcd * (b + d) * q ** (n - 1)
-        - (bd * (a + c) + abcd * (b + d)) * q**n
-        - bd * (a + c) * q ** (n + 1)
-        + abcd * bd * (a + c) * q ** (2 * n - 1)
-        + abcd * (b + d) * q ** (2 * n)
-    )
-    return q ** (n - 1) / den * bracket
+    return d_natural_sweep(p, n + 1, n)[0]
+
+
+def e_natural_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
+    """Diagonal coefficients of the second tridiagonal operator:
+    :func:`d_natural_sweep` at the swapped point a<->b, c<->d."""
+    return d_natural_sweep(p.swap_ab_cd(), stop, start)
 
 
 def e_natural(p: AWParams, n: int) -> Fraction:
@@ -379,9 +454,12 @@ def validate(p: AWParams, n: int) -> None:
     recurrences, the determinant product), written in lowest terms and
     evaluated up to order n, must be nonzero, and the diagonal ratios
     g_0 .. g_{n-1} must themselves be nonzero so the factorization diagonal
-    stays invertible.  So abcd = q and abcd = q^2, where the level-0 closed
-    forms only look singular, are accepted.  Raises SingularParams on the
-    first violation.
+    stays invertible.  Every such denominator is a product of factors
+    1 - abcd q^k with k <= 2n + 1, 1 - ac q^k and 1 - bd q^k with k <= n;
+    the abcd q^k loop below covers the denominators of g and of both
+    tridiagonal diagonals, dnat_k and enat_k for k <= n.  So abcd = q and
+    abcd = q^2, where the level-0 closed forms only look singular, are
+    accepted.  Raises SingularParams on the first violation.
     """
     if n < 0:
         raise InvalidParams(f"validate needs n >= 0, got {n}")
@@ -395,11 +473,8 @@ def validate(p: AWParams, n: int) -> None:
             raise SingularParams(f"ac q^{k} = 1 is singular")
         if b * d * q**k == 1:
             raise SingularParams(f"bd q^{k} = 1 is singular")
-    for k in range(n + 1):
-        d_natural(p, k)
-        e_natural(p, k)
-    for k in range(n):
-        if g_coeff(p, k) == 0:
+    for k, g in enumerate(g_sweep(p, n)):
+        if g == 0:
             raise SingularParams(f"g_{k} = 0 degenerates the factorization diagonal")
 
 

@@ -5,10 +5,11 @@ U unit upper triangular, and D diagonal with D_0 = 1, D_k = D_{k-1} g_{k-1}.
 Row n of L is <e0| d^n for d the first operator of the monic
 representation, so L is built by applying the band of ``repmat.d_band``
 row after row.  L^{-1} comes from its own entry recurrence, written here
-from d_natural and g_coeff and deliberately not from the band: nothing
-inverts a matrix numerically, so L L^{-1} = I and U^{-1} U = I are real
-checks of the representation instead of tautologies, and B = L D U ties
-the moment table to the same band.
+on the dnat and g sweeps (``core.d_natural_sweep``, ``core.g_sweep``) and
+deliberately not from the band: nothing inverts a matrix numerically, so
+L L^{-1} = I and U^{-1} U = I are real checks of the representation
+instead of tautologies, and B = L D U ties the moment table to the same
+band.
 
 The exchange a<->b, c<->d transposes the block and fixes every g_j, so U
 and U^{-1} are built as the transposes of L and L^{-1} at the swapped
@@ -21,8 +22,9 @@ product, and fraction-free elimination of the block itself.
 Both triangular recurrences run on integer kernels (see ``_linalg``): L on
 ``TridiagonalOperator.matvec``; L^{-1} clears its step coefficients once
 per row and the three entries of rows i-1 and i-2 each entry reads, and
-forms one Fraction per entry.  The closed form extends its q-Pochhammer
-products from i-1 to i, O(n) factor updates in all.
+forms one Fraction per entry.  D is the running product of one g sweep.
+The closed form extends its q-Pochhammer products from i-1 to i, O(n)
+factor updates in all.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .core import (
     AWParams,
     InvalidParams,
     SingularParams,
-    d_natural,
-    g_coeff,
+    d_natural_sweep,
+    g_sweep,
 )
 from .reporting import VerificationReport
 
@@ -106,8 +108,8 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
         raise InvalidParams(f"order must be >= 0, got {n}")
     bd = p.b * p.d
     q = p.q
-    dnat = [d_natural(p, j) for j in range(n)]
-    g = [g_coeff(p, j) for j in range(max(n - 1, 0))]
+    dnat = d_natural_sweep(p, n)
+    g = g_sweep(p, n - 1)
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     m[0][0] = Fraction(1)
     for i in range(1, n + 1):
@@ -135,8 +137,8 @@ def build_U_inverse(p: AWParams, n: int) -> TriangularFactor:
 
 def build_D(p: AWParams, n: int) -> DiagonalFactor:
     values = [Fraction(1)]
-    for k in range(1, n + 1):
-        values.append(values[-1] * g_coeff(p, k - 1))
+    for g in g_sweep(p, n):
+        values.append(values[-1] * g)
     return DiagonalFactor(n, tuple(values))
 
 

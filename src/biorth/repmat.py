@@ -7,13 +7,16 @@ and superdiagonal -ac q^n.  Every entry is an exact rational.
 :func:`d_band` is the one writer of the first operator's band: it is the d
 of :func:`rep_rational`, and the boundary basis reads it too (the rows of
 the lower factor L are <e0| d^n, and the P_n of the recurrence route are
-its characteristic polynomials).  ``ldu.build_L_inverse`` keeps its own
-recurrence on purpose, as the independent reference for both.
+its characteristic polynomials).  Both read each coefficient family as one
+sweep of ``core`` (``d_natural_sweep``, ``e_natural_sweep``, ``g_sweep``).
+``ldu.build_L_inverse`` keeps its own recurrence on purpose, as the
+independent reference for both.
 
 The sum R of the two operators must reproduce the normalized three-term
-recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family:
-R[n][n] = B_n and R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger
-moments of the two Jacobi systems agree.  Both the check and
+recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family,
+written once in :func:`aw_sweep`: R[n][n] = B_n and
+R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger moments of the two
+Jacobi systems agree.  Both the check and
 :func:`t_polys` read R off :func:`rep_rational`; :func:`t_polys` and the P/Q
 recurrence route share :func:`monic_recurrence`.  ``aw_eval`` evaluates the
 family through its terminating basic hypergeometric series so the
@@ -43,9 +46,12 @@ from .core import (
     ZeroParameter,
     as_rational,
     d_natural,
+    d_natural_sweep,
     e_natural,
+    e_natural_sweep,
     format_rational,
     g_coeff,
+    g_sweep,
     phi_terminating,
     qpoch_multi,
 )
@@ -159,8 +165,8 @@ def d_band(p: AWParams, size: int) -> tuple[TridiagonalOperator, list[Fraction]]
         raise InvalidParams(f"size must be >= 1, got {size}")
     bd = p.b * p.d
     q = p.q
-    dnat = tuple(d_natural(p, k) for k in range(size))
-    g = [g_coeff(p, k) for k in range(size - 1)]
+    dnat = tuple(d_natural_sweep(p, size))
+    g = g_sweep(p, size - 1)
     dop = TridiagonalOperator(
         size=size,
         diag=dnat,
@@ -177,7 +183,7 @@ def rep_rational(p: AWParams, size: int) -> tuple[TridiagonalOperator, Tridiagon
     ac = p.a * p.c
     eop = TridiagonalOperator(
         size=size,
-        diag=tuple(e_natural(p, k) for k in range(size)),
+        diag=tuple(e_natural_sweep(p, size)),
         upper=tuple(-ac * p.q**k for k in range(size - 1)),
         lower=tuple(g),
     )
@@ -377,8 +383,8 @@ def verify_boundary(
     return report
 
 
-def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
-    """Normalized recurrence coefficients at level n.
+def aw_sweep(p: AWParams, stop: int, start: int = 0) -> list[AWRecurrenceCoeffs]:
+    """Normalized recurrence coefficients at levels start .. stop-1.
 
     A_n = (1 - q^(n-1) abcd) / ((1 - q^(2n-1) abcd)(1 - q^(2n) abcd))
     B_n = q^(n-1) / ((1 - q^(2n-2) abcd)(1 - q^(2n) abcd)) *
@@ -392,44 +398,80 @@ def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
     over the q-denominators and is defined at zero parameters.  Level 0 is
     written in lowest terms, A_0 = 1/(1 - abcd), B_0 = (s - e3)/(1 - abcd),
     C_0 = 0, so abcd = q and abcd = q^2 are regular points.
+
+    Written in the pair data S1 = a + c, P1 = ac, S2 = b + d, P2 = bd:
+    s = S1 + S2, e3 = P1 S2 + P2 S1, abcd = P1 P2, and the six pair factors
+    of C_n are (1 - P1 x)(1 - P2 x) times the quartic
+    1 - e1 x + e2 x^2 - e3' x^3 + e4 x^4 of the four cross pairs, x = q^(n-1),
+    e1 = S1 S2, e2 = P2 S1^2 + P1 S2^2 - 2 P1 P2, e3' = P1 P2 S1 S2 and
+    e4 = (P1 P2)^2.  The constants are cleared to integers once, q = t/s is
+    read through integer powers of t and s, and each level builds one
+    Fraction per coefficient.  Nothing here reads the tridiagonal pair's
+    coefficients, so matching R = d + e against this sweep stays a check.
+    Raises SingularParams at the first level whose denominators vanish.
     """
+    S1, P1, S2, P2 = p.a + p.c, p.a * p.c, p.b + p.d, p.b * p.d
+    abcd = P1 * P2
+    total, e3 = S1 + S2, P1 * S2 + P2 * S1
+    (sum_, sym3), b_scale = _clear_denominators([total, e3])
+    (pair1, pair2), pair_scale = _clear_denominators([P1, P2])
+    (c1, c2, c3, c4), quartic_scale = _clear_denominators(
+        [S1 * S2, P2 * S1 * S1 + P1 * S2 * S2 - 2 * abcd, abcd * S1 * S2, abcd * abcd]
+    )
+    m, w = abcd.numerator, abcd.denominator
+    t, s = p.q.numerator, p.q.denominator
+    tp = [t**k for k in range(4 * stop)]
+    sp = [s**k for k in range(4 * stop)]
+
+    def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
+        return w * sp[k] - m * tp[k]
+
+    out = []
+    for n in range(start, stop):
+        if n == 0:
+            if abcd == 1:
+                raise SingularParams("recurrence denominators vanish at level 0")
+            out.append(
+                AWRecurrenceCoeffs(
+                    n=0,
+                    A=Fraction(w, pole(0)),
+                    B=Fraction((sum_ - sym3) * w, b_scale * pole(0)),
+                    C=Fraction(0),
+                )
+            )
+            continue
+        low, mid, high = pole(2 * n - 2), pole(2 * n - 1), pole(2 * n)
+        if 0 in (low, mid, high):
+            raise SingularParams(f"recurrence denominators vanish at level {n}")
+        k = n - 1
+        A = Fraction(pole(k) * w * sp[3 * n], mid * high)
+        # (1 + abcd q^(2n-1))(q s + e3) - q^(n-1)(1 + q)(abcd s + q e3),
+        # times w s^(2n) b_scale
+        inner = (w * sp[2 * n - 1] + m * tp[2 * n - 1]) * (t * sum_ + s * sym3)
+        inner -= tp[k] * sp[k] * (s + t) * (s * m * sum_ + t * w * sym3)
+        B = Fraction(tp[k] * inner * w * sp[k], b_scale * low * high)
+        quartic = (
+            quartic_scale * sp[4 * k]
+            - c1 * tp[k] * sp[3 * k]
+            + c2 * tp[2 * k] * sp[2 * k]
+            - c3 * tp[3 * k] * sp[k]
+            + c4 * tp[4 * k]
+        )
+        pairs = (pair_scale * sp[k] - pair1 * tp[k]) * (pair_scale * sp[k] - pair2 * tp[k])
+        C = Fraction(
+            (sp[n] - tp[n]) * pairs * quartic * w * w,
+            pair_scale**2 * quartic_scale * sp[3 * k] * mid * low,
+        )
+        out.append(AWRecurrenceCoeffs(n=n, A=A, B=B, C=C))
+    return out
+
+
+def aw_coeffs(p: AWParams, n: int) -> AWRecurrenceCoeffs:
+    """Normalized recurrence coefficients at level n: level n of
+    :func:`aw_sweep`."""
     if n < 0:
         raise InvalidParams(f"aw_coeffs needs n >= 0, got {n}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
-    s = a + b + c + d
-    e3 = a * b * (c + d) + (a + b) * c * d
-    if n == 0:
-        if abcd == 1:
-            raise SingularParams("recurrence denominators vanish at level 0")
-        return AWRecurrenceCoeffs(n=0, A=1 / (1 - abcd), B=(s - e3) / (1 - abcd), C=Fraction(0))
-
-    den_a = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n) * abcd)
-    den_b = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
-    den_c = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n - 2) * abcd)
-    if 0 in (den_a, den_b, den_c):
-        raise SingularParams(f"recurrence denominators vanish at level {n}")
-
-    A = (1 - q ** (n - 1) * abcd) / den_a
-    B = (
-        q ** (n - 1)
-        / den_b
-        * (
-            (1 + q ** (2 * n - 1) * abcd) * (q * s + e3)
-            - q ** (n - 1) * (1 + q) * (abcd * s + q * e3)
-        )
-    )
-    qn1 = q ** (n - 1)
-    C = (
-        (1 - q**n)
-        * (1 - qn1 * a * b)
-        * (1 - qn1 * a * c)
-        * (1 - qn1 * a * d)
-        * (1 - qn1 * b * c)
-        * (1 - qn1 * b * d)
-        * (1 - qn1 * c * d)
-    ) / den_c
-    return AWRecurrenceCoeffs(n=n, A=A, B=B, C=C)
+    return aw_sweep(p, n + 1, n)[0]
 
 
 def jacobi_moments(diag, offdiag_products, kmax: int):
@@ -477,7 +519,7 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
         raise InvalidParams(f"levels must be >= 1, got {levels}")
     report = VerificationReport(params=p.to_map(), n=levels)
 
-    coeffs = [aw_coeffs(p, k) for k in range(levels + 2)]
+    coeffs = aw_sweep(p, levels + 2)
     diag, products = _sum_band(p, levels + 2)
 
     failure = None

@@ -107,7 +107,7 @@ def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
     report = VerificationReport(params=p.to_map(), n=n)
-    coeffs = [repmat.aw_coeffs(p, k) for k in range(n + 1)]
+    coeffs = repmat.aw_sweep(p, n + 1)
     for t in t_values:
         x = (t + 1 / t) / 2
         failure = None

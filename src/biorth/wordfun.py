@@ -5,7 +5,10 @@ finite rational combination of words.  The functional is evaluated by
 normal ordering and summing bimoment entries.  Normal ordering is right
 multiplication: a word is its prefix's normal form {(i, j): coeff of
 d^i e^j} times its last letter, by one step (``_times_letter``) that also
-builds the closed-form powers of ``normal_power``.
+builds the closed-form powers of ``normal_power``.  The step and the moment
+sum are integer kernels (see ``_linalg``): a step clears the polynomial and
+the letter of denominators once, moves terms on integers and builds one
+Fraction per output term, and the moment sum is one integer dot product.
 
 ``eval_by_elimination`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -23,13 +26,16 @@ import random
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from operator import mul
 
+from ._linalg import _clear_denominators
 from .bimoment import bimoment_table
 from .core import (
     AWParams,
     InvalidParams,
     ShapeError,
     UnsupportedQ,
+    _powers,
     as_rational,
 )
 from .reporting import VerificationReport
@@ -159,24 +165,35 @@ def _times_letter(poly, const, d_coeff, e_coeff, q) -> dict[tuple[int, int], Fra
 
     the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
     relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.
+
+    An integer kernel (see ``_linalg``): the polynomial and the letter are
+    cleared of denominators once, and with q = t/s and J the largest j,
+    q^(-j) = s^j t^(J-j) / t^J puts every moved term over the one scale
+    t^J; each output term is one Fraction.
     """
-    qinv = 1 / q
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), coeff in poly.items():
+    ints, poly_scale = _clear_denominators(list(poly.values()))
+    (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
+    top = max((j for _, j in poly), default=0)
+    tp = _powers(q.numerator, top + 1)
+    sp = _powers(q.denominator, top + 1)
+    t_top = tp[top]
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), coeff in zip(poly, ints):
         moves = []
         if e_coeff:
-            moves.append(((i, j + 1), e_coeff * coeff))
+            moves.append(((i, j + 1), e_coeff * coeff * t_top))
         if d_coeff:
             scaled = d_coeff * coeff
-            moved = scaled * qinv**j
+            moved = scaled * sp[j] * tp[top - j]  # scaled q^(-j) t^J
             moves.append(((i + 1, j), moved))
             if j:
-                moves.append(((i, j - 1), scaled - moved))
+                moves.append(((i, j - 1), scaled * t_top - moved))
         if const:
-            moves.append(((i, j), const * coeff))
+            moves.append(((i, j), const * coeff * t_top))
         for key, value in moves:
             out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value}
+    scale = poly_scale * letter_scale * t_top
+    return {key: Fraction(value, scale) for key, value in out.items() if value}
 
 
 # Memo entries kept at once, least recently used first out.  Each entry is
@@ -233,7 +250,9 @@ def normal_order(wp: WordPoly, q) -> WordPoly:
 def _moment_sum(p: AWParams, poly) -> Fraction:
     """Functional of the normal-ordered {(i, j): coeff}, off the moment table."""
     table = bimoment_table(p)
-    return sum((coeff * table.entry(i, j) for (i, j), coeff in poly.items()), Fraction(0))
+    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in poly])
+    coeffs, coeff_scale = _clear_denominators(list(poly.values()))
+    return Fraction(sum(map(mul, coeffs, moments)), coeff_scale * moment_scale)
 
 
 def functional(wp: WordPoly, p: AWParams) -> Fraction:

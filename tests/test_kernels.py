@@ -1,10 +1,12 @@
-"""Integer kernels of the three-term recurrences against plain-Fraction references.
+"""Integer kernels against plain-Fraction references.
 
 The moment table, the row fill, the band walk, the inverse lower factor, the
-monic recurrence, the closed-form determinant and the chain generator clear
-denominators once and form one Fraction per entry.  Each reference below is
-the Fraction formula the kernel replaced, kept verbatim, so the kernels must
-reproduce it entry for entry -- values, singular orders and messages.
+monic recurrence, the closed-form determinant, the chain generator, the
+closed-form coefficient sweeps (d, e, g and A/B/C) and the normal-ordering
+step clear denominators once and form one Fraction per entry.  Each
+reference below is the Fraction formula the kernel replaced, kept verbatim,
+so the kernels must reproduce it entry for entry -- values, singular orders
+and messages, and the key order of the normal-ordered dicts.
 """
 
 from fractions import Fraction as F
@@ -13,21 +15,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biorth import (
+    InvalidParams,
     SingularParams,
+    bimoment_table,
     build_L_inverse,
     d_natural,
     det_bimoment,
     det_closed_form,
+    e_natural,
     g_coeff,
+    is_valid,
     qpoch,
     to_rates,
+    validate,
 )
 from biorth.asep import generator
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
-from biorth.core import qpoch_multi
-from biorth.repmat import TridiagonalOperator, monic_recurrence
+from biorth.core import d_natural_sweep, e_natural_sweep, g_sweep, qpoch_multi
+from biorth.repmat import (
+    AWRecurrenceCoeffs,
+    TridiagonalOperator,
+    aw_coeffs,
+    aw_sweep,
+    monic_recurrence,
+)
+from biorth.suites import GRID
+from biorth.wordfun import _moment_sum, _times_letter, normal_power
 
-from conftest import make_params
+from conftest import make_params, rationals
 
 
 def reference_matvec(op, vec, levels):
@@ -277,6 +292,151 @@ def test_generator_matches_fraction_row_sums(grid):
             assert list(generator(length, rates).items()) == list(expected.items()), length
 
 
+def reference_g_coeff(p, j):
+    if j < 0:
+        raise InvalidParams(f"g_coeff needs j >= 0, got {j}")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    abcd = p.abcd
+    qj = q**j
+    num = (
+        (1 - abcd * q ** (j - 1) if j else 1)
+        * (1 - q ** (j + 1))
+        * (1 - a * b * qj)
+        * (1 - b * c * qj)
+        * (1 - a * d * qj)
+        * (1 - c * d * qj)
+    )
+    den = (
+        (1 - abcd * q ** (2 * j - 1) if j else 1)
+        * (1 - abcd * q ** (2 * j)) ** 2
+        * (1 - abcd * q ** (2 * j + 1))
+    )
+    if den == 0:
+        raise SingularParams(f"g_{j} denominator vanishes for {p.to_map()}")
+    return num / den
+
+
+def reference_d_natural(p, n):
+    if n < 0:
+        raise InvalidParams(f"d_natural needs n >= 0, got {n}")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    abcd = p.abcd
+    bd = b * d
+    den = 1 - abcd if n == 0 else (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
+    if den == 0:
+        raise SingularParams(f"d_natural({n}) denominator vanishes for {p.to_map()}")
+    if n == 0:
+        return (b + d - bd * (a + c)) / den
+    bracket = (
+        bd * (a + c)
+        + (b + d) * q
+        - abcd * (b + d) * q ** (n - 1)
+        - (bd * (a + c) + abcd * (b + d)) * q**n
+        - bd * (a + c) * q ** (n + 1)
+        + abcd * bd * (a + c) * q ** (2 * n - 1)
+        + abcd * (b + d) * q ** (2 * n)
+    )
+    return q ** (n - 1) / den * bracket
+
+
+def reference_e_natural(p, n):
+    return reference_d_natural(p.swap_ab_cd(), n)
+
+
+def reference_aw_coeffs(p, n):
+    if n < 0:
+        raise InvalidParams(f"aw_coeffs needs n >= 0, got {n}")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    abcd = p.abcd
+    s = a + b + c + d
+    e3 = a * b * (c + d) + (a + b) * c * d
+    if n == 0:
+        if abcd == 1:
+            raise SingularParams("recurrence denominators vanish at level 0")
+        return AWRecurrenceCoeffs(n=0, A=1 / (1 - abcd), B=(s - e3) / (1 - abcd), C=F(0))
+
+    den_a = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n) * abcd)
+    den_b = (1 - q ** (2 * n - 2) * abcd) * (1 - q ** (2 * n) * abcd)
+    den_c = (1 - q ** (2 * n - 1) * abcd) * (1 - q ** (2 * n - 2) * abcd)
+    if 0 in (den_a, den_b, den_c):
+        raise SingularParams(f"recurrence denominators vanish at level {n}")
+
+    A = (1 - q ** (n - 1) * abcd) / den_a
+    B = (
+        q ** (n - 1)
+        / den_b
+        * (
+            (1 + q ** (2 * n - 1) * abcd) * (q * s + e3)
+            - q ** (n - 1) * (1 + q) * (abcd * s + q * e3)
+        )
+    )
+    qn1 = q ** (n - 1)
+    C = (
+        (1 - q**n)
+        * (1 - qn1 * a * b)
+        * (1 - qn1 * a * c)
+        * (1 - qn1 * a * d)
+        * (1 - qn1 * b * c)
+        * (1 - qn1 * b * d)
+        * (1 - qn1 * c * d)
+    ) / den_c
+    return AWRecurrenceCoeffs(n=n, A=A, B=B, C=C)
+
+
+def reference_validate(p, n):
+    # the per-level closed forms are the references above
+    if n < 0:
+        raise InvalidParams(f"validate needs n >= 0, got {n}")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    abcd = p.abcd
+    for k in range(2 * n + 2):
+        if abcd * q**k == 1:
+            raise SingularParams(f"abcd q^{k} = 1 is singular")
+    for k in range(n + 1):
+        if a * c * q**k == 1:
+            raise SingularParams(f"ac q^{k} = 1 is singular")
+        if b * d * q**k == 1:
+            raise SingularParams(f"bd q^{k} = 1 is singular")
+    for k in range(n + 1):
+        reference_d_natural(p, k)
+        reference_e_natural(p, k)
+    for k in range(n):
+        if reference_g_coeff(p, k) == 0:
+            raise SingularParams(f"g_{k} = 0 degenerates the factorization diagonal")
+
+
+def reference_times_letter(poly, const, d_coeff, e_coeff, q):
+    qinv = 1 / q
+    out = {}
+    for (i, j), coeff in poly.items():
+        moves = []
+        if e_coeff:
+            moves.append(((i, j + 1), e_coeff * coeff))
+        if d_coeff:
+            scaled = d_coeff * coeff
+            moved = scaled * qinv**j
+            moves.append(((i + 1, j), moved))
+            if j:
+                moves.append(((i, j - 1), scaled - moved))
+        if const:
+            moves.append(((i, j), const * coeff))
+        for key, value in moves:
+            out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
+def reference_normal_power(const, weight, length, q):
+    poly = {(0, 0): F(1)}
+    for _ in range(length):
+        poly = reference_times_letter(poly, const, weight, weight, q)
+    return poly
+
+
+def reference_moment_sum(p, poly):
+    table = bimoment_table(p)
+    return sum((coeff * table.entry(i, j) for (i, j), coeff in poly.items()), F(0))
+
+
 def _outcome(build):
     try:
         return "value", build()
@@ -292,7 +452,26 @@ SINGULAR_POINTS = (
 )
 
 
-@pytest.mark.parametrize("point", SINGULAR_POINTS)
+def _levels(reference):
+    """The per-level reference over levels 0 .. order, as a sweep returns them."""
+    return lambda p, order: [reference(p, k) for k in range(order + 1)]
+
+
+# the sweeps and the per-level functions against the per-level references;
+# values are compared by repr, so a kernel must also return Fractions
+_CLOSED_FORMS = (
+    (lambda p, order: g_sweep(p, order + 1), _levels(reference_g_coeff)),
+    (lambda p, order: d_natural_sweep(p, order + 1), _levels(reference_d_natural)),
+    (lambda p, order: e_natural_sweep(p, order + 1), _levels(reference_e_natural)),
+    (lambda p, order: aw_sweep(p, order + 1), _levels(reference_aw_coeffs)),
+    (g_coeff, reference_g_coeff),
+    (d_natural, reference_d_natural),
+    (e_natural, reference_e_natural),
+    (aw_coeffs, reference_aw_coeffs),
+)
+
+
+@pytest.mark.parametrize("point", SINGULAR_POINTS + GRID)
 def test_kernels_raise_where_the_references_raise(point):
     p = make_params(point)
     pole = p.abcd * p.q == 1
@@ -314,5 +493,64 @@ def test_kernels_raise_where_the_references_raise(point):
                 routes = det_bimoment(p, order)
                 assert outcome == ("value", routes[0]) and len(set(routes)) == 1, order
             raised += outcome[0] != "value"
+        for index, (kernel, reference) in enumerate(_CLOSED_FORMS):
+            outcome = _outcome(lambda: repr(kernel(p, order)))
+            assert outcome == _outcome(lambda: repr(reference(p, order))), (index, order)
+            raised += outcome[0] != "value"
     if pole:
         assert raised  # the pole is met below order 14
+
+
+# q from the grid, and one negative q
+grid_q = st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(2, 5), F(-1, 3)])
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from([make_params(point) for point in SINGULAR_POINTS + GRID]),
+        st.builds(make_params, st.tuples(rationals(), rationals(), rationals(), rationals(), grid_q)),
+    ),
+    st.integers(0, 26),
+)
+def test_validate_matches_its_fraction_reference(p, n):
+    expected = _outcome(lambda: reference_validate(p, n))
+    assert _outcome(lambda: validate(p, n)) == expected
+    assert is_valid(p, n) == (expected[0] == "value")
+
+
+# zero, negative and 100-bit coefficients, always as Fractions
+fraction_entries = entries.map(F)
+normal_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), fraction_entries, max_size=8
+)
+
+
+def _items(poly):
+    """repr of the items in order: values, their types and the key order."""
+    return repr(list(poly.items()))
+
+
+@settings(max_examples=300)
+@given(normal_polys, fraction_entries, fraction_entries, fraction_entries, grid_q)
+def test_times_letter_matches_fraction_loop(poly, const, d_coeff, e_coeff, q):
+    expected = reference_times_letter(poly, const, d_coeff, e_coeff, q)
+    assert _items(_times_letter(poly, const, d_coeff, e_coeff, q)) == _items(expected)
+    # the word route's letters: a bare d or e
+    for d_coeff, e_coeff in ((1, 0), (0, 1)):
+        expected = reference_times_letter(poly, 0, d_coeff, e_coeff, q)
+        assert _items(_times_letter(poly, 0, d_coeff, e_coeff, q)) == _items(expected)
+
+
+@settings(max_examples=60)
+@given(fraction_entries, fraction_entries, st.integers(0, 8), grid_q)
+def test_normal_power_matches_fraction_loop(const, weight, length, q):
+    expected = reference_normal_power(const, weight, length, q)
+    assert _items(normal_power(const, weight, length, q)) == _items(expected)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(GRID), normal_polys)
+def test_moment_sum_matches_fraction_sum(point, poly):
+    p = make_params(point)
+    assert repr(_moment_sum(p, poly)) == repr(reference_moment_sum(p, poly))
