@@ -17,7 +17,9 @@ point; B = L D U still checks U against the block of the unswapped point.
 
 Determinants of the bimoment block are computed by three independent
 routes: the product of the diagonal factors, a closed-form q-Pochhammer
-product, and fraction-free elimination of the block itself.
+product, and the signed product of the pivots of a left-looking L U
+elimination of the block itself (``_linalg.lu_pivots``), which reads
+nothing but the moment table.
 
 Both triangular recurrences run on integer kernels (see ``_linalg``): L on
 ``TridiagonalOperator.matvec``; L^{-1} clears its step coefficients once
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import _linalg, repmat
 from .bimoment import bimoment_table
@@ -136,6 +139,8 @@ def build_U_inverse(p: AWParams, n: int) -> TriangularFactor:
 
 
 def build_D(p: AWParams, n: int) -> DiagonalFactor:
+    if n < 0:
+        raise InvalidParams(f"order must be >= 0, got {n}")
     values = [Fraction(1)]
     for g in g_sweep(p, n):
         values.append(values[-1] * g)
@@ -192,6 +197,8 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
     it cancels and is left out of both (lowest terms), so abcd = q is a
     regular point.
     """
+    if n < 0:
+        raise InvalidParams(f"order must be >= 0, got {n}")
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     q2 = q * q
@@ -217,14 +224,16 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
 def det_bimoment(p: AWParams, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Determinant of the order-n block via three independent routes.
 
-    Returns (product of diagonal factors, closed form, fraction-free
-    elimination).  Route agreement is the caller's check; this function
-    reports all three rather than collapsing them.
+    Returns (product of diagonal factors, closed form, elimination).  The
+    elimination route is the signed pivot product of ``_linalg.lu_pivots``
+    on the block; where ``validate`` accepts the point no row is swapped,
+    since the leading minors are products of g's.  Route agreement is the
+    caller's check; this function reports all three rather than
+    collapsing them.
     """
     diag = build_D(p, n)
-    from_diagonal = Fraction(1)
-    for value in diag.values:
-        from_diagonal *= value
+    from_diagonal = prod(diag.values)
     from_closed_form = det_closed_form(p, n)
-    from_elimination = _linalg.det(bimoment_table(p).block(n))
+    pivots, parity = _linalg.lu_pivots(bimoment_table(p).block(n))
+    from_elimination = -prod(pivots) if parity else prod(pivots)
     return from_diagonal, from_closed_form, from_elimination

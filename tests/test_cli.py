@@ -78,7 +78,7 @@ def test_config_errors_exit_2(capsys):
     # sizes above the guards
     assert main(["functional", *CANONICAL, "--max-len", "65"]) == 2
     assert main(["bimoment", *CANONICAL, "--n", "49"]) == 2
-    assert main(["ldu", *CANONICAL, "--n", "33"]) == 2
+    assert main(["ldu", *CANONICAL, "--n", "49"]) == 2
     assert main(["rep", *CANONICAL, "--n", "97"]) == 2
     assert main(["aw", *CANONICAL, "--n", "97"]) == 2
     assert main(["polys", *CANONICAL, "--n", "65"]) == 2

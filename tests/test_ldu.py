@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biorth import (
+    InvalidParams,
     bimoment_block,
     build_D,
     build_L,
@@ -16,6 +18,7 @@ from biorth import (
     g_coeff,
     verify_ldu,
 )
+from biorth._linalg import det, lu_pivots
 
 from conftest import GRID, make_params
 
@@ -101,7 +104,35 @@ def test_product_recovers_block(point, n):
 
 def test_determinant_routes(grid):
     for p in grid:
-        for n in range(9):
+        for n in range(25):
             from_diag, from_closed, from_elim = det_bimoment(p, n)
             assert from_diag == from_closed == from_elim
             assert from_closed == det_closed_form(p, n)
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_pivots_are_the_diagonal_factor(point):
+    p = make_params(point)
+    block = bimoment_block(p, 17).rows()
+    pivots, parity = lu_pivots(block)
+    assert parity == 0
+    assert pivots == list(build_D(p, 17).values) == crout_ldu(block)[1]
+
+
+@given(st.sampled_from(GRID), st.integers(min_value=0, max_value=12))
+def test_perturbed_block_changes_the_elimination_route(point, k):
+    p = make_params(point)
+    n = 12
+    block = bimoment_block(p, n).rows()
+    block[k][k] += 1
+    pivots, parity = lu_pivots(block)
+    value = -prod(pivots) if parity else prod(pivots)
+    assert value != det_closed_form(p, n)
+    assert value == det(block)
+    assert pivots[:k] == list(build_D(p, n).values[:k])
+
+
+@pytest.mark.parametrize("build", [build_D, det_closed_form, build_L, build_L_inverse, det_bimoment])
+def test_negative_order_is_refused(canonical, build):
+    with pytest.raises(InvalidParams):
+        build(canonical, -1)

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from biorth import BiorthError
-from biorth._linalg import mat_identity, mat_mul
+from biorth._linalg import det, lu_pivots, mat_identity, mat_mul
 
 
 def naive_mul(a, b):
@@ -66,3 +67,54 @@ def test_mat_mul_edge_shapes():
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(BiorthError):
         mat_mul([[F(1), F(2)]], [[F(1)]])
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of order 0-7 whose first pivots are often zero:
+    leading entries of the top rows cleared, whole rows cleared, and a row
+    made a combination of two others."""
+    n = draw(st.integers(0, 7))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.integers(0, n))):
+        cut = draw(st.integers(0, n - 1))
+        m[i] = [F(0)] * cut + m[i][cut:]
+    if n and draw(st.integers(0, 3)) == 0:
+        m[draw(st.integers(0, n - 1))] = [F(0)] * n
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        x, y = draw(entries), draw(entries)
+        m[i] = [x * u + y * v for u, v in zip(m[j], m[k])]
+    return m
+
+
+def signed_product(pivots, parity):
+    return -prod(pivots) if parity else prod(pivots)
+
+
+@given(square_matrices())
+@example([])
+@example([[F(0), F(1)], [F(1), F(0)]])
+@example([[F(0), F(0), F(2)], [F(0), F(3), F(1)], [F(5), F(1), F(1)]])
+@example([[F(1), F(2)], [F(1, 2), F(1)]])
+@example([[F(1), F(2), F(3)], [F(0), F(0), F(0)], [F(4), F(5), F(6)]])
+def test_lu_pivots_match_bareiss(m):
+    pivots, parity = lu_pivots(m)
+    value = signed_product(pivots, parity)
+    assert value == det(m)
+    if value:
+        assert len(pivots) == len(m) and all(pivots)
+    else:
+        # the pivots stop at the first column without a nonzero candidate
+        assert pivots[-1] == 0 and all(pivots[:-1])
+    assert all(type(pivot) is F for pivot in pivots)
+
+
+def test_lu_pivots_swaps_and_refuses_non_square():
+    assert lu_pivots([]) == ([], 0)
+    assert lu_pivots([[F(0), F(1)], [F(1), F(0)]]) == ([1, 1], 1)
+    # a rotation of three rows takes two swaps
+    assert lu_pivots([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == ([1, 1, 1], 0)
+    assert lu_pivots([[F(1, 2), F(3)], [F(1), F(6)]]) == ([F(1, 2), 0], 0)
+    with pytest.raises(BiorthError):
+        lu_pivots([[F(1), F(2)]])
