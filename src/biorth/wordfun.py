@@ -5,10 +5,15 @@ finite rational combination of words.  The functional is evaluated by
 normal ordering and summing bimoment entries.  Normal ordering is right
 multiplication: a word is its prefix's normal form {(i, j): coeff of
 d^i e^j} times its last letter, by one step (``_times_letter``) that also
-builds the closed-form powers of ``normal_power``.  The step and the moment
-sum are integer kernels (see ``_linalg``): a step clears the polynomial and
-the letter of denominators once, moves terms on integers and builds one
-Fraction per output term, and the moment sum is one integer dot product.
+builds the closed-form powers of ``normal_power``.  With q = t/s each
+coefficient of a word's normal form is an integer polynomial in s/t, so
+along the whole route a normal form is held as (ints, scale): integer
+coefficients {(i, j): int} over one integer scale (1 when t = 1).  The
+step clears its letter once and moves terms on integers, the memo stores
+(ints, scale), a word polynomial's forms are merged over the lcm of their
+scales, and the moment sum is one integer dot product and one Fraction
+(see ``_linalg``).  Other Fractions are built only where ``normal_order``
+and ``normal_power`` return.
 
 ``eval_by_elimination`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -26,6 +31,7 @@ import random
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ._linalg import _clear_denominators
@@ -156,9 +162,14 @@ def _split_normal(word: str) -> tuple[int, int]:
     return cut, len(word) - cut
 
 
-def _times_letter(poly, const, d_coeff, e_coeff, q) -> dict[tuple[int, int], Fraction]:
-    """The normal-ordered polynomial {(i, j): coeff of d^i e^j} times the
-    letter const + d_coeff d + e_coeff e, normal ordered again by
+# A normal form: integer coefficients {(i, j): coeff of d^i e^j} over one
+# integer scale.
+Form = tuple[dict[tuple[int, int], int], int]
+
+
+def _times_letter(form: Form, const, d_coeff, e_coeff, q) -> Form:
+    """The normal form (ints, scale) times the letter
+    const + d_coeff d + e_coeff e, normal ordered again by
 
         d^i e^j . e = d^i e^(j+1)
         d^i e^j . d = q^(-j) d^(i+1) e^j + (1 - q^(-j)) d^i e^(j-1),
@@ -166,41 +177,52 @@ def _times_letter(poly, const, d_coeff, e_coeff, q) -> dict[tuple[int, int], Fra
     the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
     relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.
 
-    An integer kernel (see ``_linalg``): the polynomial and the letter are
-    cleared of denominators once, and with q = t/s and J the largest j,
-    q^(-j) = s^j t^(J-j) / t^J puts every moved term over the one scale
-    t^J; each output term is one Fraction.
+    An integer kernel (see ``_linalg``): the letter is cleared of
+    denominators once, and when it has a d part, with q = t/s and J the
+    largest j, q^(-j) = s^j t^(J-j) / t^J puts every moved term over the
+    one scale t^J.  No Fraction is built: the result is again (ints, scale).
     """
-    ints, poly_scale = _clear_denominators(list(poly.values()))
+    ints, scale = form
     (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
-    top = max((j for _, j in poly), default=0)
-    tp = _powers(q.numerator, top + 1)
-    sp = _powers(q.denominator, top + 1)
-    t_top = tp[top]
+    if d_coeff:
+        top = max((j for _, j in ints), default=0)
+        tp = _powers(q.numerator, top + 1)
+        sp = _powers(q.denominator, top + 1)
+        t_top = tp[top]
+        moved_by = [d_coeff * sp[j] * tp[top - j] for j in range(top + 1)]  # d q^(-j) t^J
+    else:
+        t_top = 1
+    e_top, d_top, const_top = e_coeff * t_top, d_coeff * t_top, const * t_top
     out: dict[tuple[int, int], int] = {}
-    for (i, j), coeff in zip(poly, ints):
-        moves = []
-        if e_coeff:
-            moves.append(((i, j + 1), e_coeff * coeff * t_top))
-        if d_coeff:
-            scaled = d_coeff * coeff
-            moved = scaled * sp[j] * tp[top - j]  # scaled q^(-j) t^J
-            moves.append(((i + 1, j), moved))
+    get = out.get
+    for (i, j), coeff in ints.items():
+        if e_top:
+            key = (i, j + 1)
+            out[key] = get(key, 0) + e_top * coeff
+        if d_top:
+            moved = moved_by[j] * coeff
+            key = (i + 1, j)
+            out[key] = get(key, 0) + moved
             if j:
-                moves.append(((i, j - 1), scaled * t_top - moved))
-        if const:
-            moves.append(((i, j), const * coeff * t_top))
-        for key, value in moves:
-            out[key] = out[key] + value if key in out else value
-    scale = poly_scale * letter_scale * t_top
-    return {key: Fraction(value, scale) for key, value in out.items() if value}
+                key = (i, j - 1)
+                out[key] = get(key, 0) + d_top * coeff - moved
+        if const_top:
+            out[i, j] = get((i, j), 0) + const_top * coeff
+    return {key: value for key, value in out.items() if value}, scale * letter_scale * t_top
+
+
+def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
+    ints, scale = form
+    return {key: Fraction(value, scale) for key, value in ints.items()}
 
 
 # Memo entries kept at once, least recently used first out.  Each entry is
-# one prefix of a word: a `chain` benchmark round fills 7,711, and
-# `functional --max-len 64` (its guard) 41,382.
+# one prefix of a word: a `chain` benchmark round fills 7,134-7,619 (seeds
+# 1841-1850 and 1899), and `functional` at the costliest GRID point fills
+# 41,382 at --max-len 64 and 61,120 at its guard, 96, so nothing is evicted
+# there.
 _NORMAL_CACHE_MAX = 65536
-_NORMAL_CACHE: OrderedDict[tuple[str, Fraction], dict[tuple[int, int], Fraction]] = OrderedDict()
+_NORMAL_CACHE: OrderedDict[tuple[str, Fraction], Form] = OrderedDict()
 # A word whose cold prefix chain is longer than this has its prefixes filled
 # in steps of this many letters first, so the recursion below stays within
 # one step while the memo holds a step's entries (a 1,000-letter word would
@@ -208,9 +230,9 @@ _NORMAL_CACHE: OrderedDict[tuple[str, Fraction], dict[tuple[int, int], Fraction]
 _WARM_STEP = 256
 
 
-def _normal_order_word(word: str, q: Fraction) -> dict[tuple[int, int], Fraction]:
-    """Normal form {(i, j): coeff of d^i e^j} of ``word``: the memoised form
-    of ``word[:-1]`` times the last letter."""
+def _normal_order_word(word: str, q: Fraction) -> Form:
+    """Normal form (ints, scale) of ``word``: the memoised form of
+    ``word[:-1]`` times the last letter."""
     key = (word, q)
     cached = _NORMAL_CACHE.get(key)
     if cached is not None:
@@ -223,36 +245,43 @@ def _normal_order_word(word: str, q: Fraction) -> dict[tuple[int, int], Fraction
         d_coeff = 1 if word[-1] == "d" else 0
         result = _times_letter(_normal_order_word(word[:-1], q), 0, d_coeff, 1 - d_coeff, q)
     else:
-        result = {(0, 0): Fraction(1)}
+        result = {(0, 0): 1}, 1
     _NORMAL_CACHE[key] = result
     if len(_NORMAL_CACHE) > _NORMAL_CACHE_MAX:
         _NORMAL_CACHE.popitem(last=False)
     return result
 
 
-def _normal_form(wp: WordPoly, q) -> dict[tuple[int, int], Fraction]:
+def _normal_form(wp: WordPoly, q) -> Form:
+    """(ints, scale) of wp: its coefficients cleared once, and each word's
+    form brought to the lcm of the word scales."""
     q = as_rational(q)
     if q == 0:
         raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
-    out: dict[tuple[int, int], Fraction] = {}
-    for word, coeff in wp.terms.items():
-        for key, c in _normal_order_word(word, q).items():
-            value = coeff * c
+    coeffs, coeff_scale = _clear_denominators(list(wp.terms.values()))
+    forms = [_normal_order_word(word, q) for word in wp.terms]
+    scale = lcm(*(word_scale for _, word_scale in forms))
+    out: dict[tuple[int, int], int] = {}
+    for coeff, (ints, word_scale) in zip(coeffs, forms):
+        factor = coeff * (scale // word_scale)
+        for key, c in ints.items():
+            value = factor * c
             out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value}
+    return {key: value for key, value in out.items() if value}, coeff_scale * scale
 
 
 def normal_order(wp: WordPoly, q) -> WordPoly:
     """Rewrite wp into an equal combination of normal words d^i e^j."""
-    return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in _normal_form(wp, q).items()})
+    coeffs = _fractions(_normal_form(wp, q))
+    return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in coeffs.items()})
 
 
-def _moment_sum(p: AWParams, poly) -> Fraction:
-    """Functional of the normal-ordered {(i, j): coeff}, off the moment table."""
+def _moment_sum(p: AWParams, form: Form) -> Fraction:
+    """Functional of the normal form (ints, scale), off the moment table."""
+    ints, scale = form
     table = bimoment_table(p)
-    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in poly])
-    coeffs, coeff_scale = _clear_denominators(list(poly.values()))
-    return Fraction(sum(map(mul, coeffs, moments)), coeff_scale * moment_scale)
+    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in ints])
+    return Fraction(sum(map(mul, ints.values(), moments)), scale * moment_scale)
 
 
 def functional(wp: WordPoly, p: AWParams) -> Fraction:
@@ -260,25 +289,29 @@ def functional(wp: WordPoly, p: AWParams) -> Fraction:
     return _moment_sum(p, _normal_form(wp, p.q))
 
 
-def normal_power(const, weight, length: int, q) -> dict[tuple[int, int], Fraction]:
-    """Normal-ordered coefficients {(i, j): coeff of d^i e^j} of
-    (const + weight (d + e))^length, one right multiplication per factor:
-    O(length^3) coefficient updates, no word expanded, nothing memoized."""
+def _power_form(const, weight, length: int, q) -> Form:
     q, const, weight = as_rational(q), as_rational(const), as_rational(weight)
     if q == 0:
         raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
     if length < 0:
         raise InvalidParams(f"power must be >= 0, got {length}")
-    poly = {(0, 0): Fraction(1)}
+    form = {(0, 0): 1}, 1
     for _ in range(length):
-        poly = _times_letter(poly, const, weight, weight, q)
-    return poly
+        form = _times_letter(form, const, weight, weight, q)
+    return form
+
+
+def normal_power(const, weight, length: int, q) -> dict[tuple[int, int], Fraction]:
+    """Normal-ordered coefficients {(i, j): coeff of d^i e^j} of
+    (const + weight (d + e))^length, one right multiplication per factor:
+    O(length^3) coefficient updates, no word expanded, nothing memoized."""
+    return _fractions(_power_form(const, weight, length, q))
 
 
 def power_functional(p: AWParams, length: int, const, weight) -> Fraction:
-    """Functional of (const + weight (d + e))^length, by :func:`normal_power`
-    and the moment table."""
-    return _moment_sum(p, normal_power(const, weight, length, p.q))
+    """Functional of (const + weight (d + e))^length, by :func:`normal_power`'s
+    loop and the moment table."""
+    return _moment_sum(p, _power_form(const, weight, length, p.q))
 
 
 def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:

@@ -76,7 +76,7 @@ def test_config_errors_exit_2(capsys):
     # the series needs one of a, b, c, d nonzero
     assert main(["aw", "--a", "0", "--b", "0", "--c", "0", "--d", "0", "--q", "1/2"]) == 2
     # sizes above the guards
-    assert main(["functional", *CANONICAL, "--max-len", "65"]) == 2
+    assert main(["functional", *CANONICAL, "--max-len", "97"]) == 2
     assert main(["bimoment", *CANONICAL, "--n", "49"]) == 2
     assert main(["ldu", *CANONICAL, "--n", "49"]) == 2
     assert main(["rep", *CANONICAL, "--n", "97"]) == 2
@@ -86,7 +86,7 @@ def test_config_errors_exit_2(capsys):
     assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 14 and all(line.startswith("error:") for line in errors)
-    assert "guarded to --max-len <= 64" in errors[-6]
+    assert "guarded to --max-len <= 96" in errors[-6]
     assert all("guarded to --n <=" in line for line in errors[-5:])
 
 

@@ -1,9 +1,10 @@
 """Integer kernels against plain-Fraction references.
 
 The moment table, the row fill, the band walk, the inverse lower factor, the
-monic recurrence, the closed-form determinant, the chain generator, the
-closed-form coefficient sweeps (d, e, g and A/B/C) and the normal-ordering
-step clear denominators once and form one Fraction per entry.  Each
+monic recurrence, the closed-form determinant, the chain generator and the
+closed-form coefficient sweeps (d, e, g and A/B/C) clear denominators once
+and form one Fraction per entry; the normal-ordering step and the moment sum
+read integer coefficients over one scale, which the tests convert.  Each
 reference below is the Fraction formula the kernel replaced, kept verbatim,
 so the kernels must reproduce it entry for entry -- values, singular orders
 and messages, and the key order of the normal-ordered dicts.
@@ -31,7 +32,13 @@ from biorth import (
 )
 from biorth.asep import generator
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
-from biorth.core import d_natural_sweep, e_natural_sweep, g_sweep, qpoch_multi
+from biorth.core import (
+    _clear_denominators,
+    d_natural_sweep,
+    e_natural_sweep,
+    g_sweep,
+    qpoch_multi,
+)
 from biorth.repmat import (
     AWRecurrenceCoeffs,
     TridiagonalOperator,
@@ -526,20 +533,40 @@ normal_polys = st.dictionaries(
 )
 
 
+# the extra factor a form's scale may carry: a scale need not be the lcm of
+# the denominators, and with q < 0 it may be negative
+scale_factors = st.integers(-6, 6).filter(bool)
+
+
 def _items(poly):
     """repr of the items in order: values, their types and the key order."""
     return repr(list(poly.items()))
 
 
+def _form(poly, extra=1):
+    """poly as the kernels' (ints, scale), over its lcm times ``extra``."""
+    ints, scale = _clear_denominators(list(poly.values()))
+    return {key: value * extra for key, value in zip(poly, ints)}, scale * extra
+
+
+def _as_fractions(form):
+    ints, scale = form
+    assert type(scale) is int and all(type(value) is int for value in ints.values())
+    return {key: F(value, scale) for key, value in ints.items()}
+
+
 @settings(max_examples=300)
-@given(normal_polys, fraction_entries, fraction_entries, fraction_entries, grid_q)
-def test_times_letter_matches_fraction_loop(poly, const, d_coeff, e_coeff, q):
+@given(normal_polys, fraction_entries, fraction_entries, fraction_entries, grid_q, scale_factors)
+def test_times_letter_matches_fraction_loop(poly, const, d_coeff, e_coeff, q, extra):
+    form = _form(poly, extra)
     expected = reference_times_letter(poly, const, d_coeff, e_coeff, q)
-    assert _items(_times_letter(poly, const, d_coeff, e_coeff, q)) == _items(expected)
+    got = _as_fractions(_times_letter(form, const, d_coeff, e_coeff, q))
+    assert _items(got) == _items(expected)
     # the word route's letters: a bare d or e
     for d_coeff, e_coeff in ((1, 0), (0, 1)):
         expected = reference_times_letter(poly, 0, d_coeff, e_coeff, q)
-        assert _items(_times_letter(poly, 0, d_coeff, e_coeff, q)) == _items(expected)
+        got = _as_fractions(_times_letter(form, 0, d_coeff, e_coeff, q))
+        assert _items(got) == _items(expected)
 
 
 @settings(max_examples=60)
@@ -550,7 +577,7 @@ def test_normal_power_matches_fraction_loop(const, weight, length, q):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(GRID), normal_polys)
-def test_moment_sum_matches_fraction_sum(point, poly):
+@given(st.sampled_from(GRID), normal_polys, scale_factors)
+def test_moment_sum_matches_fraction_sum(point, poly, extra):
     p = make_params(point)
-    assert repr(_moment_sum(p, poly)) == repr(reference_moment_sum(p, poly))
+    assert repr(_moment_sum(p, _form(poly, extra))) == repr(reference_moment_sum(p, poly))

@@ -1,9 +1,10 @@
+import itertools
 import random
 from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from biorth import (
     ShapeError,
@@ -12,6 +13,7 @@ from biorth import (
     check_defining_relations,
     eval_by_elimination,
     functional,
+    is_valid,
     normal_order,
     parse_word,
 )
@@ -196,3 +198,53 @@ def test_caches_evict_least_recently_used(grid, monkeypatch):
     for word in ("d", "e", "d", "de"):
         wordfun._normal_order_word(word, q)
     assert list(wordfun._NORMAL_CACHE) == [("d", q), ("de", q)]
+
+
+# canonical a, b, c, d at q = t/s with t = 1, t > 1, q > 1 and q < 0 (t < 0)
+ORACLE_QS = ["1/2", "1/3", "2/5", "3/4", "3/2", "5/3", "-1/3", "-2/5"]
+ORACLE_POINTS = [make_params(("1", "1/2", "-1/3", "-1/4", q)) for q in ORACLE_QS]
+long_polys = st.dictionaries(st.text(alphabet="de", max_size=7), coeffs, max_size=4).map(WordPoly)
+
+
+def reference_normal_order(wp: WordPoly, q: F) -> dict[tuple[int, int], F]:
+    """Plain-Fraction normal ordering: rewrite the leftmost "ed" by
+    e d = q^(-1) d e - q^(-1) (1 - q) until every word is d^i e^j."""
+    out: dict[tuple[int, int], F] = {}
+    work = list(wp.terms.items())
+    while work:
+        word, coeff = work.pop()
+        cut = word.find("ed")
+        if cut < 0:
+            key = (word.count("d"), word.count("e"))
+            out[key] = out.get(key, F(0)) + coeff
+        else:
+            work.append((word[:cut] + "de" + word[cut + 2 :], coeff / q))
+            work.append((word[:cut] + word[cut + 2 :], -coeff * (1 - q) / q))
+    return {key: value for key, value in out.items() if value}
+
+
+def test_oracle_points_are_valid():
+    assert all(is_valid(p, 8) for p in ORACLE_POINTS)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(ORACLE_POINTS), long_polys)
+def test_functional_matches_fraction_normal_ordering(p, wp):
+    expected = reference_normal_order(wp, p.q)
+    normal_words = {"d" * i + "e" * j: c for (i, j), c in expected.items()}
+    assert normal_order(wp, p.q) == WordPoly(normal_words)
+    table = bimoment.bimoment_table(p)
+    value = sum((c * table.entry(i, j) for (i, j), c in expected.items()), F(0))
+    assert functional(wp, p) == value
+
+
+def test_memo_holds_integers_over_one_scale(monkeypatch):
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+    words = ["".join(w) for w in itertools.product("de", repeat=6)]
+    for p in ORACLE_POINTS:
+        functional(WordPoly({word: 1 for word in words}), p)
+    assert len(wordfun._NORMAL_CACHE) == len(ORACLE_POINTS) * (2**7 - 1)
+    for (word, q), (ints, scale) in wordfun._NORMAL_CACHE.items():
+        assert type(scale) is int and all(type(c) is int for c in ints.values())
+        if q.numerator == 1:
+            assert scale == 1, (word, q)
