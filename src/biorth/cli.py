@@ -4,7 +4,9 @@ Every subcommand reads exact rational parameters (decimal input is
 rejected, not rounded), runs a computation or verification suite, and
 emits a deterministic JSON report -- CSV for the two tabular commands.
 The suites and the ``verify-all`` grid live in ``biorth.suites``; this
-module parses flags, applies the size guards and writes the payload.
+module parses flags, applies the size guards and writes the payload.  The
+argparse tree is built once per process, on the first ``main`` call, and
+names its handlers and suite builders, which ``main`` looks up at each call.
 Exit status: 0 when every check passed, 1 when some check found a
 counterexample (the report is still written), 2 for unusable
 configuration (bad flags, singular or non-representable parameters).
@@ -109,11 +111,12 @@ def _cmd_bimoment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """The five report subcommands: the suite ``args.build`` at the flag
-    values named in ``args.sizes``."""
+    """The five report subcommands: the builder of ``biorth.suites`` named
+    ``args.build`` at the flag values named in ``args.sizes``."""
     _guard_size(args)
     p = _params_from_args(args)
-    reports = args.build(p, *(getattr(args, name) for name in args.sizes))
+    build = getattr(suites, args.build)
+    reports = build(p, *(getattr(args, name) for name in args.sizes))
     payload = {
         "command": args.command,
         "params": p.to_map(),
@@ -154,6 +157,9 @@ def _cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand.  Handlers and suite builders
+    are named, not bound, so the parser holds no function of this package
+    and ``main`` can keep one for the whole process."""
     parser = argparse.ArgumentParser(
         prog="biorth",
         description="Exact verification suites for the bi-orthogonal exclusion-chain machinery.",
@@ -165,19 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int, default=8, help="block order (square block up to index n)")
     cmd.add_argument("--fill", choices=("columns", "rows"), default="columns")
     _add_output_flags(cmd, formats=("json", "csv"))
-    cmd.set_defaults(handler=_cmd_bimoment)
+    cmd.set_defaults(handler="_cmd_bimoment")
 
     cmd = sub.add_parser("ldu", help="triangular factorization and determinant checks")
     _add_param_flags(cmd)
     cmd.add_argument("--n", type=int, default=10)
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_report, build=suites.ldu_suite, sizes=("n",))
+    cmd.set_defaults(handler="_cmd_report", build="ldu_suite", sizes=("n",))
 
     cmd = sub.add_parser("polys", help="bi-orthogonality and construction-route checks")
     _add_param_flags(cmd)
     cmd.add_argument("--n", type=int, default=8)
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_report, build=suites.polys_suite, sizes=("n",))
+    cmd.set_defaults(handler="_cmd_report", build="polys_suite", sizes=("n",))
 
     cmd = sub.add_parser("functional", help="fuzz the defining relations of the word functional")
     _add_param_flags(cmd)
@@ -185,30 +191,32 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-len", type=int, default=8, dest="max_len")
     cmd.add_argument("--seed", type=int, default=wordfun.DEFAULT_FUZZ_SEED)
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_report, build=suites.functional_suite, sizes=("max_len", "trials", "seed"))
+    cmd.set_defaults(
+        handler="_cmd_report", build="functional_suite", sizes=("max_len", "trials", "seed")
+    )
 
     cmd = sub.add_parser("rep", help="operator truncation checks (algebra, boundary, recurrence match)")
     _add_param_flags(cmd)
     cmd.add_argument("--n", type=int, default=16)
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_report, build=suites.rep_suite, sizes=("n",))
+    cmd.set_defaults(handler="_cmd_report", build="rep_suite", sizes=("n",))
 
     cmd = sub.add_parser("aw", help="series evaluation versus recurrence")
     _add_param_flags(cmd)
     cmd.add_argument("--n", type=int, default=8, help="highest recurrence level checked")
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_report, build=suites.aw_suite, sizes=("n",))
+    cmd.set_defaults(handler="_cmd_report", build="aw_suite", sizes=("n",))
 
     cmd = sub.add_parser("stationary", help="ansatz distributions against the exact chain solution")
     _add_param_flags(cmd)
     cmd.add_argument("--L", type=int, default=4)
     cmd.add_argument("--variant", choices=("shifted", "unshifted", "both"), default="both")
     _add_output_flags(cmd, formats=("json", "csv"))
-    cmd.set_defaults(handler=_cmd_stationary)
+    cmd.set_defaults(handler="_cmd_stationary")
 
     cmd = sub.add_parser("verify-all", help="full suite over the built-in parameter grid")
     _add_output_flags(cmd)
-    cmd.set_defaults(handler=_cmd_verify_all)
+    cmd.set_defaults(handler="_cmd_verify_all")
 
     return parser
 
@@ -230,13 +238,20 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
+# The parser of this process, built by the first ``main`` call (not at import).
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_values(list(argv)))
+    args = _PARSER.parse_args(_glue_values(list(argv)))
+    handler = globals()[args.handler]
     try:
-        return args.handler(args)
+        return handler(args)
     except BiorthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

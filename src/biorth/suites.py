@@ -68,13 +68,17 @@ def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
 
 def _sweep_eval_paths(p: AWParams, max_len: int):
     """First word (if any) where normal ordering and boundary elimination
-    disagree, over every word of length <= max_len."""
-    for length in range(max_len + 1):
-        for letters in itertools.product("de", repeat=length):
-            word = "".join(letters)
-            wp = wordfun.WordPoly({word: Fraction(1)})
-            if wordfun.functional(wp, p) != wordfun.eval_by_elimination(wp, p):
-                return {"word": word}
+    disagree, over every word of length <= max_len.  The elimination route
+    is one batch over all those words, so each subword its moves reach is
+    evaluated once per point, not once per word."""
+    words = [
+        "".join(letters)
+        for length in range(max_len + 1)
+        for letters in itertools.product("de", repeat=length)
+    ]
+    for word, value in zip(words, wordfun.elimination_values(words, p)):
+        if wordfun.functional(wordfun.WordPoly({word: Fraction(1)}), p) != value:
+            return {"word": word}
     return None
 
 

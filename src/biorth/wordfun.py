@@ -15,12 +15,15 @@ scales, and the moment sum is one integer dot product and one Fraction
 (see ``_linalg``).  Other Fractions are built only where ``normal_order``
 and ``normal_power`` return.
 
-``eval_by_elimination`` reaches the same values by rewriting words instead:
+``elimination_values`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
       e w  ->  (a + c) w - a c (d w)
       w d  ->  (b + d) w - b d (w e),
 and, when neither applies, the leftmost "ed" via
       e d  ->  q^(-1) (d e)  -  q^(-1) (1 - q) * (pair deleted).
+It evaluates a batch of words with one memo of every word those moves
+reach, so a sweep over all short words rewrites each subword once;
+``eval_by_elimination`` is one batch, the words of a word polynomial.
 Those moves belong to that route only, so the two routes are independent
 above the shared boundary column seed.
 """
@@ -314,50 +317,72 @@ def power_functional(p: AWParams, length: int, const, weight) -> Fraction:
     return _moment_sum(p, _power_form(const, weight, length, p.q))
 
 
-def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:
-    """Evaluate the functional through boundary eliminations only.
+def elimination_values(words, p: AWParams) -> list[Fraction]:
+    """Functional of each word in ``words``, through boundary eliminations
+    only, with one memo for the whole batch.
 
-    Strategy per word: strip a leading e if present, else strip a trailing
-    d, else perform one normal-ordering step on the leftmost "ed".  Each
-    move strictly decreases (length, inversion count) lexicographically, so
-    the worklist terminates with normal words, which are read off the
-    moment table.
+    A word is rewritten by the first move that applies:
+
+        e w  ->  (a + c) w - a c (d w)                       (leading e)
+        w d  ->  (b + d) w - b d (w e)                       (trailing d)
+        u e d v  ->  q^(-1) (u d e v) - q^(-1) (1 - q) (u v)  (leftmost "ed")
+
+    and a normal word d^i e^j is read off the moment table.  Every word a
+    move reaches is smaller in (length, inversions, starts with e), compared
+    lexicographically: the leading-e move may keep both length and
+    inversions ("ee" -> "de"), but its d w does not start with e, and the
+    other two moves shorten the word or remove at least one inversion.  So
+    the words reachable from a batch are finite, and each is evaluated once,
+    from an explicit stack (no recursion, whatever the word's length), into
+    a memo that lives only as long as the call.  A move whose coefficient is
+    zero is not taken.
     """
+    words = [parse_word(word) for word in words]
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    ac, bd = a * c, b * d
     qinv = 1 / q
+    lead_e = (a + c, -(a * c))
+    trail_d = (b + d, -(b * d))
+    swap = (qinv, -qinv * (1 - q))
     table = bimoment_table(p)
 
-    total = Fraction(0)
-    work: dict[str, Fraction] = dict(wp.terms)
-
-    def push(word: str, coeff: Fraction):
-        if not coeff:
-            return
-        acc = work.get(word, Fraction(0)) + coeff
-        if acc:
-            work[word] = acc
+    memo: dict[str, Fraction] = {}
+    stack = list(words)
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        if top.startswith("e"):
+            rest = top[1:]
+            moves = zip(lead_e, (rest, "d" + rest))
         else:
-            work.pop(word, None)
+            cut = top.find("ed")
+            if cut < 0:
+                memo[top] = table.entry(*_split_normal(top))
+                continue
+            if top.endswith("d"):
+                rest = top[:-1]
+                moves = zip(trail_d, (rest, rest + "e"))
+            else:
+                head, tail = top[:cut], top[cut + 2 :]
+                moves = zip(swap, (head + "de" + tail, head + tail))
+        moves = [(coeff, child) for coeff, child in moves if coeff]
+        missing = [child for _, child in moves if child not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        value = Fraction(0)
+        for coeff, child in moves:
+            value += coeff * memo[child]
+        memo[top] = value
+    return [memo[word] for word in words]
 
-    while work:
-        word, coeff = work.popitem()
-        if word.startswith("e"):
-            rest = word[1:]
-            push(rest, coeff * (a + c))
-            push(sys.intern("d" + rest), -coeff * ac)
-        elif word.endswith("d") and not is_normal(word):
-            rest = word[:-1]
-            push(rest, coeff * (b + d))
-            push(sys.intern(rest + "e"), -coeff * bd)
-        elif is_normal(word):
-            i, j = _split_normal(word)
-            total += coeff * table.entry(i, j)
-        else:
-            cut = word.find("ed")
-            push(sys.intern(word[:cut] + "de" + word[cut + 2 :]), coeff * qinv)
-            push(sys.intern(word[:cut] + word[cut + 2 :]), -coeff * qinv * (1 - q))
-    return total
+
+def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:
+    """Evaluate the functional through boundary eliminations only: the sum
+    of coefficient times :func:`elimination_values` over the words of wp."""
+    values = elimination_values(wp.terms, p)
+    return sum(map(mul, wp.terms.values(), values), Fraction(0))
 
 
 DEFAULT_FUZZ_SEED = 20240817

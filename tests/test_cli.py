@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import biorth
-from biorth.cli import _glue_values, main
-from biorth.reporting import canonical_json
+from biorth import cli, suites
+from biorth.cli import _glue_values, build_parser, main
+from biorth.reporting import VerificationReport, canonical_json
 
 CANONICAL = ["--a", "1", "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2"]
 
@@ -328,3 +329,59 @@ def test_verify_all(verify_all_run):
         assert "determinants" in suites["ldu"]["timings_ms"]
         assert "construction-routes" in suites["polys"]["timings_ms"]
         assert "evaluation-paths" in suites["functional"]["timings_ms"]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(["bimoment", *CANONICAL, "--n", "0", "--format", "csv"]) == 0
+    with pytest.raises(SystemExit):
+        main(["ldu", "--bogus"])
+    assert main(["aw", *CANONICAL, "--n", "1"]) == 0
+    assert main(["bimoment", *CANONICAL, "--n", "0", "--format", "csv"]) == 0
+    assert len(built) == 1
+
+
+def test_suite_builders_are_looked_up_at_each_call(monkeypatch, capsys):
+    assert main(["ldu", *CANONICAL, "--n", "2"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def fake_ldu_suite(p, n):
+        calls.append((p.to_map(), n))
+        report = VerificationReport(params=p.to_map(), n=n)
+        report.add("patched", False, {"n": n})
+        return {"ldu": report}
+
+    monkeypatch.setattr(suites, "ldu_suite", fake_ldu_suite)
+    assert main(["ldu", *CANONICAL, "--n", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert calls == [(payload["params"], 3)]
+    assert [c["name"] for c in payload["reports"]["ldu"]["checks"]] == ["patched"]
+
+
+def test_a_bad_flag_leaves_the_parser_as_a_fresh_process_has_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["polys", *CANONICAL, "--bogus", "1"])
+    assert exc.value.code == 2
+    bad_err = capsys.readouterr().err
+    argv = ["polys", *CANONICAL, "--n", "4"]
+    code, text = run_main(argv)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(biorth.__file__)))
+
+    def fresh(args):
+        return subprocess.run(
+            [sys.executable, "-m", "biorth.cli", *args], env=env, capture_output=True, text=True
+        )
+
+    first = fresh(["polys", *CANONICAL, "--bogus", "1"])
+    assert (first.returncode, first.stderr) == (2, bad_err)
+    second = fresh(argv)
+    assert second.returncode == code == 0
+    assert strip_timings(json.loads(second.stdout)) == strip_timings(json.loads(text))
