@@ -22,16 +22,20 @@ fill, the row fill and the boundary column (``bimoment``),
 band walks of ``ldu.build_L``, ``jacobi_moments`` and the ``asep``
 transfer weights run on ``matvec``), ``ldu.build_L_inverse``, the row sums
 of ``asep.generator``, the residual of ``asep.certify_stationary`` and the
-moment sum ``wordfun._moment_sum`` (one integer dot product).  The word
-route goes further: a normal form is integer coefficients over one integer
-scale all along it, so the normal-ordering step ``wordfun._times_letter``
-builds no Fraction (a d letter multiplies the scale by t^J for q^-j,
-0 <= j <= J, q = t/s), and Fractions are built only where a public
-function returns.  The closed-form sweeps ``core.g_sweep``,
-``core.d_natural_sweep`` and ``repmat.aw_sweep`` follow it per level: their
-constants are cleared once, q = t/s is read through integer powers of t and
-s, and each coefficient is one Fraction.  The helper is the only code these
-share; each recurrence keeps its own coefficients.
+moment sums ``wordfun._moment_sums`` (one integer dot product per normal
+form; a batch clears each moment it reads once, over one scale, which
+costs little because the table's denominators nearly divide one another:
+over orders i + j <= 40 at the costliest GRID point their lcm has 1,923
+bits, the largest 1,838).  The word route goes further: a normal form is
+integer coefficients over one integer scale all along it, so the
+normal-ordering step ``wordfun._times_letter`` builds no Fraction (a d
+letter multiplies the scale by t^J for q^-j, 0 <= j <= J, q = t/s), and
+Fractions are built only where a public function returns.  The
+closed-form sweeps ``core.g_sweep``, ``core.d_natural_sweep`` and
+``repmat.aw_sweep`` follow it per level: their constants are cleared once,
+q = t/s is read through integer powers of t and s, and each coefficient is
+one Fraction.  The helper is the only code these share; each recurrence
+keeps its own coefficients.
 
 * ``mat_mul`` scales each row of the left factor and each column of the
   right factor by the lcm of its denominators, takes integer dot products

@@ -38,7 +38,7 @@ _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 # Largest size flag per subcommand.  At the costliest GRID point, (3/2, 3/4,
 # -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 48 takes 12 s
 # (n 32: 1.3 s, n 40: 3.8 s) and functional --max-len 96 with the default
-# 200 trials takes 9-11 s at a peak RSS of 0.67 GB (64: 2.7-4.5 s); aw --n
+# 200 trials takes 7-8 s at a peak RSS of 0.44 GB (64: 2.6-3.3 s); aw --n
 # 96 takes 22-25 s (n 100: 27 s, n 150: 246 s) and polys --n 64 22-24 s
 # (n 72: 39-55 s); rep --n 96 takes 1.0 s (n 128: 3.6 s) and bimoment --n 48
 # 1.0 s, and at bimoment n 64 two GRID points have entries past the 4300

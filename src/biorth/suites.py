@@ -68,16 +68,18 @@ def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
 
 def _sweep_eval_paths(p: AWParams, max_len: int):
     """First word (if any) where normal ordering and boundary elimination
-    disagree, over every word of length <= max_len.  The elimination route
-    is one batch over all those words, so each subword its moves reach is
-    evaluated once per point, not once per word."""
+    disagree, over every word of length <= max_len.  Each route is one batch
+    over all those words, so each subword the elimination moves reach is
+    evaluated once per point, not once per word, and the table is looked up
+    and each moment cleared once."""
     words = [
         "".join(letters)
         for length in range(max_len + 1)
         for letters in itertools.product("de", repeat=length)
     ]
-    for word, value in zip(words, wordfun.elimination_values(words, p)):
-        if wordfun.functional(wordfun.WordPoly({word: Fraction(1)}), p) != value:
+    normal = wordfun.functional_values([{word: 1} for word in words], p)
+    for word, by_normal, by_elimination in zip(words, normal, wordfun.elimination_values(words, p)):
+        if by_normal != by_elimination:
             return {"word": word}
     return None
 

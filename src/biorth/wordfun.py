@@ -9,11 +9,18 @@ builds the closed-form powers of ``normal_power``.  With q = t/s each
 coefficient of a word's normal form is an integer polynomial in s/t, so
 along the whole route a normal form is held as (ints, scale): integer
 coefficients {(i, j): int} over one integer scale (1 when t = 1).  The
-step clears its letter once and moves terms on integers, the memo stores
-(ints, scale), a word polynomial's forms are merged over the lcm of their
-scales, and the moment sum is one integer dot product and one Fraction
-(see ``_linalg``).  Other Fractions are built only where ``normal_order``
-and ``normal_power`` return.
+step moves terms on integers (a bare e only re-keys them), the memo stores
+(ints, scale) under (word, t, s), a word polynomial's forms are merged over
+the lcm of their scales, and each moment sum is one integer dot product
+and one Fraction (see ``_linalg``).  Other Fractions are built only where
+``normal_order`` and ``normal_power`` return.
+
+``functional_values`` evaluates a batch of word polynomials at one point:
+the table is looked up once, each distinct word's form is taken from the
+memo once, and each moment the batch reads is cleared of denominators
+once.  ``functional`` is the one-polynomial batch; the relations fuzz and
+the suites' sweep over all short words make one batch per relation or
+point.
 
 ``elimination_values`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -180,13 +187,20 @@ def _times_letter(form: Form, const, d_coeff, e_coeff, q) -> Form:
     the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
     relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.
 
-    An integer kernel (see ``_linalg``): the letter is cleared of
-    denominators once, and when it has a d part, with q = t/s and J the
-    largest j, q^(-j) = s^j t^(J-j) / t^J puts every moved term over the
-    one scale t^J.  No Fraction is built: the result is again (ints, scale).
+    An integer kernel (see ``_linalg``): a rational letter is cleared of
+    denominators once (an integer one, the word route's bare d and e, needs
+    no clearing, and a bare e only re-keys the terms), and when it has a d
+    part, with q = t/s and J the largest j, q^(-j) = s^j t^(J-j) / t^J puts
+    every moved term over the one scale t^J.  No Fraction is built: the
+    result is again (ints, scale).
     """
     ints, scale = form
-    (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
+    if type(const) is int and type(d_coeff) is int and type(e_coeff) is int:
+        if not const and not d_coeff and e_coeff == 1:
+            return {(i, j + 1): coeff for (i, j), coeff in ints.items() if coeff}, scale
+        letter_scale = 1
+    else:
+        (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
     if d_coeff:
         top = max((j for _, j in ints), default=0)
         tp = _powers(q.numerator, top + 1)
@@ -220,12 +234,13 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
 
 
 # Memo entries kept at once, least recently used first out.  Each entry is
-# one prefix of a word: a `chain` benchmark round fills 7,134-7,619 (seeds
-# 1841-1850 and 1899), and `functional` at the costliest GRID point fills
-# 41,382 at --max-len 64 and 61,120 at its guard, 96, so nothing is evicted
-# there.
+# one prefix of a word: the relations fuzz of a `chain` benchmark round
+# fills 7,134-7,619 (seeds 1841-1850 and 1899), and `functional` at the
+# costliest GRID point fills 41,382 at --max-len 64 and 61,120 at its guard,
+# 96 (peak RSS 0.44 GB), so nothing is evicted there.
 _NORMAL_CACHE_MAX = 65536
-_NORMAL_CACHE: OrderedDict[tuple[str, Fraction], Form] = OrderedDict()
+# Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
+_NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
 # A word whose cold prefix chain is longer than this has its prefixes filled
 # in steps of this many letters first, so the recursion below stays within
 # one step while the memo holds a step's entries (a 1,000-letter word would
@@ -236,12 +251,13 @@ _WARM_STEP = 256
 def _normal_order_word(word: str, q: Fraction) -> Form:
     """Normal form (ints, scale) of ``word``: the memoised form of
     ``word[:-1]`` times the last letter."""
-    key = (word, q)
+    t, s = q.numerator, q.denominator
+    key = (word, t, s)
     cached = _NORMAL_CACHE.get(key)
     if cached is not None:
         _NORMAL_CACHE.move_to_end(key)
         return cached
-    if len(word) > _WARM_STEP and (word[:-_WARM_STEP], q) not in _NORMAL_CACHE:
+    if len(word) > _WARM_STEP and (word[:-_WARM_STEP], t, s) not in _NORMAL_CACHE:
         for cut in range(_WARM_STEP, len(word), _WARM_STEP):
             _normal_order_word(word[:cut], q)
     if word:
@@ -255,17 +271,20 @@ def _normal_order_word(word: str, q: Fraction) -> Form:
     return result
 
 
-def _normal_form(wp: WordPoly, q) -> Form:
-    """(ints, scale) of wp: its coefficients cleared once, and each word's
-    form brought to the lcm of the word scales."""
-    q = as_rational(q)
-    if q == 0:
-        raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
-    coeffs, coeff_scale = _clear_denominators(list(wp.terms.values()))
-    forms = [_normal_order_word(word, q) for word in wp.terms]
-    scale = lcm(*(word_scale for _, word_scale in forms))
+def _normal_form(terms, q: Fraction, forms: dict[str, Form]) -> Form:
+    """(ints, scale) of the word polynomial ``terms`` ({word: coeff}): its
+    coefficients cleared once, and each word's form, from ``forms`` or on a
+    miss from the memo, brought to the lcm of the word scales."""
+    coeffs, coeff_scale = _clear_denominators(terms.values())
+    word_forms = []
+    for word in terms:
+        form = forms.get(word)
+        if form is None:
+            form = forms[word] = _normal_order_word(parse_word(word), q)
+        word_forms.append(form)
+    scale = lcm(*(word_scale for _, word_scale in word_forms))
     out: dict[tuple[int, int], int] = {}
-    for coeff, (ints, word_scale) in zip(coeffs, forms):
+    for coeff, (ints, word_scale) in zip(coeffs, word_forms):
         factor = coeff * (scale // word_scale)
         for key, c in ints.items():
             value = factor * c
@@ -275,21 +294,50 @@ def _normal_form(wp: WordPoly, q) -> Form:
 
 def normal_order(wp: WordPoly, q) -> WordPoly:
     """Rewrite wp into an equal combination of normal words d^i e^j."""
-    coeffs = _fractions(_normal_form(wp, q))
+    q = as_rational(q)
+    if q == 0:
+        raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
+    coeffs = _fractions(_normal_form(wp.terms, q, {}))
     return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in coeffs.items()})
 
 
+def _moment_sums(table, forms: list[Form]) -> list[Fraction]:
+    """Functional of each normal form (ints, scale), off the moment table.
+    The moments the forms read are cleared of denominators once, over one
+    scale, so each form is one integer dot product and one Fraction."""
+    keys = list(dict.fromkeys(key for ints, _ in forms for key in ints))
+    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in keys])
+    cleared = dict(zip(keys, moments)).__getitem__
+    return [
+        Fraction(sum(map(mul, ints.values(), map(cleared, ints))), scale * moment_scale)
+        for ints, scale in forms
+    ]
+
+
 def _moment_sum(p: AWParams, form: Form) -> Fraction:
-    """Functional of the normal form (ints, scale), off the moment table."""
-    ints, scale = form
-    table = bimoment_table(p)
-    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in ints])
-    return Fraction(sum(map(mul, ints.values(), moments)), scale * moment_scale)
+    """Functional of one normal form (ints, scale), off the moment table."""
+    return _moment_sums(bimoment_table(p), [form])[0]
+
+
+def functional_values(polys, p: AWParams) -> list[Fraction]:
+    """Value of the boundary functional on each word polynomial of
+    ``polys``, given as {word: coeff} mappings (int or Fraction
+    coefficients; a zero one adds nothing): normal order, then sum moments.
+
+    One batch at one point: the moment table is looked up and q read once,
+    each distinct word is normal ordered once (through the memo), each
+    polynomial is merged on integers, and each moment the batch reads is
+    cleared once.  The stores of word forms and moments live only as long
+    as the call.
+    """
+    q = p.q
+    forms: dict[str, Form] = {}
+    return _moment_sums(bimoment_table(p), [_normal_form(poly, q, forms) for poly in polys])
 
 
 def functional(wp: WordPoly, p: AWParams) -> Fraction:
-    """Value of the boundary functional: normal order, then sum moments."""
-    return _moment_sum(p, _normal_form(wp, p.q))
+    """Value of the boundary functional: :func:`functional_values` of wp."""
+    return functional_values([wp.terms], p)[0]
 
 
 def _power_form(const, weight, length: int, q) -> Form:
@@ -413,32 +461,28 @@ def check_defining_relations(
     if max_len < 0 or trials <= 0:
         raise InvalidParams("max_len must be >= 0 and trials > 0")
     q = p.q
-    ac, bd = p.a * p.c, p.b * p.d
     report = VerificationReport(params=p.to_map(), n=max_len)
     rng = random.Random(seed)
 
+    # Each relation: its three words for (u, v), and their coefficients.
     relations = {
-        "bulk-exchange": lambda u, v: (
-            WordPoly({u + "de" + v: 1})
-            + WordPoly({u + "ed" + v: -q})
-            + WordPoly({u + v: -(1 - q)})
-        ),
-        "right-boundary": lambda u, v: (
-            WordPoly({u + "d": 1}) + WordPoly({u + "e": bd}) + WordPoly({u: -(p.b + p.d)})
-        ),
-        "left-boundary": lambda u, v: (
-            WordPoly({"e" + v: 1}) + WordPoly({"d" + v: ac}) + WordPoly({v: -(p.a + p.c)})
-        ),
+        "bulk-exchange": (lambda u, v: (u + "de" + v, u + "ed" + v, u + v), (1, -q, -(1 - q))),
+        "right-boundary": (lambda u, v: (u + "d", u + "e", u), (1, p.b * p.d, -(p.b + p.d))),
+        "left-boundary": (lambda u, v: ("e" + v, "d" + v, v), (1, p.a * p.c, -(p.a + p.c))),
     }
 
     samples = [
         (_random_word(rng, max_len), _random_word(rng, max_len)) for _ in range(trials)
     ]
-    for name, build in relations.items():
+    for name, (words, coeffs) in relations.items():
         failure = None
         with report.timed(name):
-            for u, v in samples:
-                value = functional(build(u, v), p)
+            # the three words are distinct; zero coefficients are dropped
+            polys = [
+                {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
+                for u, v in samples
+            ]
+            for (u, v), value in zip(samples, functional_values(polys, p)):
                 if value != 0:
                     failure = {"u": u, "v": v, "value": value}
                     break

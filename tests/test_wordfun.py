@@ -197,7 +197,7 @@ def test_caches_evict_least_recently_used(grid, monkeypatch):
     q = grid[0].q
     for word in ("d", "e", "d", "de"):
         wordfun._normal_order_word(word, q)
-    assert list(wordfun._NORMAL_CACHE) == [("d", q), ("de", q)]
+    assert list(wordfun._NORMAL_CACHE) == [("d", 1, 2), ("de", 1, 2)]
 
 
 # canonical a, b, c, d at q = t/s with t = 1, t > 1, q > 1 and q < 0 (t < 0)
@@ -244,7 +244,34 @@ def test_memo_holds_integers_over_one_scale(monkeypatch):
     for p in ORACLE_POINTS:
         functional(WordPoly({word: 1 for word in words}), p)
     assert len(wordfun._NORMAL_CACHE) == len(ORACLE_POINTS) * (2**7 - 1)
-    for (word, q), (ints, scale) in wordfun._NORMAL_CACHE.items():
+    for (word, t, s), (ints, scale) in wordfun._NORMAL_CACHE.items():
+        assert type(t) is int and type(s) is int  # no key holds a Fraction
         assert type(scale) is int and all(type(c) is int for c in ints.values())
-        if q.numerator == 1:
-            assert scale == 1, (word, q)
+        if t == 1:
+            assert scale == 1, (word, t, s)
+
+
+@st.composite
+def poly_batches(draw):
+    """A point and a batch of {word: coeff} mappings over a few shared words
+    (int, Fraction and zero coefficients, empty mappings), then the bulk
+    relation at random (u, v), whose merged normal form cancels to zero."""
+    p = draw(st.sampled_from(ORACLE_POINTS))
+    shared = draw(st.lists(st.text(alphabet="de", max_size=6), min_size=1, max_size=5, unique=True))
+    coeff = st.integers(-3, 3) | st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = draw(st.lists(st.dictionaries(st.sampled_from(shared), coeff, max_size=4), max_size=6))
+    bulk = [
+        {u + "de" + v: 1, u + "ed" + v: -p.q, u + v: p.q - 1}
+        for u, v in draw(st.lists(st.tuples(words, words), max_size=2))
+    ]
+    return p, polys + bulk, len(bulk)
+
+
+@settings(max_examples=100)
+@given(poly_batches())
+def test_functional_values_is_functional_per_polynomial(batch):
+    p, polys, cancelling = batch
+    values = wordfun.functional_values(polys, p)
+    assert all(type(value) is F for value in values)
+    assert values == [functional(WordPoly(terms), p) for terms in polys]
+    assert values[len(values) - cancelling :] == [0] * cancelling
