@@ -19,8 +19,8 @@ final reduction a gcd at that size.  Besides ``mat_mul`` and ``lu_pivots``
 below, the rule is followed by the moment table's column
 fill, the row fill and the boundary column (``bimoment``),
 ``TridiagonalOperator.matvec`` and ``monic_recurrence`` (``repmat``; the
-band walks of ``ldu.build_L``, ``jacobi_moments`` and the ``asep``
-transfer weights run on ``matvec``), ``ldu.build_L_inverse``, the row sums
+band walks of ``ldu.build_L`` and ``jacobi_moments`` run on ``matvec``),
+``ldu.build_L_inverse``, the row sums
 of ``asep.generator``, the residual of ``asep.certify_stationary`` and the
 moment sums ``wordfun._moment_sums`` (one integer dot product per normal
 form; a batch clears each moment it reads once, over one scale, which
@@ -30,7 +30,19 @@ bits, the largest 1,838).  The word route goes further: a normal form is
 integer coefficients over one integer scale all along it, so the
 normal-ordering step ``wordfun._times_letter`` builds no Fraction (a d
 letter multiplies the scale by t^J for q^-j, 0 <= j <= J, q = t/s), and
-Fractions are built only where a public function returns.  The
+Fractions are built only where a public function returns.  The ``asep``
+transfer walk goes as far: both site operators' bands are cleared once,
+over one scale S, so every suffix vector is plain integers (S^k times its
+value after k steps) and each probability is one Fraction.  That scale
+is walk-wide, which is safe there and not in the deep walks.  The
+transfer walk is at most 12 steps (``asep._GENERATOR_LIMIT``) over bands
+of at most 7 levels, and its cost is the count of its 2^(L+1) - 2 steps:
+its integers grow by S per step (at L = 12 at the costliest GRID point S
+has 280 bits, and they reach 3.4k bits, against 214 reduced) and still
+win, because no step pays a gcd.  ``build_L`` and
+``jacobi_moments`` walk tens to hundreds of levels, where a scale shared
+along the walk would multiply in at every step, and where a vector-wide
+scale already measured slower than ``matvec``'s per-entry clearing.  The
 closed-form sweeps ``core.g_sweep``, ``core.d_natural_sweep`` and
 ``repmat.aw_sweep`` follow it per level: their constants are cleared once,
 q = t/s is read through integer powers of t and s, and each coefficient is

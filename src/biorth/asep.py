@@ -14,9 +14,14 @@ The stationary distribution is certified, not solved for:
   literally; variant "unshifted" substitutes D = (1 + d)/(1-q),
   E = (1 + e)/(1-q).  Configurations sharing a suffix share the vector
   X_tauk ... X_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
-  steps.  ``ansatz_weight`` evaluates one configuration by the word route
-  instead (expand the letter product, normal order, read the moment
-  table); it is the tests' reference for the representation route;
+  steps.  The walk is on integers: both operators' bands are cleared once,
+  over one scale S, so state tau's weight is an integer W_tau over S^L,
+  the total is sum(W) / S^L and each probability is W_tau / sum(W), one
+  gcd per state (see ``_linalg`` for why that scale is walk-wide here and
+  per entry in the deep walks).  ``ansatz_weight`` evaluates one
+  configuration by the word route instead (expand the letter product,
+  normal order, read the moment table); it is the tests' reference for
+  the representation route;
 * ``certify_stationary`` proves a candidate stationary: the generator is
   strongly connected (so its left kernel is one-dimensional) and the
   candidate's residual pi M is exactly zero.  Only the generator enters,
@@ -38,6 +43,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from . import _linalg
 from .core import (
@@ -61,8 +67,8 @@ _EXACT_LIMIT = 8
 # The generator is linear in its 2^L states: at L = 12 it has 34,816 entries
 # (5 MB) and takes 0.04 s over GRID, the certificate without candidates
 # 0.09 s, on the same host; both double per site.  Also the guard of
-# ``stationary_ansatz`` and ``compare``: compare(12) takes at most 0.72 s over
-# GRID and the four abcd = q or q^2 points of the tests (L = 11: 0.38 s).
+# ``stationary_ansatz`` and ``compare``: compare(12) takes at most 0.43 s over
+# GRID and the four abcd = q or q^2 points of the tests (L = 11: 0.18 s).
 _GENERATOR_LIMIT = 12
 VARIANTS = ("shifted", "unshifted")
 
@@ -93,7 +99,9 @@ class StationaryDistribution:
     def __post_init__(self):
         if len(self.probabilities) != 1 << self.length:
             raise InvalidParams("probability vector length is not 2^L")
-        if sum(self.probabilities) != 1:
+        # the sum on integers over the lcm of the denominators
+        numerators, scale = _linalg._clear_denominators(self.probabilities)
+        if sum(numerators) != scale:
             raise InvalidParams("probabilities must sum to exactly 1")
 
     def probability(self, state: int) -> Fraction:
@@ -299,8 +307,35 @@ def _site_operators(p: AWParams, rep, variant: str):
     )
 
 
-def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
-    """<e0| X_tau1 ... X_tauL |e0> for every state, shared by suffix.
+def _band_rows(op, scale: int) -> list[tuple[int, int, int]]:
+    """Row i of op's band, (lower[i-1], diag[i], upper[i]) with zeros past
+    the edges, times ``scale`` (a multiple of every band denominator)."""
+    zero = (0,)
+    return [
+        tuple(x.numerator * (scale // x.denominator) for x in row)
+        for row in zip(zero + op.lower, op.diag, op.upper + zero)
+    ]
+
+
+def _band_step(rows, vec: list[int], levels: int) -> list[int]:
+    """The first ``levels`` components of the integer band ``rows`` applied
+    to vec; vec's missing components are zero."""
+    # padded[i + 1] is component i; zeros beyond both ends
+    padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
+    return [
+        low * padded[i] + mid * padded[i + 1] + up * padded[i + 2]
+        for i, (low, mid, up) in enumerate(rows[:levels])
+    ]
+
+
+def _transfer_weights(length: int, empty, occupied) -> tuple[list[int], int]:
+    """<e0| X_tau1 ... X_tauL |e0> for every state, shared by suffix, as
+    (integers, scale): the weight of state tau is integers[tau] / scale.
+
+    Both operators' bands are cleared of denominators once, over one scale
+    S (the lcm of all their denominators), so every vector of the walk is
+    plain integers, S^k times its value after k steps, and the scale of
+    the weights is S^L.
 
     After k steps, vectors[s] = X_tau(L-k+1) ... X_tauL |e0> where s holds
     sites L-k+1..L in its k low bits, so each step prepends site L-k as
@@ -308,24 +343,29 @@ def _transfer_weights(length: int, empty, occupied) -> list[Fraction]:
     ones are still zero (a step climbs at most one level) or can no longer
     return to level 0 in the L - k steps left.
     """
-    vectors = [[Fraction(1)]]
+    ops = (empty, occupied)
+    scale = lcm(*(x.denominator for op in ops for x in (*op.lower, *op.diag, *op.upper)))
+    bands = [_band_rows(op, scale) for op in ops]
+    vectors = [[1]]
     for k in range(1, length + 1):
         levels = min(k, length - k) + 1
-        vectors = [op.matvec(v, levels) for op in (empty, occupied) for v in vectors]
-    return [v[0] for v in vectors]
+        vectors = [_band_step(rows, v, levels) for rows in bands for v in vectors]
+    return [v[0] for v in vectors], scale**length
 
 
 def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistribution:
     """``stationary_ansatz`` on the representation ``rep`` of
     ``_representation(p, length)``."""
     shift, scale = _site_letter(p, variant)
-    weights = _transfer_weights(length, *_site_operators(p, rep, variant))
-    total = sum(weights)
+    weights, weight_scale = _transfer_weights(length, *_site_operators(p, rep, variant))
+    weight_sum = sum(weights)
+    total = Fraction(weight_sum, weight_scale)
     if power_functional(p, length, 2 * shift, scale) != total:
         raise BiorthError("normalization mismatch between weight sum and letter-sum power")
     if total == 0:
         raise BiorthError("ansatz normalization vanishes")
-    probs = tuple(w / total for w in weights)
+    # weight / total, with the scale cancelled: one gcd per state
+    probs = tuple(Fraction(w, weight_sum) for w in weights)
     return StationaryDistribution(length=length, probabilities=probs, normalization=total)
 
 
@@ -415,9 +455,13 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     oracle = certify_stationary(length, rates, dists.values())
     rows = []
     for variant in variants:
-        gap = None if oracle is None else max(
-            abs(x - y) for x, y in zip(dists[variant].probabilities, oracle.probabilities)
-        )
+        probs = dists[variant].probabilities
+        if oracle is None:
+            gap = None
+        elif probs == oracle.probabilities:
+            gap = Fraction(0)
+        else:
+            gap = max(abs(x - y) for x, y in zip(probs, oracle.probabilities))
         rows.append(VariantComparison(variant, matches_oracle=(gap == 0), max_abs_discrepancy=gap))
     return ComparisonReport(
         params=p, rates=rates, length=length, variants=tuple(rows), oracle=oracle

@@ -18,7 +18,12 @@ entries above the diagonal of the fill direction: column j is filled down
 to row 2n - j.
 
 The column fill is the shared :class:`BimomentTable`, cached per parameter
-set and grown in place, so every checker in a process reads one table.  The
+set and grown in place, so every checker in a process reads one table.  It
+keeps its boundary column, boundary row and step coefficients and extends
+them from the stored depth (``_extend_boundary`` is the boundary step
+:func:`boundary_column` runs too), so a table grown one order at a time
+computes each boundary entry and step once, as one growth to the final
+order does.  The
 row fill is coded separately: derived from the swapped column fill, the
 agreement of the two fills would only repeat :func:`check_transpose_symmetry`.
 
@@ -44,6 +49,24 @@ from .core import AWParams, InvalidParams, SingularParams, format_rational
 _FILLS = ("columns", "rows")
 
 
+def _extend_boundary(p: AWParams, out: list[Fraction], depth: int) -> None:
+    """Extend the boundary column ``out`` of p, which holds B[0][0] ..
+    B[len(out) - 1][0], down to depth (nothing when it is that deep)."""
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    bd = b * d
+    abcd = p.abcd
+    for i in range(len(out), depth + 1):
+        qi = q ** (i - 1)
+        den = 1 - abcd * qi
+        if den == 0:
+            raise SingularParams(f"boundary column denominator vanishes at depth {i}")
+        (one_back, two_back, step_den), _ = _clear_denominators(
+            [(b + d) - bd * (a + c) * qi, -bd * (1 - qi), den]
+        )
+        prev, scale = _clear_denominators([out[i - 1], out[i - 2] if i >= 2 else 0])
+        out.append(Fraction(one_back * prev[0] + two_back * prev[1], step_den * scale))
+
+
 def boundary_column(p: AWParams, depth: int) -> list[Fraction]:
     """Moments of pure d-powers: [B[0][0], B[1][0], ..., B[depth][0]].
 
@@ -55,20 +78,8 @@ def boundary_column(p: AWParams, depth: int) -> list[Fraction]:
     """
     if depth < 0:
         raise InvalidParams(f"boundary depth must be >= 0, got {depth}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    bd = b * d
-    abcd = p.abcd
     out = [Fraction(1)]
-    for i in range(1, depth + 1):
-        qi = q ** (i - 1)
-        den = 1 - abcd * qi
-        if den == 0:
-            raise SingularParams(f"boundary column denominator vanishes at depth {i}")
-        (one_back, two_back, step_den), _ = _clear_denominators(
-            [(b + d) - bd * (a + c) * qi, -bd * (1 - qi), den]
-        )
-        prev, scale = _clear_denominators([out[i - 1], out[i - 2] if i >= 2 else 0])
-        out.append(Fraction(one_back * prev[0] + two_back * prev[1], step_den * scale))
+    _extend_boundary(p, out, depth)
     return out
 
 
@@ -79,13 +90,21 @@ def boundary_row(p: AWParams, depth: int) -> list[Fraction]:
 
 
 class BimomentTable:
-    """Growable trapezoidal store of exact bimoment values for one p."""
+    """Growable trapezoidal store of exact bimoment values for one p, with
+    its boundary column, boundary row and step coefficients, each extended
+    from its stored depth."""
 
     def __init__(self, params: AWParams):
         self.params = params
+        self._swapped = params.swap_ab_cd()
         self._entries: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
         self._order = 0
         self._col_depth = {0: 0}
+        self._col0 = [Fraction(1)]
+        self._row0 = [Fraction(1)]
+        # _steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
+        # (i-1, j-1), (i, j-1), (i+1, j-1) as integers, then their scale
+        self._steps = [None]
 
     @property
     def order(self) -> int:
@@ -98,30 +117,29 @@ class BimomentTable:
         if n <= self._order:
             return
         p = self.params
-        a, c, q = p.a, p.c, p.q
-        ac = a * c
         entries = self._entries
-
-        col0 = boundary_column(p, 2 * n)
-        for i, value in enumerate(col0):
-            entries[(i, 0)] = value
-        self._col_depth[0] = 2 * n
-
-        # steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
-        # (i-1, j-1), (i, j-1), (i+1, j-1), as integers over one scale
-        steps = [None]
-        qi = q
-        for _ in range(1, 2 * n):
-            steps.append(_clear_denominators([1 - qi, (a + c) * qi, -ac * qi]))
+        col0, row0, steps = self._col0, self._row0, self._steps
+        # both boundaries first: a vanishing denominator raises before
+        # anything of order n is stored
+        _extend_boundary(p, col0, 2 * n)
+        _extend_boundary(self._swapped, row0, n)
+        q = p.q
+        a_plus_c, ac = p.a + p.c, p.a * p.c
+        qi = q ** len(steps)
+        for _ in range(len(steps), 2 * n):
+            coeffs, step_scale = _clear_denominators([1 - qi, a_plus_c * qi, -ac * qi])
+            steps.append((*coeffs, step_scale))
             qi *= q
 
-        row0 = boundary_row(p, n)
+        for i in range(self._col_depth[0] + 1, 2 * n + 1):
+            entries[(i, 0)] = col0[i]
+        self._col_depth[0] = 2 * n
         for j in range(1, n + 1):
             entries[(0, j)] = row0[j]
             depth = 2 * n - j
             start = self._col_depth.get(j, 0) + 1
             for i in range(start, depth + 1):
-                (left, mid, down), step_scale = steps[i]
+                left, mid, down, step_scale = steps[i]
                 (x, y, z), scale = _clear_denominators(
                     (entries[(i - 1, j - 1)], entries[(i, j - 1)], entries[(i + 1, j - 1)])
                 )

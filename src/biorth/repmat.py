@@ -25,9 +25,11 @@ recurrence can be validated against an independent construction.
 :meth:`TridiagonalOperator.matvec` is an integer kernel (see ``_linalg``):
 each band row is cleared of denominators once per operator, each output
 component clears the three input components it reads, and each output
-component is one Fraction.  The band walks of ``ldu.build_L``,
-:func:`jacobi_moments` and the ``asep`` transfer weights all run on it;
-:func:`monic_recurrence` follows the same rule.
+component is one Fraction.  The band walks of ``ldu.build_L`` and
+:func:`jacobi_moments` run on it; :func:`monic_recurrence` follows the
+same rule.  The ``asep`` transfer weights do not: that walk is short and
+wide, so it clears both site operators' bands over one walk-wide scale
+and stays on integers to the end (see ``_linalg``).
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from .core import (
     InvalidParams,
     ShapeError,
     UnsupportedQ,
-    _powers,
     as_rational,
 )
 from .reporting import VerificationReport
@@ -177,7 +176,26 @@ def _split_normal(word: str) -> tuple[int, int]:
 Form = tuple[dict[tuple[int, int], int], int]
 
 
-def _times_letter(form: Form, const, d_coeff, e_coeff, q) -> Form:
+class _QPowers:
+    """t^0, t^1, ... and s^0, s^1, ... for q = t/s, one list each, grown to
+    the largest exponent asked for; a batch at one q shares one."""
+
+    __slots__ = ("t", "s", "tp", "sp")
+
+    def __init__(self, q: Fraction):
+        self.t, self.s = q.numerator, q.denominator
+        self.tp, self.sp = [1], [1]
+
+    def upto(self, top: int) -> tuple[list[int], list[int]]:
+        """The two lists, holding at least the exponents 0 .. top."""
+        tp, sp = self.tp, self.sp
+        while len(tp) <= top:
+            tp.append(tp[-1] * self.t)
+            sp.append(sp[-1] * self.s)
+        return tp, sp
+
+
+def _times_letter(form: Form, const, d_coeff, e_coeff, q, powers: _QPowers | None = None) -> Form:
     """The normal form (ints, scale) times the letter
     const + d_coeff d + e_coeff e, normal ordered again by
 
@@ -191,8 +209,9 @@ def _times_letter(form: Form, const, d_coeff, e_coeff, q) -> Form:
     denominators once (an integer one, the word route's bare d and e, needs
     no clearing, and a bare e only re-keys the terms), and when it has a d
     part, with q = t/s and J the largest j, q^(-j) = s^j t^(J-j) / t^J puts
-    every moved term over the one scale t^J.  No Fraction is built: the
-    result is again (ints, scale).
+    every moved term over the one scale t^J, read from ``powers`` (the
+    powers of q's numerator and denominator; built here when None).  No
+    Fraction is built: the result is again (ints, scale).
     """
     ints, scale = form
     if type(const) is int and type(d_coeff) is int and type(e_coeff) is int:
@@ -203,8 +222,9 @@ def _times_letter(form: Form, const, d_coeff, e_coeff, q) -> Form:
         (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
     if d_coeff:
         top = max((j for _, j in ints), default=0)
-        tp = _powers(q.numerator, top + 1)
-        sp = _powers(q.denominator, top + 1)
+        if powers is None:
+            powers = _QPowers(q)
+        tp, sp = powers.upto(top)
         t_top = tp[top]
         moved_by = [d_coeff * sp[j] * tp[top - j] for j in range(top + 1)]  # d q^(-j) t^J
     else:
@@ -248,21 +268,25 @@ _NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
 _WARM_STEP = 256
 
 
-def _normal_order_word(word: str, q: Fraction) -> Form:
+def _normal_order_word(word: str, q: Fraction, powers: _QPowers | None = None) -> Form:
     """Normal form (ints, scale) of ``word``: the memoised form of
-    ``word[:-1]`` times the last letter."""
+    ``word[:-1]`` times the last letter.  A miss reads q's powers from
+    ``powers`` (built here when None), shared down the prefix chain."""
     t, s = q.numerator, q.denominator
     key = (word, t, s)
     cached = _NORMAL_CACHE.get(key)
     if cached is not None:
         _NORMAL_CACHE.move_to_end(key)
         return cached
+    if powers is None:
+        powers = _QPowers(q)
     if len(word) > _WARM_STEP and (word[:-_WARM_STEP], t, s) not in _NORMAL_CACHE:
         for cut in range(_WARM_STEP, len(word), _WARM_STEP):
-            _normal_order_word(word[:cut], q)
+            _normal_order_word(word[:cut], q, powers)
     if word:
         d_coeff = 1 if word[-1] == "d" else 0
-        result = _times_letter(_normal_order_word(word[:-1], q), 0, d_coeff, 1 - d_coeff, q)
+        prefix = _normal_order_word(word[:-1], q, powers)
+        result = _times_letter(prefix, 0, d_coeff, 1 - d_coeff, q, powers)
     else:
         result = {(0, 0): 1}, 1
     _NORMAL_CACHE[key] = result
@@ -271,16 +295,17 @@ def _normal_order_word(word: str, q: Fraction) -> Form:
     return result
 
 
-def _normal_form(terms, q: Fraction, forms: dict[str, Form]) -> Form:
+def _normal_form(terms, q: Fraction, forms: dict[str, Form], powers: _QPowers) -> Form:
     """(ints, scale) of the word polynomial ``terms`` ({word: coeff}): its
     coefficients cleared once, and each word's form, from ``forms`` or on a
-    miss from the memo, brought to the lcm of the word scales."""
+    miss from the memo (filled with q's ``powers``), brought to the lcm of
+    the word scales."""
     coeffs, coeff_scale = _clear_denominators(terms.values())
     word_forms = []
     for word in terms:
         form = forms.get(word)
         if form is None:
-            form = forms[word] = _normal_order_word(parse_word(word), q)
+            form = forms[word] = _normal_order_word(parse_word(word), q, powers)
         word_forms.append(form)
     scale = lcm(*(word_scale for _, word_scale in word_forms))
     out: dict[tuple[int, int], int] = {}
@@ -297,7 +322,7 @@ def normal_order(wp: WordPoly, q) -> WordPoly:
     q = as_rational(q)
     if q == 0:
         raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
-    coeffs = _fractions(_normal_form(wp.terms, q, {}))
+    coeffs = _fractions(_normal_form(wp.terms, q, {}, _QPowers(q)))
     return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in coeffs.items()})
 
 
@@ -325,14 +350,17 @@ def functional_values(polys, p: AWParams) -> list[Fraction]:
     coefficients; a zero one adds nothing): normal order, then sum moments.
 
     One batch at one point: the moment table is looked up and q read once,
-    each distinct word is normal ordered once (through the memo), each
-    polynomial is merged on integers, and each moment the batch reads is
-    cleared once.  The stores of word forms and moments live only as long
-    as the call.
+    each distinct word is normal ordered once (through the memo, whose
+    misses read one list of q's powers), each polynomial is merged on
+    integers, and each moment the batch reads is cleared once.  The stores
+    of word forms, powers and moments live only as long as the call.
     """
     q = p.q
     forms: dict[str, Form] = {}
-    return _moment_sums(bimoment_table(p), [_normal_form(poly, q, forms) for poly in polys])
+    powers = _QPowers(q)
+    return _moment_sums(
+        bimoment_table(p), [_normal_form(poly, q, forms, powers) for poly in polys]
+    )
 
 
 def functional(wp: WordPoly, p: AWParams) -> Fraction:
@@ -347,8 +375,9 @@ def _power_form(const, weight, length: int, q) -> Form:
     if length < 0:
         raise InvalidParams(f"power must be >= 0, got {length}")
     form = {(0, 0): 1}, 1
+    powers = _QPowers(q)
     for _ in range(length):
-        form = _times_letter(form, const, weight, weight, q)
+        form = _times_letter(form, const, weight, weight, q, powers)
     return form
 
 

@@ -115,21 +115,53 @@ def _word_route(length, p, variant):
     return [ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)]
 
 
+def _weights(length, empty, occupied):
+    ints, scale = _transfer_weights(length, empty, occupied)
+    return [F(w, scale) for w in ints]
+
+
 def test_transfer_weights_equal_word_route(grid, canonical):
     cases = [(p, length) for p in grid for length in range(1, 7)]
     cases += [(canonical, 7), (canonical, 8)]
     for p, length in cases:
         for variant in VARIANTS:
             empty, occupied = _site_operators(p, _representation(p, length), variant)
-            assert _transfer_weights(length, empty, occupied) == _word_route(
+            assert _weights(length, empty, occupied) == _word_route(
                 length, p, variant
             )
 
 
+def reference_transfer_weights(length, empty, occupied):
+    """The Fraction walk the integer walk replaced: one ``matvec`` per
+    operator and suffix vector, one Fraction per level, state and step."""
+    vectors = [[F(1)]]
+    for k in range(1, length + 1):
+        levels = min(k, length - k) + 1
+        vectors = [op.matvec(v, levels) for op in (empty, occupied) for v in vectors]
+    return [v[0] for v in vectors]
+
+
+# the costliest GRID point: the largest operands of the transfer walk
+COSTLIEST = ("3/2", "3/4", "-1/6", "-1/8", "2/5")
+
+
+def test_integer_walk_equals_the_fraction_walk(grid):
+    points = grid + [make_params(point) for point in SINGULAR_REP + REGULAR_REP]
+    cases = [(p, length) for p in points for length in range(1, 9)]
+    cases.append((make_params(COSTLIEST), 12))
+    for p, length in cases:
+        for variant in VARIANTS:
+            empty, occupied = _site_operators(p, _representation(p, length), variant)
+            ints, scale = _transfer_weights(length, empty, occupied)
+            assert all(type(w) is int for w in ints) and type(scale) is int
+            expected = reference_transfer_weights(length, empty, occupied)
+            assert [F(w, scale) for w in ints] == expected, (p, length, variant)
+
+
 def test_normalization_checks_the_weights_against_the_word_route(canonical, monkeypatch):
     def off_by_one(length, empty, occupied):
-        weights = _transfer_weights(length, empty, occupied)
-        return [weights[0] + 1] + weights[1:]
+        weights, scale = _transfer_weights(length, empty, occupied)
+        return [weights[0] + scale] + weights[1:], scale
 
     monkeypatch.setattr(asep, "_transfer_weights", off_by_one)
     with pytest.raises(BiorthError, match="normalization mismatch"):
@@ -239,8 +271,8 @@ def test_certified_oracle_past_the_old_guard(canonical):
 def test_wrong_ansatz_has_no_oracle(canonical, monkeypatch, capsys):
     def swapped_ends(length, empty, occupied):
         # same sum, so the normalization check passes; wrong distribution
-        weights = _transfer_weights(length, empty, occupied)
-        return [weights[-1]] + weights[1:-1] + [weights[0]]
+        weights, scale = _transfer_weights(length, empty, occupied)
+        return [weights[-1]] + weights[1:-1] + [weights[0]], scale
 
     monkeypatch.setattr(asep, "_transfer_weights", swapped_ends)
     monkeypatch.setattr(asep, "stationary_exact", _refuse_dense_solve)

@@ -274,6 +274,45 @@ def test_column_fill_matches_fraction_recurrence(grid):
         assert grown.stored_items() == reference_table(p, [5, 26]) == expected
 
 
+def test_table_grown_one_order_at_a_time_equals_one_growth(grid):
+    for p in grid:
+        once = BimomentTable(p)
+        once.ensure(26)
+        stepped = BimomentTable(p)
+        for n in range(1, 27):
+            stepped.ensure(n)
+            assert stepped.order == n
+        assert stepped.stored_items() == once.stored_items()
+
+
+# abcd q = 1 and abcd q^6 = 1: the boundary denominator vanishes at depth 2 and 7
+@pytest.mark.parametrize("point", [("2", "1", "1", "1", "1/2"), ("8", "4", "2", "1", "1/2")])
+def test_table_growth_across_a_vanishing_boundary_denominator(point):
+    p = make_params(point)
+    # the first depth whose boundary denominator 1 - abcd q^(depth-1) vanishes
+    depth = next(i for i in range(1, 60) if p.abcd * p.q ** (i - 1) == 1)
+    with pytest.raises(SingularParams) as column_error:
+        boundary_column(p, depth)
+    served = (depth - 1) // 2  # the largest order whose column depth 2n precedes it
+    table = BimomentTable(p)
+    for n in range(1, served + 1):
+        table.ensure(n)
+    with pytest.raises(SingularParams) as table_error:
+        table.ensure(served + 1)
+    assert str(table_error.value) == str(column_error.value)
+    assert str(column_error.value).endswith(f"at depth {depth}")
+    assert table.order == served
+    # smaller orders are still served, and equal the Fraction reference
+    expected = reference_table(p, range(1, served + 1))
+    assert table.stored_items() == expected
+    assert table.block(served) == [
+        [expected[(i, j)] for j in range(served + 1)] for i in range(served + 1)
+    ]
+    with pytest.raises(SingularParams) as again:
+        table.ensure(served + 2)
+    assert str(again.value) == str(column_error.value)
+
+
 def test_row_fill_matches_fraction_recurrence(grid):
     for p in grid:
         assert _block_by_rows(p, 17) == reference_block_by_rows(p, 17)
