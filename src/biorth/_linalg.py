@@ -5,49 +5,53 @@ is done on plain integers.  ``Fraction`` reduces by a gcd after every
 ``+`` and ``*``; clearing denominators once per row (or column) and
 reducing once per result avoids those gcds in the inner loops.
 
-The kernel rule, here and in every hot three-term recurrence of the
-package: clear the recurrence's rational coefficients to integers with one
-scale per row or step (outside the entry loop), clear the values an entry
-reads of denominators with ``_clear_denominators`` (their lcm is the
-scale; the helper lives in ``core``, whose sweeps use it too), combine
-them in plain ``int`` arithmetic, and build exactly one Fraction per
-produced entry.  A three-term recurrence clears the three
-neighbours of each entry, not a whole column: down a moment-table column
-the denominators grow from about 100 to 10,000 bits (order 48), so one
+The kernel rule, here and in every hot recurrence of the package: clear
+the recurrence's rational coefficients to integers with one scale per row
+or step, outside the entry loop (``_clear_denominators``, which lives in
+``core``, whose sweeps use it too); clear the values an entry reads over
+the lcm of their denominators; combine them in plain ``int`` arithmetic;
+build exactly one Fraction per produced entry.
+
+Every tridiagonal recurrence is one three-term step, and ``three_term`` is
+its one kernel: it takes cleared steps ((u, v, w), scale) and the triples
+(x, y, z) they read, pairwise, clears each triple once and returns one
+Fraction per entry.  Its callers keep their own coefficients: the moment
+table's column fill (``bimoment.BimomentTable``: column j is the step band
+applied to column j-1) and, as a separate route, the row fill
+(``bimoment._block_by_rows``); ``repmat.TridiagonalOperator.matvec``, on
+which the band walks of ``ldu.build_L`` (row n of L is <e0| d^n) and
+``repmat.jacobi_moments`` run; ``repmat.monic_recurrence`` (the P/Q and T
+polynomials); and ``ldu.build_L_inverse``, which keeps its own recurrence
+so that L L^-1 = I stays a check.  The kernel clears the three neighbours
+of each entry, not a whole column: down a moment-table column the
+denominators grow from about 100 to 10,000 bits (order 48), so one
 column-wide scale would bring every entry up to the largest and make each
-final reduction a gcd at that size.  Besides ``mat_mul`` and ``lu_pivots``
-below, the rule is followed by the moment table's column
-fill, the row fill and the boundary column (``bimoment``),
-``TridiagonalOperator.matvec`` and ``monic_recurrence`` (``repmat``; the
-band walks of ``ldu.build_L`` and ``jacobi_moments`` run on ``matvec``),
-``ldu.build_L_inverse``, the row sums
-of ``asep.generator``, the residual of ``asep.certify_stationary`` and the
-moment sums ``wordfun._moment_sums`` (one integer dot product per normal
-form; a batch clears each moment it reads once, over one scale, which
-costs little because the table's denominators nearly divide one another:
-over orders i + j <= 40 at the costliest GRID point their lcm has 1,923
-bits, the largest 1,838).  The word route goes further: a normal form is
-integer coefficients over one integer scale all along it, so the
-normal-ordering step ``wordfun._times_letter`` builds no Fraction (a d
-letter multiplies the scale by t^J for q^-j, 0 <= j <= J, q = t/s), and
-Fractions are built only where a public function returns.  The ``asep``
-transfer walk goes as far: both site operators' bands are cleared once,
-over one scale S, so every suffix vector is plain integers (S^k times its
-value after k steps) and each probability is one Fraction.  That scale
-is walk-wide, which is safe there and not in the deep walks.  The
-transfer walk is at most 12 steps (``asep._GENERATOR_LIMIT``) over bands
-of at most 7 levels, and its cost is the count of its 2^(L+1) - 2 steps:
-its integers grow by S per step (at L = 12 at the costliest GRID point S
-has 280 bits, and they reach 3.4k bits, against 214 reduced) and still
-win, because no step pays a gcd.  ``build_L`` and
-``jacobi_moments`` walk tens to hundreds of levels, where a scale shared
-along the walk would multiply in at every step, and where a vector-wide
-scale already measured slower than ``matvec``'s per-entry clearing.  The
+final reduction a gcd at that size.
+
+Two recurrences stay outside the kernel.  The boundary column
+(``bimoment._extend_boundary``) is a two-term feedback recurrence: each
+step reads the two entries it has just produced and yields one.  The
+``asep`` transfer walk clears both site operators' bands over one
+walk-wide scale S and stays on integers to the end.  It is at most 12
+steps (``asep._GENERATOR_LIMIT``) over bands of at most 7 levels, so its
+integers (3.4k bits at L = 12 at the costliest GRID point, against 214
+reduced) still win, because no step pays a gcd; ``build_L`` and
+``jacobi_moments`` walk tens to hundreds of levels, where S would
+multiply in at every step, and a vector-wide scale already measured
+slower there than the per-entry clearing.
+
+The rule also covers the row sums of ``asep.generator``, the residual of
+``asep.certify_stationary``, the moment sums ``wordfun._moment_sums`` (a
+batch clears each moment it reads once, over one scale: the table's
+denominators nearly divide one another, so over orders i + j <= 40 at the
+costliest GRID point their lcm has 1,923 bits, the largest 1,838) and the
 closed-form sweeps ``core.g_sweep``, ``core.d_natural_sweep`` and
-``repmat.aw_sweep`` follow it per level: their constants are cleared once,
-q = t/s is read through integer powers of t and s, and each coefficient is
-one Fraction.  The helper is the only code these share; each recurrence
-keeps its own coefficients.
+``repmat.aw_sweep`` (q = t/s read through integer powers of t and s).  The
+word route goes further: a normal form is integer coefficients over one
+integer scale all along it, so ``wordfun._times_letter`` builds no
+Fraction (a d letter multiplies the scale by t^J for q^-j, 0 <= j <= J),
+and Fractions are built only where a public function returns.  The dense
+routines:
 
 * ``mat_mul`` scales each row of the left factor and each column of the
   right factor by the lcm of its denominators, takes integer dot products
@@ -76,6 +80,20 @@ from math import lcm
 from operator import mul
 
 from .core import BiorthError, _clear_denominators
+
+
+def three_term(steps, triples) -> list[Fraction]:
+    """(u x + v y + w z) / scale for each cleared step ((u, v, w), scale)
+    and the triple (x, y, z) of rationals it reads, paired in order: the
+    triple is cleared over the lcm of its denominators (inline, as the
+    innermost loop of every tridiagonal recurrence), one Fraction each."""
+    out = []
+    for ((u, v, w), step_scale), (x, y, z) in zip(steps, triples):
+        xd, yd, zd = x.denominator, y.denominator, z.denominator
+        scale = lcm(xd, yd, zd)
+        num = u * x.numerator * (scale // xd) + v * y.numerator * (scale // yd)
+        out.append(Fraction(num + w * z.numerator * (scale // zd), step_scale * scale))
+    return out
 
 
 def _spanned(vec):

@@ -19,20 +19,23 @@ to row 2n - j.
 
 The column fill is the shared :class:`BimomentTable`, cached per parameter
 set and grown in place, so every checker in a process reads one table.  It
-keeps its boundary column, boundary row and step coefficients and extends
-them from the stored depth (``_extend_boundary`` is the boundary step
+stores column j as a list down to row 2n - j, with the boundary column as
+column 0, and keeps the boundary row and the step coefficients; each is
+extended from its stored depth (``_extend_boundary`` is the boundary step
 :func:`boundary_column` runs too), so a table grown one order at a time
-computes each boundary entry and step once, as one growth to the final
-order does.  The
-row fill is coded separately: derived from the swapped column fill, the
-agreement of the two fills would only repeat :func:`check_transpose_symmetry`.
+computes each entry and step once, as one growth to the final order does.
+The row fill is coded separately: derived from the swapped column fill,
+the agreement of the two fills would only repeat
+:func:`check_transpose_symmetry`.
 
-All three recurrences run on integer kernels (see ``_linalg``): the column
-fill clears its step coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per
-growth and, for each entry, the three entries of column j-1 it reads; the
-row fill does the same on row i-1 with its own (b, d) coefficients; the
-boundary column clears its step and its two previous entries.  Each entry
-is then one integer combination and one Fraction.
+All three recurrences run on integer kernels (see ``_linalg``).  Both bulk
+fills are one band step on the previous column or row, through the shared
+three-term kernel ``_linalg.three_term``: the column fill clears its step
+coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per table and the row fill
+its own (b, d) coefficients once per block, and the kernel clears the
+three entries each new entry reads.  The boundary column feeds back on the
+two entries it has just produced, so it clears its step and those two
+entries itself.  Each entry is one integer combination and one Fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import _clear_denominators
+from ._linalg import _clear_denominators, three_term
 from .core import AWParams, InvalidParams, SingularParams, format_rational
 
 _FILLS = ("columns", "rows")
@@ -90,20 +93,22 @@ def boundary_row(p: AWParams, depth: int) -> list[Fraction]:
 
 
 class BimomentTable:
-    """Growable trapezoidal store of exact bimoment values for one p, with
-    its boundary column, boundary row and step coefficients, each extended
-    from its stored depth."""
+    """Growable trapezoidal store of exact bimoment values for one p.
+
+    Column j is a list B[0][j] .. B[2 order - j][j], and column 0 is the
+    boundary column; a growth extends each column in place, by one band
+    step on column j - 1.  The boundary row and the step coefficients are
+    kept too, each extended from its stored depth.  A growth that raises
+    leaves the stored trapezoid as it was."""
 
     def __init__(self, params: AWParams):
         self.params = params
         self._swapped = params.swap_ab_cd()
-        self._entries: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-        self._order = 0
-        self._col_depth = {0: 0}
-        self._col0 = [Fraction(1)]
+        self._cols = [[Fraction(1)]]
         self._row0 = [Fraction(1)]
+        self._order = 0
         # _steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
-        # (i-1, j-1), (i, j-1), (i+1, j-1) as integers, then their scale
+        # (i-1, j-1), (i, j-1), (i+1, j-1), cleared to integers over a scale
         self._steps = [None]
 
     @property
@@ -117,52 +122,45 @@ class BimomentTable:
         if n <= self._order:
             return
         p = self.params
-        entries = self._entries
-        col0, row0, steps = self._col0, self._row0, self._steps
-        # both boundaries first: a vanishing denominator raises before
-        # anything of order n is stored
-        _extend_boundary(p, col0, 2 * n)
-        _extend_boundary(self._swapped, row0, n)
+        cols, row0, steps = self._cols, self._row0, self._steps
+        # both boundaries first: where a denominator vanishes, column 0 is
+        # cut back to its stored depth before anything else grows
+        col0 = cols[0]
+        try:
+            _extend_boundary(p, col0, 2 * n)
+            _extend_boundary(self._swapped, row0, n)
+        except SingularParams:
+            del col0[2 * self._order + 1 :]
+            raise
         q = p.q
         a_plus_c, ac = p.a + p.c, p.a * p.c
         qi = q ** len(steps)
         for _ in range(len(steps), 2 * n):
-            coeffs, step_scale = _clear_denominators([1 - qi, a_plus_c * qi, -ac * qi])
-            steps.append((*coeffs, step_scale))
+            steps.append(_clear_denominators([1 - qi, a_plus_c * qi, -ac * qi]))
             qi *= q
-
-        for i in range(self._col_depth[0] + 1, 2 * n + 1):
-            entries[(i, 0)] = col0[i]
-        self._col_depth[0] = 2 * n
         for j in range(1, n + 1):
-            entries[(0, j)] = row0[j]
-            depth = 2 * n - j
-            start = self._col_depth.get(j, 0) + 1
-            for i in range(start, depth + 1):
-                left, mid, down, step_scale = steps[i]
-                (x, y, z), scale = _clear_denominators(
-                    (entries[(i - 1, j - 1)], entries[(i, j - 1)], entries[(i + 1, j - 1)])
-                )
-                entries[(i, j)] = Fraction(left * x + mid * y + down * z, step_scale * scale)
-            self._col_depth[j] = depth
+            if j == len(cols):
+                cols.append([row0[j]])
+            col, prev = cols[j], cols[j - 1]
+            start = len(col)
+            triples = zip(prev[start - 1 :], prev[start:], prev[start + 1 :])
+            col += three_term(steps[start : 2 * n - j + 1], triples)
         self._order = n
 
     def entry(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
             raise InvalidParams(f"indices must be >= 0, got ({i}, {j})")
-        key = (i, j)
-        value = self._entries.get(key)
-        if value is None:
+        cols = self._cols
+        if j >= len(cols) or i >= len(cols[j]):
             self.ensure(max(j, (i + j + 1) // 2))
-            value = self._entries[key]
-        return value
+        return cols[j][i]
 
     def block(self, n: int) -> list[list[Fraction]]:
         self.ensure(n)
-        return [[self._entries[(i, j)] for j in range(n + 1)] for i in range(n + 1)]
+        return [list(row) for row in zip(*(col[: n + 1] for col in self._cols[: n + 1]))]
 
     def stored_items(self):
-        return dict(self._entries)
+        return {(i, j): value for j, col in enumerate(self._cols) for i, value in enumerate(col)}
 
 
 # Tables kept at once, least recently used first out.  A benchmark round
@@ -215,9 +213,9 @@ class BimomentMatrix:
 def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     b, d, q = p.b, p.d, p.q
     bd = b * d
-    # coeffs[j]: the coefficients (1 - q^j, (b + d) q^j, -bd q^j) of
-    # (i-1, j-1), (i-1, j), (i-1, j+1), as integers over one scale
-    coeffs = [None]
+    # coeffs[j - 1]: the coefficients (1 - q^j, (b + d) q^j, -bd q^j) of
+    # (i-1, j-1), (i-1, j), (i-1, j+1), cleared to integers over a scale
+    coeffs = []
     qj = q
     for _ in range(1, 2 * n):
         coeffs.append(_clear_denominators([1 - qj, (b + d) * qj, -bd * qj]))
@@ -225,16 +223,9 @@ def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     row = boundary_row(p, 2 * n)
     col0 = boundary_column(p, n)
     rows = [row[: n + 1]]
-    prev = row
     for i in range(1, n + 1):
-        depth = 2 * n - i
-        cur = [col0[i]]
-        for j in range(1, depth + 1):
-            (left, mid, right), coeff_scale = coeffs[j]
-            (x, y, z), scale = _clear_denominators(prev[j - 1 : j + 2])
-            cur.append(Fraction(left * x + mid * y + right * z, coeff_scale * scale))
-        rows.append(cur[: n + 1])
-        prev = cur
+        row = [col0[i], *three_term(coeffs[: 2 * n - i], zip(row, row[1:], row[2:]))]
+        rows.append(row[: n + 1])
     return rows
 
 

@@ -21,10 +21,11 @@ product, and the signed product of the pivots of a left-looking L U
 elimination of the block itself (``_linalg.lu_pivots``), which reads
 nothing but the moment table.
 
-Both triangular recurrences run on integer kernels (see ``_linalg``): L on
-``TridiagonalOperator.matvec``; L^{-1} clears its step coefficients once
-per row and the three entries of rows i-1 and i-2 each entry reads, and
-forms one Fraction per entry.  D is the running product of one g sweep.
+Both triangular recurrences run on the shared three-term kernel
+``_linalg.three_term``: L through ``TridiagonalOperator.matvec``; L^{-1}
+clears its own step coefficients once per row, and the kernel clears the
+three entries of rows i-1 and i-2 each entry reads and forms one Fraction
+per entry.  D is the running product of one g sweep.
 The closed form extends its q-Pochhammer products from i-1 to i, O(n)
 factor updates in all.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import prod
 
 from . import _linalg, repmat
@@ -113,18 +115,15 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
     q = p.q
     dnat = d_natural_sweep(p, n)
     g = g_sweep(p, n - 1)
-    m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    m[0][0] = Fraction(1)
+    zero = Fraction(0)
+    m = [[Fraction(1)] + [zero] * n]
     for i in range(1, n + 1):
         two_back = bd * q ** (i - 2) * g[i - 2] if i >= 2 else 0
-        (shift, here, back), step_scale = _linalg._clear_denominators(
-            [1, -dnat[i - 1], two_back]
-        )
+        step = _linalg._clear_denominators([1, -dnat[i - 1], two_back])
         last = [0, *m[i - 1]]  # last[j] is Linv[i-1][j-1]
         before = m[i - 2] if i >= 2 else [0] * (n + 1)  # before[j] is Linv[i-2][j]
-        for j in range(i + 1):
-            (x, y, z), scale = _linalg._clear_denominators((last[j], last[j + 1], before[j]))
-            m[i][j] = Fraction(shift * x + here * y + back * z, step_scale * scale)
+        row = _linalg.three_term(repeat(step, i + 1), zip(last, last[1:], before))
+        m.append(row + [zero] * (n - i))
     return TriangularFactor(n, tuple(tuple(r) for r in m))
 
 

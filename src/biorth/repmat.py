@@ -22,14 +22,15 @@ recurrence route share :func:`monic_recurrence`.  ``aw_eval`` evaluates the
 family through its terminating basic hypergeometric series so the
 recurrence can be validated against an independent construction.
 
-:meth:`TridiagonalOperator.matvec` is an integer kernel (see ``_linalg``):
-each band row is cleared of denominators once per operator, each output
-component clears the three input components it reads, and each output
-component is one Fraction.  The band walks of ``ldu.build_L`` and
-:func:`jacobi_moments` run on it; :func:`monic_recurrence` follows the
-same rule.  The ``asep`` transfer weights do not: that walk is short and
-wide, so it clears both site operators' bands over one walk-wide scale
-and stays on integers to the end (see ``_linalg``).
+:meth:`TridiagonalOperator.matvec` and :func:`monic_recurrence` are
+three-term steps on the shared integer kernel ``_linalg.three_term``:
+matvec clears each band row of denominators once per operator and
+monic_recurrence its step once per degree, the kernel clears the three
+values each output entry reads, and each entry is one Fraction.  The band
+walks of ``ldu.build_L`` and :func:`jacobi_moments` run on matvec.  The
+``asep`` transfer weights do not: that walk is short and wide, so it
+clears both site operators' bands over one walk-wide scale and stays on
+integers to the end (see ``_linalg``).
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
-from ._linalg import _clear_denominators
+from ._linalg import _clear_denominators, three_term
 from .core import (
     AWParams,
     InvalidParams,
@@ -46,6 +48,7 @@ from .core import (
     SingularParams,
     SizeLimit,
     ZeroParameter,
+    _powers,
     as_rational,
     d_natural,
     d_natural_sweep,
@@ -95,16 +98,12 @@ class TridiagonalOperator:
         column vector vec.  vec may be shorter than size; its missing
         components are zero.
 
-        Output component i clears the three components it reads of
-        denominators and combines them with the integer band row i: one
-        Fraction per component."""
+        Output component i is the three-term step of the integer band
+        row i on the three components it reads: one Fraction per
+        component."""
         # padded[i + 1] is component i; zeros beyond both ends
         padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
-        out = []
-        for i, ((low, mid, up), row_scale) in enumerate(self._cleared_rows[:levels]):
-            (x, y, z), scale = _clear_denominators(padded[i : i + 3])
-            out.append(Fraction(low * x + mid * y + up * z, row_scale * scale))
-        return out
+        return three_term(self._cleared_rows[:levels], zip(padded, padded[1:], padded[2:]))
 
 
 @dataclass(frozen=True)
@@ -422,8 +421,7 @@ def aw_sweep(p: AWParams, stop: int, start: int = 0) -> list[AWRecurrenceCoeffs]
     )
     m, w = abcd.numerator, abcd.denominator
     t, s = p.q.numerator, p.q.denominator
-    tp = [t**k for k in range(4 * stop)]
-    sp = [s**k for k in range(4 * stop)]
+    tp, sp = _powers(t, 4 * stop), _powers(s, 4 * stop)
 
     def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
         return w * sp[k] - m * tp[k]
@@ -601,16 +599,10 @@ def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
     products."""
     seq = [(Fraction(1),)]
     for n, value in enumerate(diag):
-        (shift, here, back), step_scale = _clear_denominators(
-            [1, -value, -products[n - 1] if n else 0]
-        )
+        step = _clear_denominators([1, -value, -products[n - 1] if n else 0])
         cur = [0, *seq[-1], 0]  # cur[k] is the x^(k-1) coefficient of T_n
         before = [*(seq[-2] if n else ()), 0, 0]  # before[k] is the x^k coefficient of T_(n-1)
-        nxt = []
-        for k in range(n + 2):
-            (x, y, z), scale = _clear_denominators((cur[k], cur[k + 1], before[k]))
-            nxt.append(Fraction(shift * x + here * y + back * z, step_scale * scale))
-        seq.append(tuple(nxt))
+        seq.append(tuple(three_term(repeat(step, n + 2), zip(cur, cur[1:], before))))
     return tuple(seq)
 
 

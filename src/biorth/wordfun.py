@@ -261,38 +261,35 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
 _NORMAL_CACHE_MAX = 65536
 # Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
 _NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
-# A word whose cold prefix chain is longer than this has its prefixes filled
-# in steps of this many letters first, so the recursion below stays within
-# one step while the memo holds a step's entries (a 1,000-letter word would
-# otherwise pass the interpreter's recursion limit).
-_WARM_STEP = 256
 
 
 def _normal_order_word(word: str, q: Fraction, powers: _QPowers | None = None) -> Form:
-    """Normal form (ints, scale) of ``word``: the memoised form of
-    ``word[:-1]`` times the last letter.  A miss reads q's powers from
-    ``powers`` (built here when None), shared down the prefix chain."""
+    """Normal form (ints, scale) of ``word``: the form of its longest
+    memoised prefix times the remaining letters, one at a time, each longer
+    prefix memoised on the way.  A miss reads q's powers from ``powers``
+    (built here when None)."""
     t, s = q.numerator, q.denominator
-    key = (word, t, s)
-    cached = _NORMAL_CACHE.get(key)
-    if cached is not None:
-        _NORMAL_CACHE.move_to_end(key)
-        return cached
+    cache = _NORMAL_CACHE
+    cut = len(word)
+    while cut >= 0:
+        key = (word[:cut], t, s)
+        form = cache.get(key)
+        if form is not None:
+            cache.move_to_end(key)
+            break
+        cut -= 1
+    else:
+        form = {(0, 0): 1}, 1  # the empty word's
     if powers is None:
         powers = _QPowers(q)
-    if len(word) > _WARM_STEP and (word[:-_WARM_STEP], t, s) not in _NORMAL_CACHE:
-        for cut in range(_WARM_STEP, len(word), _WARM_STEP):
-            _normal_order_word(word[:cut], q, powers)
-    if word:
-        d_coeff = 1 if word[-1] == "d" else 0
-        prefix = _normal_order_word(word[:-1], q, powers)
-        result = _times_letter(prefix, 0, d_coeff, 1 - d_coeff, q, powers)
-    else:
-        result = {(0, 0): 1}, 1
-    _NORMAL_CACHE[key] = result
-    if len(_NORMAL_CACHE) > _NORMAL_CACHE_MAX:
-        _NORMAL_CACHE.popitem(last=False)
-    return result
+    for cut in range(cut + 1, len(word) + 1):
+        if cut:
+            d_coeff = 1 if word[cut - 1] == "d" else 0
+            form = _times_letter(form, 0, d_coeff, 1 - d_coeff, q, powers)
+        cache[word[:cut], t, s] = form
+        if len(cache) > _NORMAL_CACHE_MAX:
+            cache.popitem(last=False)
+    return form
 
 
 def _normal_form(terms, q: Fraction, forms: dict[str, Form], powers: _QPowers) -> Form:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, strategies as st
 
 from biorth import WordPoly, bimoment_block, bimoment_table, functional
-from biorth.bimoment import check_recurrences, check_transpose_symmetry
+from biorth.bimoment import BimomentTable, check_recurrences, check_transpose_symmetry
 
 from conftest import make_params
 
@@ -49,6 +49,24 @@ def test_table_auto_extends(i, j):
     table = bimoment_table(make_params(("1", "1/2", "-1/3", "-1/4", "1/2")))
     value = table.entry(i, j)  # must not raise regardless of fill order
     assert value == bimoment_block(table.params, max(i, j)).entry(i, j)
+
+
+def test_entry_grows_only_outside_the_stored_trapezoid(canonical):
+    for i, j in [(0, 0), (1, 0), (2, 0), (0, 3), (5, 0), (4, 3), (2, 6), (9, 2), (7, 7)]:
+        table = BimomentTable(canonical)
+        value = table.entry(i, j)
+        order = max(j, (i + j + 1) // 2)
+        assert table.order == order
+        once = BimomentTable(canonical)
+        once.ensure(order)
+        stored = once.stored_items()
+        assert table.stored_items() == stored
+        assert value == stored[(i, j)]
+        # the deepest entry of every stored column is served without growth
+        for col in range(order + 1):
+            assert table.entry(2 * order - col, col) == stored[(2 * order - col, col)]
+        assert table.order == order
+        assert table.stored_items() == stored
 
 
 def test_csv_and_json_shapes(canonical):

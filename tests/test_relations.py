@@ -112,7 +112,7 @@ def test_a_corrupted_moment_fails_both_routes_alike(canonical, monkeypatch):
     assert check_defining_relations(*args).passed
     table = bimoment_table(canonical)
     table.ensure(8)  # every entry words of length <= 2 * 3 + 2 read
-    monkeypatch.setitem(table._entries, (1, 0), table.entry(1, 0) + 1)
+    table._cols[0][1] = table.entry(1, 0) + 1
     got = outcome(check_defining_relations, *args)
     assert got == outcome(reference_check_defining_relations, *args)
     failed = {check["name"]: check["first_failure"] for check in got["checks"] if not check["pass"]}

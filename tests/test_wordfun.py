@@ -125,8 +125,9 @@ def test_normal_order_memoises_prefixes(canonical, monkeypatch):
 
 
 def test_thousand_letter_words_on_a_cold_memo(canonical, monkeypatch):
-    # a cold memo is filled in bounded steps, so the recursion depth stays
-    # below the interpreter's limit; the values match a memo warmed by hand
+    # a cold memo is filled one letter at a time, without recursion, so no
+    # word length meets the interpreter's limit; the values match a memo
+    # warmed by hand
     q = canonical.q
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
 
