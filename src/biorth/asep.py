@@ -56,7 +56,7 @@ from .core import (
     format_rational,
     to_rates,
 )
-from .repmat import rep_rational
+from .repmat import neighbours, rep_rational
 from .reporting import canonical_json, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
@@ -308,23 +308,17 @@ def _site_operators(p: AWParams, rep, variant: str):
 
 
 def _band_rows(op, scale: int) -> list[tuple[int, int, int]]:
-    """Row i of op's band, (lower[i-1], diag[i], upper[i]) with zeros past
-    the edges, times ``scale`` (a multiple of every band denominator)."""
-    zero = (0,)
-    return [
-        tuple(x.numerator * (scale // x.denominator) for x in row)
-        for row in zip(zero + op.lower, op.diag, op.upper + zero)
-    ]
+    """op's band rows times ``scale`` (a multiple of every band
+    denominator)."""
+    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in op.band_rows()]
 
 
 def _band_step(rows, vec: list[int], levels: int) -> list[int]:
     """The first ``levels`` components of the integer band ``rows`` applied
     to vec; vec's missing components are zero."""
-    # padded[i + 1] is component i; zeros beyond both ends
-    padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
     return [
-        low * padded[i] + mid * padded[i + 1] + up * padded[i + 2]
-        for i, (low, mid, up) in enumerate(rows[:levels])
+        low * x + mid * y + up * z
+        for (low, mid, up), (x, y, z) in zip(rows[:levels], neighbours(vec, levels))
     ]
 
 

@@ -143,17 +143,15 @@ def biorthogonality_check(p: AWParams, count: int) -> VerificationReport:
     pseq = polys_from_inverse(p, count, "d")
     qseq = polys_from_inverse(p, count, "e")
     lam = build_D(p, count - 1)
-    failure = None
-    with report.timed("pairing-grid"):
+
+    def failures():
         for n, row in enumerate(_pairing_grid(p, pseq, qseq)):
             for m, value in enumerate(row):
                 expected = lam.values[n] if n == m else Fraction(0)
                 if value != expected:
-                    failure = {"n": n, "m": m, "value": value, "expected": expected}
-                    break
-            if failure:
-                break
-    report.add("diagonal-pairing", failure is None, failure)
+                    yield {"n": n, "m": m, "value": value, "expected": expected}
+
+    report.check("diagonal-pairing", "pairing-grid", failures)
 
     degenerate = next((k for k, v in enumerate(lam.values) if v == 0), None)
     report.add(

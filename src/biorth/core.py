@@ -313,12 +313,24 @@ def _clear_denominators(vec):
     return [value.numerator * (scale // value.denominator) for value in vec], scale
 
 
-def _powers(x: int, count: int) -> list[int]:
-    """x^0 .. x^(count-1), at least x^0."""
-    out = [1]
-    for _ in range(count - 1):
-        out.append(out[-1] * x)
-    return out
+class _QPowers:
+    """t^0, t^1, ... and s^0, s^1, ... for q = t/s, one list each, grown to
+    the largest exponent asked for: a sweep reads one, and a batch of the
+    word route at one q shares one."""
+
+    __slots__ = ("t", "s", "tp", "sp")
+
+    def __init__(self, q: Fraction):
+        self.t, self.s = q.numerator, q.denominator
+        self.tp, self.sp = [1], [1]
+
+    def upto(self, top: int) -> tuple[list[int], list[int]]:
+        """The two lists, holding at least the exponents 0 .. top."""
+        tp, sp = self.tp, self.sp
+        while len(tp) <= top:
+            tp.append(tp[-1] * self.t)
+            sp.append(sp[-1] * self.s)
+        return tp, sp
 
 
 def g_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
@@ -341,8 +353,7 @@ def g_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
         [S1 * S2, P2 * S1 * S1 + P1 * S2 * S2 - 2 * abcd, abcd * S1 * S2, abcd * abcd]
     )
     m, w = abcd.numerator, abcd.denominator
-    tp = _powers(p.q.numerator, 4 * stop)
-    sp = _powers(p.q.denominator, 4 * stop)
+    tp, sp = _QPowers(p.q).upto(4 * stop)
     w3 = w**3
 
     def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
@@ -396,8 +407,7 @@ def d_natural_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:
     u, v = P2 * S1, S2
     (u, v, mu, mv), scale = _clear_denominators([u, v, abcd * u, abcd * v])
     m, w = abcd.numerator, abcd.denominator
-    tp = _powers(p.q.numerator, 2 * stop)
-    sp = _powers(p.q.denominator, 2 * stop)
+    tp, sp = _QPowers(p.q).upto(2 * stop)
 
     def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
         return w * sp[k] - m * tp[k]

@@ -46,7 +46,7 @@ from .core import (
     d_natural_sweep,
     g_sweep,
 )
-from .reporting import VerificationReport
+from .reporting import VerificationReport, matrix_differences
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,6 @@ def build_D(p: AWParams, n: int) -> DiagonalFactor:
     return DiagonalFactor(n, tuple(values))
 
 
-def _first_mismatch(a, b):
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (va, vb) in enumerate(zip(ra, rb)):
-            if va != vb:
-                return {"i": i, "j": j, "left": va, "right": vb}
-    return None
-
-
 def verify_ldu(p: AWParams, n: int) -> VerificationReport:
     """Check B = L D U on the order-n block, plus both inverse identities."""
     report = VerificationReport(params=p.to_map(), n=n)
@@ -166,23 +158,22 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
         diag = build_D(p, n)
         block = bimoment_table(p).block(n)
 
-    with report.timed("factorization-product"):
-        scaled = [
-            [value * diag.values[j] for j, value in enumerate(row)]
-            for row in lower.rows()
-        ]
-        product = _linalg.mat_mul(scaled, upper.rows())
-        mismatch = _first_mismatch(block, product)
-    report.add("bimoment-equals-LDU", mismatch is None, mismatch)
+    def product():
+        scaled = [[value * diag.values[j] for j, value in enumerate(row)] for row in lower.rows()]
+        return _linalg.mat_mul(scaled, upper.rows())
 
+    report.check("bimoment-equals-LDU", "factorization-product", lambda: matrix_differences(block, product()))
     identity = _linalg.mat_identity(n + 1)
-    with report.timed("lower-inverse-identity"):
-        mismatch = _first_mismatch(_linalg.mat_mul(lower.rows(), lower_inv.rows()), identity)
-    report.add("lower-times-inverse", mismatch is None, mismatch)
-
-    with report.timed("upper-inverse-identity"):
-        mismatch = _first_mismatch(_linalg.mat_mul(upper_inv.rows(), upper.rows()), identity)
-    report.add("inverse-times-upper", mismatch is None, mismatch)
+    report.check(
+        "lower-times-inverse",
+        "lower-inverse-identity",
+        lambda: matrix_differences(_linalg.mat_mul(lower.rows(), lower_inv.rows()), identity),
+    )
+    report.check(
+        "inverse-times-upper",
+        "upper-inverse-identity",
+        lambda: matrix_differences(_linalg.mat_mul(upper_inv.rows(), upper.rows()), identity),
+    )
     return report
 
 

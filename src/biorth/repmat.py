@@ -30,7 +30,9 @@ values each output entry reads, and each entry is one Fraction.  The band
 walks of ``ldu.build_L`` and :func:`jacobi_moments` run on matvec.  The
 ``asep`` transfer weights do not: that walk is short and wide, so it
 clears both site operators' bands over one walk-wide scale and stays on
-integers to the end (see ``_linalg``).
+integers to the end (see ``_linalg``).  Both walks read a band through
+:meth:`TridiagonalOperator.band_rows` and a vector through
+:func:`neighbours`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .core import (
     SingularParams,
     SizeLimit,
     ZeroParameter,
-    _powers,
+    _QPowers,
     as_rational,
     d_natural,
     d_natural_sweep,
@@ -60,7 +62,7 @@ from .core import (
     phi_terminating,
     qpoch_multi,
 )
-from .reporting import VerificationReport
+from .reporting import VerificationReport, differences
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,17 @@ class TridiagonalOperator:
             return self.lower[j]
         return Fraction(0)
 
+    def band_rows(self):
+        """Row i of the band, (lower[i-1], diag[i], upper[i]), with zeros
+        past the edges."""
+        zero = (0,)
+        return zip(zero + self.lower, self.diag, self.upper + zero)
+
     @cached_property
     def _cleared_rows(self):
-        """Row i of the band, (lower[i-1], diag[i], upper[i]) with zeros past
-        the edges, scaled to integers by the lcm of its denominators."""
-        zero = (0,)
-        lower, upper = zero + self.lower, self.upper + zero
-        return [_clear_denominators(row) for row in zip(lower, self.diag, upper)]
+        """The band rows, each scaled to integers by the lcm of its
+        denominators."""
+        return [_clear_denominators(row) for row in self.band_rows()]
 
     def matvec(self, vec, levels):
         """The first ``levels`` components of this operator applied to the
@@ -101,9 +107,15 @@ class TridiagonalOperator:
         Output component i is the three-term step of the integer band
         row i on the three components it reads: one Fraction per
         component."""
-        # padded[i + 1] is component i; zeros beyond both ends
-        padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
-        return three_term(self._cleared_rows[:levels], zip(padded, padded[1:], padded[2:]))
+        return three_term(self._cleared_rows[:levels], neighbours(vec, levels))
+
+
+def neighbours(vec, levels: int):
+    """(vec[i-1], vec[i], vec[i+1]) for i < levels: the components band row
+    i reads, with zeros beyond both ends of vec."""
+    # padded[i + 1] is component i
+    padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
+    return zip(padded, padded[1:], padded[2:])
 
 
 @dataclass(frozen=True)
@@ -236,19 +248,17 @@ def verify_algebra(
     qprime = 1 - q
     size = dop.size
     report = VerificationReport(params={"q": format_rational(q)}, n=size)
-    failure = None
-    with report.timed("interior-algebra"):
+
+    def failures():
         de = _band_product(dop, eop)
         ed = _band_product(eop, dop)
         for i in range(size - 2):
             for j in range(size - 2):
                 value = de[i][j] - q * ed[i][j] - (qprime if i == j else 0)
                 if value != 0:
-                    failure = {"i": i, "j": j, "value": value}
-                    break
-            if failure:
-                break
-    report.add("interior-algebra", failure is None, failure)
+                    yield {"i": i, "j": j, "value": value}
+
+    report.check("interior-algebra", "interior-algebra", failures)
     return report
 
 
@@ -299,8 +309,7 @@ def verify_uchiyama_algebra(p: AWParams, size: int) -> VerificationReport:
             scale * coeffs[k].esharp_dflat_product,
         )
 
-    failure = None
-    with report.timed("diagonal"):
+    def diagonal_failures():
         for i in range(size):
             de_prod, ed_prod = restored(i)
             value = qprime * coeffs[i].d_nat * coeffs[i].e_nat + de_prod - q * ed_prod
@@ -308,12 +317,9 @@ def verify_uchiyama_algebra(p: AWParams, size: int) -> VerificationReport:
                 de_back, ed_back = restored(i - 1)
                 value += ed_back - q * de_back
             if value != qprime:
-                failure = {"i": i, "value": value}
-                break
-    report.add("diagonal-exchange", failure is None, failure)
+                yield {"i": i, "value": value}
 
-    failure = None
-    with report.timed("off-diagonal"):
+    def off_diagonal_failures():
         for i in range(size - 1):
             dsh, esh = sharp_ratio(i)
             dfl, efl = flat_ratio(i)
@@ -329,23 +335,17 @@ def verify_uchiyama_algebra(p: AWParams, size: int) -> VerificationReport:
             )
             two_up = dsh * esh1 - q * esh * dsh1
             two_down = dfl1 * efl - q * efl1 * dfl
-            bad = next(
-                (
-                    (name, value)
-                    for name, value in (
-                        ("upper", upper),
-                        ("lower", lower),
-                        ("upper-two-step", two_up),
-                        ("lower-two-step", two_down),
-                    )
-                    if value != 0
-                ),
-                None,
-            )
-            if bad:
-                failure = {"i": i, "entry": bad[0], "value": bad[1]}
-                break
-    report.add("offdiagonal-exchange", failure is None, failure)
+            for name, value in (
+                ("upper", upper),
+                ("lower", lower),
+                ("upper-two-step", two_up),
+                ("lower-two-step", two_down),
+            ):
+                if value != 0:
+                    yield {"i": i, "entry": name, "value": value}
+
+    report.check("diagonal-exchange", "diagonal", diagonal_failures)
+    report.check("offdiagonal-exchange", "off-diagonal", off_diagonal_failures)
     return report
 
 
@@ -364,23 +364,20 @@ def verify_boundary(
     bd = p.b * p.d
     report = VerificationReport(params=p.to_map(), n=size)
 
-    failure = None
-    with report.timed("right-vector"):
+    def right_failures():
         for i in range(size - 1):
             value = dop.entry(i, 0) + bd * eop.entry(i, 0) - ((p.b + p.d) if i == 0 else 0)
             if value != 0:
-                failure = {"row": i, "value": value}
-                break
-    report.add("right-boundary-vector", failure is None, failure)
+                yield {"row": i, "value": value}
 
-    failure = None
-    with report.timed("left-vector"):
+    def left_failures():
         for j in range(size - 1):
             value = eop.entry(0, j) + ac * dop.entry(0, j) - ((p.a + p.c) if j == 0 else 0)
             if value != 0:
-                failure = {"col": j, "value": value}
-                break
-    report.add("left-boundary-vector", failure is None, failure)
+                yield {"col": j, "value": value}
+
+    report.check("right-boundary-vector", "right-vector", right_failures)
+    report.check("left-boundary-vector", "left-vector", left_failures)
     return report
 
 
@@ -421,7 +418,7 @@ def aw_sweep(p: AWParams, stop: int, start: int = 0) -> list[AWRecurrenceCoeffs]
     )
     m, w = abcd.numerator, abcd.denominator
     t, s = p.q.numerator, p.q.denominator
-    tp, sp = _powers(t, 4 * stop), _powers(s, 4 * stop)
+    tp, sp = _QPowers(p.q).upto(4 * stop)
 
     def pole(k):  # 1 - abcd q^k = pole(k) / (w s^k)
         return w * sp[k] - m * tp[k]
@@ -522,38 +519,27 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
     coeffs = aw_sweep(p, levels + 2)
     diag, products = _sum_band(p, levels + 2)
 
-    failure = None
-    with report.timed("diagonal-match"):
-        for n in range(levels + 1):
-            if diag[n] != coeffs[n].B:
-                failure = {"n": n, "left": diag[n], "right": coeffs[n].B}
-                break
-    report.add("diagonal-equals-B", failure is None, failure)
+    size = levels + 1
+    report.check(
+        "diagonal-equals-B",
+        "diagonal-match",
+        lambda: differences("n", diag[:size], (c.B for c in coeffs)),
+    )
+    report.check(
+        "offdiagonal-product-equals-AC",
+        "offdiagonal-match",
+        lambda: differences("n", products[:size], (c.A * after.C for c, after in zip(coeffs, coeffs[1:]))),
+    )
 
-    failure = None
-    with report.timed("offdiagonal-match"):
-        for n in range(levels + 1):
-            right = coeffs[n].A * coeffs[n + 1].C
-            if products[n] != right:
-                failure = {"n": n, "left": products[n], "right": right}
-                break
-    report.add("offdiagonal-product-equals-AC", failure is None, failure)
-
-    failure = None
-    with report.timed("moment-match"):
-        size = levels + 1
+    def moments():
         rec_diag = [coeffs[n].B / 2 for n in range(size)]
         rec_off = [coeffs[n].A * coeffs[n + 1].C / 4 for n in range(size - 1)]
         op_diag = [diag[n] / 2 for n in range(size)]
         op_off = [products[n] / 4 for n in range(size - 1)]
         kmax = 2 * levels
-        rec_moments = jacobi_moments(rec_diag, rec_off, kmax)
-        op_moments = jacobi_moments(op_diag, op_off, kmax)
-        for k, (x, y) in enumerate(zip(rec_moments, op_moments)):
-            if x != y:
-                failure = {"k": k, "left": x, "right": y}
-                break
-    report.add("jacobi-moments", failure is None, failure)
+        return differences("k", jacobi_moments(rec_diag, rec_off, kmax), jacobi_moments(op_diag, op_off, kmax))
+
+    report.check("jacobi-moments", "moment-match", moments)
     return report
 
 

@@ -4,6 +4,15 @@ Reports separate the deterministic payload (parameters, check outcomes,
 counterexamples) from wall-clock timings, so two runs of the same check on
 the same inputs produce byte-identical payloads; timings live under the
 single segregated key ``timings_ms``.
+
+The check protocol: a check that searches for a counterexample is a
+function returning a generator of counterexamples, and
+``VerificationReport.check`` calls it in a timed span, takes the first
+counterexample, if any, and records it; nothing after the first is
+computed.  Two counterexample shapes recur and are written once here:
+``differences`` ({key, "left", "right"} at each index where two sequences
+differ) and ``matrix_differences`` ({"i", "j", "left", "right"}).  A check
+that is a single boolean is recorded with ``VerificationReport.add``.
 """
 
 from __future__ import annotations
@@ -32,6 +41,22 @@ def jsonable(value):
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def differences(key: str, left, right):
+    """{key: k, "left": x, "right": y} for each index k where the two
+    sequences differ, in order."""
+    for k, (x, y) in enumerate(zip(left, right)):
+        if x != y:
+            yield {key: k, "left": x, "right": y}
+
+
+def matrix_differences(left, right):
+    """{"i": i, "j": j, "left": x, "right": y} for each entry where the two
+    matrices differ, row by row."""
+    for i, (row_left, row_right) in enumerate(zip(left, right)):
+        for found in differences("j", row_left, row_right):
+            yield {"i": i, **found}
 
 
 @dataclass
@@ -66,11 +91,19 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def add(self, name: str, passed: bool, first_failure: dict | None = None,
-            skipped_reason: str | None = None) -> CheckResult:
-        check = CheckResult(name, passed, first_failure, skipped_reason)
+    def add(self, name: str, passed: bool, first_failure: dict | None = None) -> CheckResult:
+        check = CheckResult(name, passed, first_failure)
         self.checks.append(check)
         return check
+
+    def check(self, name: str, span: str, failures) -> CheckResult:
+        """Run the search ``failures()`` in the timed span ``span`` and
+        record check ``name``: passed if it yields nothing, else failed
+        with its first counterexample.  The search is not advanced past
+        that one.  If it raises, the span is timed and no check is added."""
+        with self.timed(span):
+            failure = next(iter(failures()), None)
+        return self.add(name, failure is None, failure)
 
     @contextmanager
     def timed(self, name: str):

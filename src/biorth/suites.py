@@ -67,8 +67,9 @@ def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
 
 
 def _sweep_eval_paths(p: AWParams, max_len: int):
-    """First word (if any) where normal ordering and boundary elimination
-    disagree, over every word of length <= max_len.  Each route is one batch
+    """Each word where normal ordering and boundary elimination disagree,
+    as {"word": word}, over every word of length <= max_len in order of
+    length, then letters (d before e).  Each route is one batch
     over all those words, so each subword the elimination moves reach is
     evaluated once per point, not once per word, and the table is looked up
     and each moment cleared once."""
@@ -80,18 +81,19 @@ def _sweep_eval_paths(p: AWParams, max_len: int):
     normal = wordfun.functional_values([{word: 1} for word in words], p)
     for word, by_normal, by_elimination in zip(words, normal, wordfun.elimination_values(words, p)):
         if by_normal != by_elimination:
-            return {"word": word}
-    return None
+            yield {"word": word}
 
 
 def functional_suite(p: AWParams, max_len: int, trials: int, seed: int) -> dict:
     """Fuzzed defining relations, then every word up to length
     min(max_len, 8) through both evaluation paths."""
     report = wordfun.check_defining_relations(p, max_len=max_len, trials=trials, seed=seed)
-    with report.timed("evaluation-paths"):
-        sweep_len = min(max_len, 8)
-        failure = _sweep_eval_paths(p, sweep_len)
-        report.add(f"evaluation-path-agreement-len{sweep_len}", failure is None, failure)
+    sweep_len = min(max_len, 8)
+    report.check(
+        f"evaluation-path-agreement-len{sweep_len}",
+        "evaluation-paths",
+        lambda: _sweep_eval_paths(p, sweep_len),
+    )
     return {"functional": report}
 
 
@@ -114,18 +116,19 @@ def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
         raise InvalidParams(f"n must be >= 0, got {n}")
     report = VerificationReport(params=p.to_map(), n=n)
     coeffs = repmat.aw_sweep(p, n + 1)
-    for t in t_values:
+
+    def failures(t):
         x = (t + 1 / t) / 2
-        failure = None
-        with report.timed(f"t={format_rational(t)}"):
-            values = [repmat.aw_eval(p, k, t) for k in range(n + 2)]
-            for k, c in enumerate(coeffs):
-                below = c.C * values[k - 1] if k else 0
-                residual = c.A * values[k + 1] + (c.B - 2 * x) * values[k] + below
-                if residual != 0:
-                    failure = {"n": k, "residual": residual}
-                    break
-        report.add(f"series-matches-recurrence-t{format_rational(t)}", failure is None, failure)
+        values = [repmat.aw_eval(p, k, t) for k in range(n + 2)]
+        for k, c in enumerate(coeffs):
+            below = c.C * values[k - 1] if k else 0
+            residual = c.A * values[k + 1] + (c.B - 2 * x) * values[k] + below
+            if residual != 0:
+                yield {"n": k, "residual": residual}
+
+    for t in t_values:
+        label = format_rational(t)
+        report.check(f"series-matches-recurrence-t{label}", f"t={label}", lambda: failures(t))
     return {"aw": report}
 
 
@@ -139,13 +142,13 @@ def stationary_suite(p: AWParams, max_L: int) -> dict:
             comparison = asep.compare(length, p)
             matching = set(comparison.matching_variants)
             matching_by_length.append(matching)
-            failure = None if matching else {
-                "variants": [
-                    {"name": v.name, "max_abs_discrepancy": v.max_abs_discrepancy}
-                    for v in comparison.variants
-                ]
-            }
-            report.add(f"ansatz-matches-oracle-L{length}", bool(matching), failure)
+            report.add(
+                f"ansatz-matches-oracle-L{length}",
+                bool(matching),
+                None if matching else {"variants": [
+                    {"name": v.name, "max_abs_discrepancy": v.max_abs_discrepancy} for v in comparison.variants
+                ]},
+            )
     consistent = set.intersection(*matching_by_length) if matching_by_length else set()
     report.add(
         "matching-variant-consistent-across-L",

@@ -51,6 +51,7 @@ from .core import (
     InvalidParams,
     ShapeError,
     UnsupportedQ,
+    _QPowers,
     as_rational,
 )
 from .reporting import VerificationReport
@@ -176,26 +177,7 @@ def _split_normal(word: str) -> tuple[int, int]:
 Form = tuple[dict[tuple[int, int], int], int]
 
 
-class _QPowers:
-    """t^0, t^1, ... and s^0, s^1, ... for q = t/s, one list each, grown to
-    the largest exponent asked for; a batch at one q shares one."""
-
-    __slots__ = ("t", "s", "tp", "sp")
-
-    def __init__(self, q: Fraction):
-        self.t, self.s = q.numerator, q.denominator
-        self.tp, self.sp = [1], [1]
-
-    def upto(self, top: int) -> tuple[list[int], list[int]]:
-        """The two lists, holding at least the exponents 0 .. top."""
-        tp, sp = self.tp, self.sp
-        while len(tp) <= top:
-            tp.append(tp[-1] * self.t)
-            sp.append(sp[-1] * self.s)
-        return tp, sp
-
-
-def _times_letter(form: Form, const, d_coeff, e_coeff, q, powers: _QPowers | None = None) -> Form:
+def _times_letter(form: Form, const, d_coeff, e_coeff, powers: _QPowers) -> Form:
     """The normal form (ints, scale) times the letter
     const + d_coeff d + e_coeff e, normal ordered again by
 
@@ -210,8 +192,8 @@ def _times_letter(form: Form, const, d_coeff, e_coeff, q, powers: _QPowers | Non
     no clearing, and a bare e only re-keys the terms), and when it has a d
     part, with q = t/s and J the largest j, q^(-j) = s^j t^(J-j) / t^J puts
     every moved term over the one scale t^J, read from ``powers`` (the
-    powers of q's numerator and denominator; built here when None).  No
-    Fraction is built: the result is again (ints, scale).
+    powers of q's numerator and denominator).  No Fraction is built: the
+    result is again (ints, scale).
     """
     ints, scale = form
     if type(const) is int and type(d_coeff) is int and type(e_coeff) is int:
@@ -222,8 +204,6 @@ def _times_letter(form: Form, const, d_coeff, e_coeff, q, powers: _QPowers | Non
         (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
     if d_coeff:
         top = max((j for _, j in ints), default=0)
-        if powers is None:
-            powers = _QPowers(q)
         tp, sp = powers.upto(top)
         t_top = tp[top]
         moved_by = [d_coeff * sp[j] * tp[top - j] for j in range(top + 1)]  # d q^(-j) t^J
@@ -263,11 +243,10 @@ _NORMAL_CACHE_MAX = 65536
 _NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
 
 
-def _normal_order_word(word: str, q: Fraction, powers: _QPowers | None = None) -> Form:
+def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> Form:
     """Normal form (ints, scale) of ``word``: the form of its longest
     memoised prefix times the remaining letters, one at a time, each longer
-    prefix memoised on the way.  A miss reads q's powers from ``powers``
-    (built here when None)."""
+    prefix memoised on the way.  A miss reads q's powers from ``powers``."""
     t, s = q.numerator, q.denominator
     cache = _NORMAL_CACHE
     cut = len(word)
@@ -280,12 +259,10 @@ def _normal_order_word(word: str, q: Fraction, powers: _QPowers | None = None) -
         cut -= 1
     else:
         form = {(0, 0): 1}, 1  # the empty word's
-    if powers is None:
-        powers = _QPowers(q)
     for cut in range(cut + 1, len(word) + 1):
         if cut:
             d_coeff = 1 if word[cut - 1] == "d" else 0
-            form = _times_letter(form, 0, d_coeff, 1 - d_coeff, q, powers)
+            form = _times_letter(form, 0, d_coeff, 1 - d_coeff, powers)
         cache[word[:cut], t, s] = form
         if len(cache) > _NORMAL_CACHE_MAX:
             cache.popitem(last=False)
@@ -374,7 +351,7 @@ def _power_form(const, weight, length: int, q) -> Form:
     form = {(0, 0): 1}, 1
     powers = _QPowers(q)
     for _ in range(length):
-        form = _times_letter(form, const, weight, weight, q, powers)
+        form = _times_letter(form, const, weight, weight, powers)
     return form
 
 
@@ -500,17 +477,17 @@ def check_defining_relations(
     samples = [
         (_random_word(rng, max_len), _random_word(rng, max_len)) for _ in range(trials)
     ]
-    for name, (words, coeffs) in relations.items():
-        failure = None
-        with report.timed(name):
-            # the three words are distinct; zero coefficients are dropped
-            polys = [
-                {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
-                for u, v in samples
-            ]
-            for (u, v), value in zip(samples, functional_values(polys, p)):
-                if value != 0:
-                    failure = {"u": u, "v": v, "value": value}
-                    break
-        report.add(name, failure is None, failure)
+
+    def failures(words, coeffs):
+        # the three words are distinct; zero coefficients are dropped
+        polys = [
+            {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
+            for u, v in samples
+        ]
+        for (u, v), value in zip(samples, functional_values(polys, p)):
+            if value != 0:
+                yield {"u": u, "v": v, "value": value}
+
+    for name, relation in relations.items():
+        report.check(name, name, lambda: failures(*relation))
     return report

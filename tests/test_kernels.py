@@ -33,6 +33,7 @@ from biorth import (
 from biorth.asep import generator
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
 from biorth.core import (
+    _QPowers,
     _clear_denominators,
     d_natural_sweep,
     e_natural_sweep,
@@ -599,12 +600,12 @@ def _as_fractions(form):
 def test_times_letter_matches_fraction_loop(poly, const, d_coeff, e_coeff, q, extra):
     form = _form(poly, extra)
     expected = reference_times_letter(poly, const, d_coeff, e_coeff, q)
-    got = _as_fractions(_times_letter(form, const, d_coeff, e_coeff, q))
+    got = _as_fractions(_times_letter(form, const, d_coeff, e_coeff, _QPowers(q)))
     assert _items(got) == _items(expected)
     # the word route's letters: a bare d or e
     for d_coeff, e_coeff in ((1, 0), (0, 1)):
         expected = reference_times_letter(poly, 0, d_coeff, e_coeff, q)
-        got = _as_fractions(_times_letter(form, 0, d_coeff, e_coeff, q))
+        got = _as_fractions(_times_letter(form, 0, d_coeff, e_coeff, _QPowers(q)))
         assert _items(got) == _items(expected)
 
 

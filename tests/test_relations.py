@@ -10,7 +10,7 @@ import pytest
 
 from biorth import AWParams, InvalidParams, WordPoly, bimoment, check_defining_relations
 from biorth.bimoment import bimoment_table
-from biorth.core import _clear_denominators
+from biorth.core import _clear_denominators, _QPowers
 from biorth.reporting import VerificationReport
 from biorth.suites import GRID
 from biorth.wordfun import DEFAULT_FUZZ_SEED, _normal_order_word, _random_word
@@ -23,7 +23,7 @@ def reference_functional(wp: WordPoly, p: AWParams) -> Fraction:
     one polynomial, one table lookup and one clearing of its moments."""
     q = p.q
     coeffs, coeff_scale = _clear_denominators(list(wp.terms.values()))
-    forms = [_normal_order_word(word, q) for word in wp.terms]
+    forms = [_normal_order_word(word, q, _QPowers(q)) for word in wp.terms]
     scale = lcm(*(word_scale for _, word_scale in forms))
     out: dict[tuple[int, int], int] = {}
     for coeff, (ints, word_scale) in zip(coeffs, forms):

@@ -18,6 +18,7 @@ from biorth import (
     parse_word,
 )
 from biorth import bimoment, wordfun
+from biorth.core import _QPowers
 from biorth.repmat import rep_rational
 from biorth.wordfun import is_normal, normal_power, power_functional
 
@@ -197,7 +198,7 @@ def test_caches_evict_least_recently_used(grid, monkeypatch):
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_MAX", 2)
     q = grid[0].q
     for word in ("d", "e", "d", "de"):
-        wordfun._normal_order_word(word, q)
+        wordfun._normal_order_word(word, q, _QPowers(q))
     assert list(wordfun._NORMAL_CACHE) == [("d", 1, 2), ("de", 1, 2)]
 
 
