@@ -44,10 +44,15 @@ The rule also covers the row sums of ``asep.generator``, the residual of
 ``asep.certify_stationary``, the moment sums ``wordfun._moment_sums`` (a
 batch clears each moment it reads once, over one scale: the table's
 denominators nearly divide one another, so over orders i + j <= 40 at the
-costliest GRID point their lcm has 1,923 bits, the largest 1,838) and the
+costliest GRID point their lcm has 1,923 bits, the largest 1,838), the
 closed-form sweeps ``core.g_sweep``, ``core.d_natural_sweep`` and
-``repmat.aw_sweep`` (q = t/s read through integer powers of t and s).  The
-word route goes further: a normal form is integer coefficients over one
+``repmat.aw_sweep`` (q = t/s read through integer powers of t and s), the
+Askey-Wilson series ``repmat.aw_series`` (its level-independent factors
+cleared once per point, one Fraction per level), the ``aw`` suite's
+recurrence residual (a ``three_term`` step per level) and the banded
+algebra check ``repmat.verify_algebra`` (band rows i-1 .. i+1 of both
+operators over one scale per row, and no Fraction unless an entry fails).
+The word route goes further: a normal form is integer coefficients over one
 integer scale all along it, so ``wordfun._times_letter`` builds no
 Fraction (a d letter multiplies the scale by t^J for q^-j, 0 <= j <= J),
 and Fractions are built only where a public function returns.  The dense

@@ -39,10 +39,10 @@ _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 # -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 48 takes 12 s
 # (n 32: 1.3 s, n 40: 3.8 s) and functional --max-len 96 with the default
 # 200 trials takes 7-8 s at a peak RSS of 0.44 GB (64: 2.6-3.3 s); aw --n
-# 96 takes 22-25 s (n 100: 27 s, n 150: 246 s) and polys --n 64 22-24 s
-# (n 72: 39-55 s); rep --n 96 takes 1.0 s (n 128: 3.6 s) and bimoment --n 48
-# 1.0 s, and at bimoment n 64 two GRID points have entries past the 4300
-# digits Python will print.
+# 96 with its three t values takes 2.1-2.3 s (n 128: 7.5 s, n 150: 16.5 s)
+# and polys --n 64 22-24 s (n 72: 39-55 s); rep --n 96 takes 0.6 s (n 128:
+# 2.7 s) and bimoment --n 48 1.0 s, and at bimoment n 64 two GRID points
+# have entries past the 4300 digits Python will print.
 _LIMITS = {"bimoment": ("n", 48), "ldu": ("n", 48), "polys": ("n", 64), "rep": ("n", 96),
            "aw": ("n", 96), "functional": ("max_len", 96)}
 

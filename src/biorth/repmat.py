@@ -18,9 +18,10 @@ written once in :func:`aw_sweep`: R[n][n] = B_n and
 R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger moments of the two
 Jacobi systems agree.  Both the check and
 :func:`t_polys` read R off :func:`rep_rational`; :func:`t_polys` and the P/Q
-recurrence route share :func:`monic_recurrence`.  ``aw_eval`` evaluates the
-family through its terminating basic hypergeometric series so the
-recurrence can be validated against an independent construction.
+recurrence route share :func:`monic_recurrence`.  :func:`aw_series`
+evaluates the family through its terminating basic hypergeometric series,
+all levels at one point in one sweep, so the recurrence can be validated
+against an independent construction; :func:`aw_eval` is one level of it.
 
 :meth:`TridiagonalOperator.matvec` and :func:`monic_recurrence` are
 three-term steps on the shared integer kernel ``_linalg.three_term``:
@@ -32,7 +33,9 @@ walks of ``ldu.build_L`` and :func:`jacobi_moments` run on matvec.  The
 clears both site operators' bands over one walk-wide scale and stays on
 integers to the end (see ``_linalg``).  Both walks read a band through
 :meth:`TridiagonalOperator.band_rows` and a vector through
-:func:`neighbours`.
+:func:`neighbours`.  :func:`verify_algebra` reads the cleared band rows
+too: d e and e d are five-diagonal, so it visits only those entries, on
+integers, and builds a Fraction for the first failure alone.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import lcm
 
 from ._linalg import _clear_denominators, three_term
 from .core import (
     AWParams,
+    DenominatorVanishes,
     InvalidParams,
     ShapeError,
     SingularParams,
@@ -59,8 +64,6 @@ from .core import (
     format_rational,
     g_coeff,
     g_sweep,
-    phi_terminating,
-    qpoch_multi,
 )
 from .reporting import VerificationReport, differences
 
@@ -215,48 +218,44 @@ def _sum_band(p: AWParams, size: int):
     return diag, products
 
 
-def _band_product(x: TridiagonalOperator, y: TridiagonalOperator):
-    """Dense product of two equally sized tridiagonal operators."""
-    n = x.size
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in (i - 1, i, i + 1):
-            if 0 <= k < n:
-                xik = x.entry(i, k)
-                if xik:
-                    for j in (k - 1, k, k + 1):
-                        if 0 <= j < n:
-                            ykj = y.entry(k, j)
-                            if ykj:
-                                out[i][j] += xik * ykj
-    return out
-
-
 def verify_algebra(
     dop: TridiagonalOperator, eop: TridiagonalOperator, q
 ) -> VerificationReport:
     """Check  d e - q e d = (1 - q) id  on the truncation interior.
 
     The last two rows and columns of the product feel the cut, so equality
-    is asserted for all i, j <= size - 3 only.
+    is asserted for all i, j <= size - 3 only.  Both products are
+    five-diagonal, so the search visits the entries |i - j| <= 2 of row i
+    in order: it clears band rows i-1 .. i+1 of both operators over one
+    scale Z, each entry is v (d e)_ij - u (e d)_ij - (v - u) Z^2 [i = j] on
+    integers (q = u/v), and a Fraction is built for the first failure only.
     """
     if dop.size != eop.size:
         raise ShapeError("operator sizes differ")
     if dop.size < 3:
         raise InvalidParams("size must be >= 3 to have a truncation interior")
     q = as_rational(q)
-    qprime = 1 - q
+    u, v = q.numerator, q.denominator
     size = dop.size
     report = VerificationReport(params={"q": format_rational(q)}, n=size)
 
+    def rescaled(rows, lo, scale):  # band row k, times scale, keyed by k
+        return {k: [x * (scale // row_scale) for x in ints] for k, (ints, row_scale) in enumerate(rows, lo)}
+
     def failures():
-        de = _band_product(dop, eop)
-        ed = _band_product(eop, dop)
         for i in range(size - 2):
-            for j in range(size - 2):
-                value = de[i][j] - q * ed[i][j] - (qprime if i == j else 0)
-                if value != 0:
-                    yield {"i": i, "j": j, "value": value}
+            lo = max(i - 1, 0)
+            d_rows, e_rows = dop._cleared_rows[lo : i + 2], eop._cleared_rows[lo : i + 2]
+            scale = lcm(*(row_scale for _, row_scale in d_rows + e_rows))
+            dz, ez = rescaled(d_rows, lo, scale), rescaled(e_rows, lo, scale)
+            identity = (v - u) * scale * scale
+            for j in range(max(i - 2, 0), min(i + 3, size - 2)):
+                ks = range(max(i - 1, j - 1, 0), min(i, j) + 2)
+                de = sum(dz[i][k - i + 1] * ez[k][j - k + 1] for k in ks)
+                ed = sum(ez[i][k - i + 1] * dz[k][j - k + 1] for k in ks)
+                value = v * de - u * ed - (identity if i == j else 0)
+                if value:
+                    yield {"i": i, "j": j, "value": Fraction(value, v * scale * scale)}
 
     report.check("interior-algebra", "interior-algebra", failures)
     return report
@@ -543,36 +542,87 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
     return report
 
 
-def aw_eval(p: AWParams, n: int, t) -> Fraction:
-    """Level-n member of the orthogonal family at the point x = (t + 1/t)/2.
+def aw_series(p: AWParams, stop: int, t, start: int = 0) -> list[Fraction]:
+    """Members of the orthogonal family at levels start .. stop-1, at the
+    point x = (t + 1/t)/2.
 
-    Computed through the terminating series
+    Level n is the terminating series
 
-        a^(-n) (ab, ac, ad; q)_n *
-        phi([q^(-n), q^(n-1) abcd, a t, a/t], [ab, ac, ad]; q, z=q)
+        a^(-n) (ab, ac, ad; q)_n * sum_{j=0}^{n} (q^(-n), abcd q^(n-1); q)_j S_j,
+        S_j = (a t, a/t; q)_j q^j / (ab, ac, ad, q; q)_j,
 
-    which is rational for rational t != 0.  The family is symmetric in
-    (a, b, c, d), so the series is expanded about the first nonzero
-    parameter, which takes the role of a; only a = b = c = d = 0 is refused.
+    the 4phi3 with numerator parameters q^(-n), q^(n-1) abcd, a t, a/t,
+    denominator parameters ab, ac, ad and argument q; it is rational for
+    rational t != 0.  The family is symmetric in (a, b, c, d), so the series
+    is expanded about the first nonzero parameter, which takes the role of
+    a; only a = b = c = d = 0 is refused.
+
+    The ratios S_(j+1)/S_j and the prefactors are computed once for every
+    level.  With q = u/v and abcd = m/w, the term ratio j -> j+1 of level n
+    is, on integers,
+
+        (u^(n-j) - v^(n-j)) (w v^(n-1+j) - m u^(n-1+j)) G_j / ((u v)^(n-1-j) H_j),
+
+    where G_j / H_j = S_(j+1) / (S_j w u v^(2j)), so a level adds only its
+    own factors (q^(-n), abcd q^(n-1); q).  It sums its terms by Horner's
+    rule from the top on those integers and builds one Fraction.  Raises DenominatorVanishes at
+    the first (b; q)_k or (q; q)_k factor, scanning ab, ac, ad, then q, at
+    each k = 1 .. stop-1 in turn, as the series of level stop-1 meets it.
     """
-    if n < 0:
-        raise InvalidParams(f"aw_eval needs n >= 0, got {n}")
+    # the messages name aw_eval, which reads level n of this sweep
+    if start < 0:
+        raise InvalidParams(f"aw_eval needs n >= 0, got {start}")
     t = as_rational(t)
     a, b, c, d = sorted((p.a, p.b, p.c, p.d), key=lambda x: x == 0)
-    q = p.q
     if a == 0:
         raise ZeroParameter("aw_eval needs one of a, b, c, d nonzero")
     if t == 0:
         raise ZeroParameter("aw_eval needs t != 0")
-    prefactor = a ** (-n) * qpoch_multi([a * b, a * c, a * d], q, n)
-    series = phi_terminating(
-        [q ** (-n), q ** (n - 1) * p.abcd, a * t, a / t],
-        [a * b, a * c, a * d],
-        q,
-        q,
-        n,
-    )
-    return prefactor * series
+    dens = (a * b, a * c, a * d)
+    at, a_over_t = a * t, a / t
+    up, vp = _QPowers(p.q).upto(2 * stop)
+    m, w = p.abcd.numerator, p.abcd.denominator
+
+    def factor(x, j):  # 1 - x q^j = factor(x, j) / (x.denominator v^j)
+        return x.denominator * vp[j] - x.numerator * up[j]
+
+    # G_j / H_j = S_(j+1) / (S_j w u v^(2j)); PN_n / PD_n = a^(-n) (ab, ac, ad; q)_n
+    pair_scale = at.denominator * a_over_t.denominator * w
+    dens_scale = dens[0].denominator * dens[1].denominator * dens[2].denominator
+    G, H, PN, PD = [], [], [1], [1]
+    for j in range(stop - 1):
+        pochs = 1
+        for x in dens:
+            f = factor(x, j)
+            if f == 0:
+                raise DenominatorVanishes(f"(b; q)_k vanishes at b={x}, k={j + 1}")
+            pochs *= f
+        q_step = vp[j + 1] - up[j + 1]
+        if q_step == 0:
+            raise DenominatorVanishes(f"(q; q)_k vanishes at k={j + 1}")
+        G.append(factor(at, j) * factor(a_over_t, j) * dens_scale)
+        H.append(pair_scale * pochs * q_step)
+        PN.append(PN[-1] * a.denominator * pochs)
+        PD.append(PD[-1] * a.numerator * dens_scale * vp[j] ** 3)
+    # 1 - q^(-k) = drop[k] / u^k and 1 - abcd q^k = pole[k] / (w v^k)
+    drop = [uk - vk for uk, vk in zip(up, vp)]
+    pole = [w * vk - m * uk for uk, vk in zip(up, vp)]
+    uv = [uk * vk for uk, vk in zip(up, vp)]
+
+    out = []
+    for n in range(start, stop):
+        num = den = 1
+        for j in reversed(range(n)):
+            step_den = uv[n - 1 - j] * H[j]
+            num, den = step_den * den + drop[n - j] * pole[n - 1 + j] * G[j] * num, step_den * den
+        out.append(Fraction(PN[n] * num, PD[n] * den))
+    return out
+
+
+def aw_eval(p: AWParams, n: int, t) -> Fraction:
+    """Level-n member of the orthogonal family at the point x = (t + 1/t)/2:
+    level n of :func:`aw_series`."""
+    return aw_series(p, n + 1, t, n)[0]
 
 
 def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:

@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 
 from . import asep, biortho, ldu, repmat, wordfun
-from .core import AWParams, InvalidParams, format_rational, parse_rational
+from ._linalg import three_term
+from .core import AWParams, InvalidParams, _clear_denominators, format_rational, parse_rational
 from .reporting import VerificationReport
 
 # Generic points, a three-parameter reduction (c = d = 0), and a point with
@@ -111,18 +112,18 @@ def rep_suite(p: AWParams, n: int) -> dict:
 
 def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
     """The terminating 4phi3 series against the three-term recurrence at
-    levels 0..n, at each t in t_values."""
+    levels 0..n, at each t in t_values: one series sweep per t."""
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
     report = VerificationReport(params=p.to_map(), n=n)
     coeffs = repmat.aw_sweep(p, n + 1)
 
     def failures(t):
-        x = (t + 1 / t) / 2
-        values = [repmat.aw_eval(p, k, t) for k in range(n + 2)]
-        for k, c in enumerate(coeffs):
-            below = c.C * values[k - 1] if k else 0
-            residual = c.A * values[k + 1] + (c.B - 2 * x) * values[k] + below
+        two_x = t + 1 / t
+        values = repmat.aw_series(p, n + 2, t)
+        # C_k v_(k-1) + (B_k - 2x) v_k + A_k v_(k+1), on the integer kernel
+        steps = [_clear_denominators([c.C, c.B - two_x, c.A]) for c in coeffs]
+        for k, residual in enumerate(three_term(steps, repmat.neighbours(values, n + 1))):
             if residual != 0:
                 yield {"n": k, "residual": residual}
 

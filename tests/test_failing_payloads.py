@@ -50,6 +50,11 @@ def _algebra(monkeypatch):
     return repmat.verify_algebra(dop, replace(eop, diag=_bump(eop.diag, 2)), CANONICAL.q)
 
 
+def _algebra_second_diagonal(monkeypatch):
+    dop, eop = repmat.rep_rational(CANONICAL, 6)
+    return repmat.verify_algebra(dop, replace(eop, upper=_bump(eop.upper, 1)), CANONICAL.q)
+
+
 def _boundary(monkeypatch):
     dop, eop = repmat.rep_rational(CANONICAL, 5)
     dop = replace(dop, upper=_bump(dop.upper, 0))
@@ -93,7 +98,7 @@ def _evaluation_paths(monkeypatch):
 
 
 def _aw(monkeypatch):
-    _corrupt(monkeypatch, repmat, "aw_eval", lambda value, p, k, t: value + 1 if k == 2 else value)
+    _corrupt(monkeypatch, repmat, "aw_series", lambda values, p, stop, t: list(_bump(values, 2)))
     return suites.aw_suite(CANONICAL, 3)["aw"]
 
 
@@ -121,6 +126,9 @@ FAILING_PAYLOADS = {
     ]),
     _algebra: ({"q": "1/2"}, 6, [
         _failed("interior-algebra", i=1, j=2, value="1"),
+    ]),
+    _algebra_second_diagonal: ({"q": "1/2"}, 6, [
+        _failed("interior-algebra", i=0, j=2, value="1"),
     ]),
     _boundary: (AT_CANONICAL, 5, [
         _failed("right-boundary-vector", row=1, value="-1/8"),
