@@ -45,29 +45,33 @@ import io
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from ._linalg import _clear_denominators, three_term
-from .core import AWParams, InvalidParams, SingularParams, format_rational
+from .core import AWParams, InvalidParams, SingularParams, _QPowers, format_rational
 
 _FILLS = ("columns", "rows")
 
 
 def _extend_boundary(p: AWParams, out: list[Fraction], depth: int) -> None:
     """Extend the boundary column ``out`` of p, which holds B[0][0] ..
-    B[len(out) - 1][0], down to depth (nothing when it is that deep)."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    bd = b * d
-    abcd = p.abcd
+    B[len(out) - 1][0], down to depth (nothing when it is that deep).  With
+    q = t/s, each step of :func:`boundary_column` is scaled by s^(i-1), so its
+    coefficients are integers from powers of t and s, as in ``g_sweep``."""
+    bd = p.b * p.d
+    (sum_bd, cross, prod_bd, abcd), scale = _clear_denominators(
+        [p.b + p.d, bd * (p.a + p.c), bd, p.abcd]
+    )
+    tp, sp = _QPowers(p.q).upto(depth - 1)
     for i in range(len(out), depth + 1):
-        qi = q ** (i - 1)
-        den = 1 - abcd * qi
-        if den == 0:
+        x_num, x_den = tp[i - 1], sp[i - 1]
+        step_den = scale * x_den - abcd * x_num
+        if step_den == 0:
             raise SingularParams(f"boundary column denominator vanishes at depth {i}")
-        (one_back, two_back, step_den), _ = _clear_denominators(
-            [(b + d) - bd * (a + c) * qi, -bd * (1 - qi), den]
-        )
-        prev, scale = _clear_denominators([out[i - 1], out[i - 2] if i >= 2 else 0])
-        out.append(Fraction(one_back * prev[0] + two_back * prev[1], step_den * scale))
+        prev, prev_scale = _clear_denominators([out[i - 1], out[i - 2] if i >= 2 else 0])
+        one_back = sum_bd * x_den - cross * x_num
+        two_back = prod_bd * (x_num - x_den)
+        out.append(Fraction(one_back * prev[0] + two_back * prev[1], step_den * prev_scale))
 
 
 def boundary_column(p: AWParams, depth: int) -> list[Fraction]:
@@ -99,7 +103,8 @@ class BimomentTable:
     boundary column; a growth extends each column in place, by one band
     step on column j - 1.  The boundary row and the step coefficients are
     kept too, each extended from its stored depth.  A growth that raises
-    leaves the stored trapezoid as it was."""
+    leaves the stored trapezoid as it was.  ``bits`` is the numerator plus
+    denominator bits of the stored entries, the table's size in the store."""
 
     def __init__(self, params: AWParams):
         self.params = params
@@ -107,6 +112,7 @@ class BimomentTable:
         self._cols = [[Fraction(1)]]
         self._row0 = [Fraction(1)]
         self._order = 0
+        self.bits = _bits(self._cols[0])
         # _steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
         # (i-1, j-1), (i, j-1), (i+1, j-1), cleared to integers over a scale
         self._steps = [None]
@@ -117,6 +123,7 @@ class BimomentTable:
 
     def ensure(self, n: int) -> None:
         """Grow the stored trapezoid to cover the square block of order n."""
+        global _held_bits
         if n < 0:
             raise InvalidParams(f"block order must be >= 0, got {n}")
         if n <= self._order:
@@ -126,11 +133,12 @@ class BimomentTable:
         # both boundaries first: where a denominator vanishes, column 0 is
         # cut back to its stored depth before anything else grows
         col0 = cols[0]
+        depth = len(col0)
         try:
             _extend_boundary(p, col0, 2 * n)
             _extend_boundary(self._swapped, row0, n)
         except SingularParams:
-            del col0[2 * self._order + 1 :]
+            del col0[depth:]
             raise
         q = p.q
         a_plus_c, ac = p.a + p.c, p.a * p.c
@@ -138,14 +146,20 @@ class BimomentTable:
         for _ in range(len(steps), 2 * n):
             steps.append(_clear_denominators([1 - qi, a_plus_c * qi, -ac * qi]))
             qi *= q
+        added = _bits(col0[depth:])
         for j in range(1, n + 1):
             if j == len(cols):
                 cols.append([row0[j]])
+                added += _bits(cols[j])
             col, prev = cols[j], cols[j - 1]
             start = len(col)
             triples = zip(prev[start - 1 :], prev[start:], prev[start + 1 :])
-            col += three_term(steps[start : 2 * n - j + 1], triples)
+            new = three_term(steps[start : 2 * n - j + 1], triples)
+            col += new
+            added += _bits(new)
         self._order = n
+        self.bits += added
+        _held_bits += added
 
     def entry(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
@@ -163,21 +177,44 @@ class BimomentTable:
         return {(i, j): value for j, col in enumerate(self._cols) for i, value in enumerate(col)}
 
 
-# Tables kept at once, least recently used first out.  A benchmark round
-# touches at most 24 points and verify-all 7.
-_TABLES_MAX = 64
+def _bits(values) -> int:
+    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
+
+
+def _evict_lru(cache: OrderedDict, held: int, budget: int, size) -> int:
+    """Drop the least recently used entries of ``cache`` while the ``held``
+    size passes ``budget``, never the newest; return the size left."""
+    while held > budget and len(cache) > 1:
+        held -= size(cache.popitem(last=False)[1])
+    return held
+
+
+# Tables leave least recently used first while the bits they hold pass the
+# budget; the table asked for stays, whatever its size (ldu --n 48 at the
+# costliest GRID point needs 31.9 Mbit).  Per benchmark round, cli-small
+# builds 16 tables (0.97 Mbit in all), chain 16 (0.32 Mbit) and verify-all
+# 7, so nothing leaves there; deep-factor builds 24 of up to 3.2 Mbit
+# (51.6 Mbit in all), none read again after its own unit.
+_TABLES_BUDGET = 1 << 23
 _TABLES: OrderedDict[AWParams, BimomentTable] = OrderedDict()
+# At least the bits _TABLES holds: each growth adds to it and a lookup past
+# the budget recounts it (a clear, or an evicted table grown, leaves it high).
+_held_bits = 0
 
 
 def bimoment_table(p: AWParams) -> BimomentTable:
-    """Shared cached table for p (grown on demand, never shrunk)."""
+    """Shared cached table for p, grown on demand; the store drops the least
+    recently used tables while it holds more than ``_TABLES_BUDGET`` bits."""
+    global _held_bits
     table = _TABLES.get(p)
     if table is None:
         table = _TABLES[p] = BimomentTable(p)
-        if len(_TABLES) > _TABLES_MAX:
-            _TABLES.popitem(last=False)
+        _held_bits += table.bits
     else:
         _TABLES.move_to_end(p)
+    if _held_bits > _TABLES_BUDGET:
+        bits = attrgetter("bits")
+        _held_bits = _evict_lru(_TABLES, sum(map(bits, _TABLES.values())), _TABLES_BUDGET, bits)
     return table
 
 

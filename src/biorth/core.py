@@ -473,15 +473,16 @@ def validate(p: AWParams, n: int) -> None:
     """
     if n < 0:
         raise InvalidParams(f"validate needs n >= 0, got {n}")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
+    # with q = t/s, x q^k = 1 is x.numerator t^k = x.denominator s^k
+    tp, sp = _QPowers(p.q).upto(2 * n + 1)
+    abcd, ac, bd = p.abcd, p.a * p.c, p.b * p.d
     for k in range(2 * n + 2):
-        if abcd * q**k == 1:
+        if abcd.numerator * tp[k] == abcd.denominator * sp[k]:
             raise SingularParams(f"abcd q^{k} = 1 is singular")
     for k in range(n + 1):
-        if a * c * q**k == 1:
+        if ac.numerator * tp[k] == ac.denominator * sp[k]:
             raise SingularParams(f"ac q^{k} = 1 is singular")
-        if b * d * q**k == 1:
+        if bd.numerator * tp[k] == bd.denominator * sp[k]:
             raise SingularParams(f"bd q^{k} = 1 is singular")
     for k, g in enumerate(g_sweep(p, n)):
         if g == 0:

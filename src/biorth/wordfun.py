@@ -45,7 +45,7 @@ from math import lcm
 from operator import mul
 
 from ._linalg import _clear_denominators
-from .bimoment import bimoment_table
+from .bimoment import _evict_lru, bimoment_table
 from .core import (
     AWParams,
     InvalidParams,
@@ -233,20 +233,30 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
     return {key: Fraction(value, scale) for key, value in ints.items()}
 
 
-# Memo entries kept at once, least recently used first out.  Each entry is
-# one prefix of a word: the relations fuzz of a `chain` benchmark round
-# fills 7,134-7,619 (seeds 1841-1850 and 1899), and `functional` at the
-# costliest GRID point fills 41,382 at --max-len 64 and 61,120 at its guard,
-# 96 (peak RSS 0.44 GB), so nothing is evicted there.
-_NORMAL_CACHE_MAX = 65536
+def _form_bits(form: Form) -> int:
+    """O(1) size estimate of a memo entry: terms x (64 + scale bits)."""
+    ints, scale = form
+    return len(ints) * (64 + scale.bit_length())
+
+
+# Memo entries, one per prefix of a word, leave least recently used first
+# while their estimated bits pass the budget; the newest entry stays.  A
+# cli-small benchmark round adds 3,864 and a chain round 7,531, so nothing
+# leaves there; functional --max-len 96 at the costliest GRID point keeps
+# about 32,000 of 69,000 at a peak RSS of 0.15 GB (all 61,120: 0.44 GB).
+_NORMAL_CACHE_BUDGET = 1 << 28
 # Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
 _NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
+# The estimated bits _NORMAL_CACHE holds; a store into an empty memo resets
+# it, so a clear from outside leaves no stale count.
+_memo_bits = 0
 
 
 def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> Form:
     """Normal form (ints, scale) of ``word``: the form of its longest
     memoised prefix times the remaining letters, one at a time, each longer
     prefix memoised on the way.  A miss reads q's powers from ``powers``."""
+    global _memo_bits
     t, s = q.numerator, q.denominator
     cache = _NORMAL_CACHE
     cut = len(word)
@@ -259,13 +269,15 @@ def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> Form:
         cut -= 1
     else:
         form = {(0, 0): 1}, 1  # the empty word's
+        if not cache:
+            _memo_bits = 0  # cleared since the last store
     for cut in range(cut + 1, len(word) + 1):
         if cut:
             d_coeff = 1 if word[cut - 1] == "d" else 0
             form = _times_letter(form, 0, d_coeff, 1 - d_coeff, powers)
         cache[word[:cut], t, s] = form
-        if len(cache) > _NORMAL_CACHE_MAX:
-            cache.popitem(last=False)
+        _memo_bits += _form_bits(form)
+    _memo_bits = _evict_lru(cache, _memo_bits, _NORMAL_CACHE_BUDGET, _form_bits)
     return form
 
 

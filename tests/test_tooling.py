@@ -1,6 +1,7 @@
 """The benchmark tracer patches library functions by name; each must exist."""
 
 import importlib
+import itertools
 import os
 from collections import OrderedDict
 
@@ -36,3 +37,20 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
         assert state["entries"] == (n + 1) * (3 * n + 2) // 2
     workloads.reset_caches()
     assert workloads.cache_state() == {"tables": 0, "entries": 0, "normal_cache": 0}
+
+    # Each round below holds 156 kbit of tables and 94 kbit of memo, within
+    # budgets that two rounds together pass: a size counted before a reset
+    # must not evict what the next round grows.
+    monkeypatch.setattr(bimoment, "_TABLES_BUDGET", 1 << 18)
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1 << 17)
+    words = [{"".join(word): 1} for word in itertools.product("de", repeat=8)]
+    for _ in range(3):
+        workloads.reset_caches()
+        assert sum(table.bits for table in bimoment._TABLES.values()) == 0
+        assert sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values())) == 0
+        for p in (canonical, canonical.swap_ab_cd()):
+            bimoment.bimoment_table(p).ensure(12)
+        wordfun.functional_values(words, canonical)
+        state = workloads.cache_state()
+        assert (state["tables"], state["normal_cache"]) == (2, 2**9 - 1)
+        assert wordfun._memo_bits == sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values()))
