@@ -39,8 +39,6 @@ certificate to.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -57,7 +55,7 @@ from .core import (
     to_rates,
 )
 from .repmat import neighbours, rep_rational
-from .reporting import canonical_json, jsonable
+from .reporting import canonical_json, csv_text, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
 # Dense elimination grows about 20x per site: at the costliest GRID point,
@@ -71,6 +69,14 @@ _EXACT_LIMIT = 8
 # GRID and the four abcd = q or q^2 points of the tests (L = 11: 0.18 s).
 _GENERATOR_LIMIT = 12
 VARIANTS = ("shifted", "unshifted")
+
+
+def _guard_length(name: str, length: int, limit: int) -> None:
+    """Refuse a chain length below 1 or above ``name``'s ``limit``."""
+    if length < 1:
+        raise InvalidParams(f"L must be >= 1, got {length}")
+    if length > limit:
+        raise SizeLimit(f"{name} is guarded to L <= {limit}")
 
 
 def config_string(state: int, length: int) -> str:
@@ -114,22 +120,16 @@ class StationaryDistribution:
         }
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["configuration", "probability", "decimal"])
-        for state, value in enumerate(self.probabilities):
-            writer.writerow(
-                [config_string(state, self.length), format_rational(value), format(float(value), ".12g")]
-            )
-        return buffer.getvalue()
+        rows = [
+            (config_string(state, self.length), format_rational(value), format(float(value), ".12g"))
+            for state, value in enumerate(self.probabilities)
+        ]
+        return csv_text([("configuration", "probability", "decimal"), *rows])
 
 
 def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fraction]:
     """Sparse rate matrix {(from, to): rate}, diagonal = -(row sum)."""
-    if length < 1:
-        raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _GENERATOR_LIMIT:
-        raise SizeLimit(f"generator is guarded to L <= {_GENERATOR_LIMIT}")
+    _guard_length("generator", length, _GENERATOR_LIMIT)
     size = 1 << length
     left_mask = 1 << (length - 1)
     entries: dict[tuple[int, int], Fraction] = {}
@@ -181,10 +181,7 @@ def _dense_generator(length: int, rates: HoppingRates):
 
 def stationary_exact(length: int, rates: HoppingRates) -> StationaryDistribution:
     """Oracle stationary state: exact nullspace of the transposed generator."""
-    if length < 1:
-        raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _EXACT_LIMIT:
-        raise SizeLimit(f"stationary_exact is guarded to L <= {_EXACT_LIMIT}")
+    _guard_length("stationary_exact", length, _EXACT_LIMIT)
     dense = _dense_generator(length, rates)
     basis = _linalg.nullspace(_linalg.mat_transpose(dense))
     if len(basis) != 1:
@@ -377,10 +374,7 @@ def stationary_ansatz(
     the sum of the weights.  The representation and the moment table share
     nothing above the parameters, so a mismatch means one route is broken.
     """
-    if length < 1:
-        raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _GENERATOR_LIMIT:
-        raise SizeLimit(f"stationary_ansatz is guarded to L <= {_GENERATOR_LIMIT}")
+    _guard_length("stationary_ansatz", length, _GENERATOR_LIMIT)
     return _ansatz(length, p, variant, _representation(p, length))
 
 
@@ -438,10 +432,7 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     the ansatz itself is wrong: the oracle is None, and so is every
     discrepancy.  Guarded with the generator it certifies against.
     """
-    if length < 1:
-        raise InvalidParams(f"L must be >= 1, got {length}")
-    if length > _GENERATOR_LIMIT:
-        raise SizeLimit(f"compare is guarded to L <= {_GENERATOR_LIMIT}")
+    _guard_length("compare", length, _GENERATOR_LIMIT)
     rates = to_rates(p)
     rep = _representation(p, length)
     candidates = dict.fromkeys((*variants, "unshifted"))

@@ -40,8 +40,6 @@ entries itself.  Each entry is one integer combination and one Fraction.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +47,7 @@ from operator import attrgetter
 
 from ._linalg import _clear_denominators, three_term
 from .core import AWParams, InvalidParams, SingularParams, _QPowers, format_rational
+from .reporting import csv_text
 
 _FILLS = ("columns", "rows")
 
@@ -240,11 +239,7 @@ class BimomentMatrix:
         }
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        for row in self.entries:
-            writer.writerow([format_rational(v) for v in row])
-        return buffer.getvalue()
+        return csv_text(map(format_rational, row) for row in self.entries)
 
 
 def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:

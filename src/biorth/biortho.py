@@ -60,20 +60,20 @@ class PolySeq:
         return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
 
 
-def _require_variable(variable: str) -> None:
+def _p_side(p: AWParams, count: int, variable: str) -> AWParams:
+    """The point whose P family is the requested one: p for P (variable
+    "d"), the swapped point for Q ("e")."""
     if variable not in _VARIABLES:
         raise InvalidParams(f"variable must be one of {_VARIABLES}, got {variable!r}")
+    if count <= 0:
+        raise InvalidParams(f"count must be positive, got {count}")
+    return p.swap_ab_cd() if variable == "e" else p
 
 
 def polys_from_inverse(p: AWParams, count: int, variable: str = "d") -> PolySeq:
     """P_0..P_{count-1} read off the rows of the inverse lower factor (Q:
     the same at the swapped point)."""
-    _require_variable(variable)
-    if count <= 0:
-        raise InvalidParams(f"count must be positive, got {count}")
-    if variable == "e":
-        p = p.swap_ab_cd()
-    inv = build_L_inverse(p, count - 1)
+    inv = build_L_inverse(_p_side(p, count, variable), count - 1)
     rows = [tuple(inv.entries[k][: k + 1]) for k in range(count)]
     return PolySeq(variable=variable, coeffs=tuple(rows))
 
@@ -81,11 +81,7 @@ def polys_from_inverse(p: AWParams, count: int, variable: str = "d") -> PolySeq:
 def polys_from_recurrence(p: AWParams, count: int, variable: str = "d") -> PolySeq:
     """Same sequences generated by their three-term recurrences: the monic
     recurrence on the band of d (Q: the same at the swapped point)."""
-    _require_variable(variable)
-    if count <= 0:
-        raise InvalidParams(f"count must be positive, got {count}")
-    if variable == "e":
-        p = p.swap_ab_cd()
+    p = _p_side(p, count, variable)
     if count == 1:
         return PolySeq(variable=variable, coeffs=((Fraction(1),),))
     dop, _ = repmat.d_band(p, count - 1)
@@ -169,9 +165,10 @@ def bordered_determinant_check(p: AWParams, n: int) -> bool:
     """Compare P_n and Q_n with their bordered-determinant forms.
 
     P_n(x) = det of the moment block bordered by a final column of powers
-    of x, divided by the order-(n-1) block determinant; Q_n mirrors with a
-    final row.  Cofactor expansion over exact minors; guarded to n <= 6
-    because the minor count grows quickly.
+    of x, divided by the order-(n-1) block determinant; Q_n is the same
+    form on the transposed block (a final row of powers of y).  Cofactor
+    expansion over exact minors; guarded to n <= 6 because the minor count
+    grows quickly.
     """
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
@@ -182,25 +179,19 @@ def bordered_determinant_check(p: AWParams, n: int) -> bool:
     if n == 0:
         return pseq.poly(0) == (1,) and qseq.poly(0) == (1,)
 
-    table = bimoment_table(p)
-    table.ensure(n)
-    scale = _linalg.det(table.block(n - 1))
+    block = bimoment_table(p).block(n)
+    scale = _linalg.det([row[:n] for row in block[:n]])
     if scale == 0:
         raise SingularParams(f"order-{n - 1} block determinant vanishes")
-    # P_n: rows 0..n of the first n columns, bordered by powers of x.
-    p_coeffs = []
-    for i in range(n + 1):
-        minor = [
-            [table.entry(r, j) for j in range(n)] for r in range(n + 1) if r != i
-        ]
-        sign = -1 if (i + n) % 2 else 1
-        p_coeffs.append(sign * _linalg.det(minor) / scale)
-    # Q_n: columns 0..n of the first n rows, bordered by powers of y.
-    q_coeffs = []
-    for j in range(n + 1):
-        minor = [
-            [table.entry(i, col) for col in range(n + 1) if col != j] for i in range(n)
-        ]
-        sign = -1 if (j + n) % 2 else 1
-        q_coeffs.append(sign * _linalg.det(minor) / scale)
-    return tuple(p_coeffs) == pseq.poly(n) and tuple(q_coeffs) == qseq.poly(n)
+
+    def bordered(rows):
+        # rows 0..n of the first n columns, bordered by powers of x
+        coeffs = []
+        for i in range(n + 1):
+            minor = [row[:n] for r, row in enumerate(rows) if r != i]
+            sign = -1 if (i + n) % 2 else 1
+            coeffs.append(sign * _linalg.det(minor) / scale)
+        return tuple(coeffs)
+
+    # the mirror a<->b, c<->d transposes the block: Q_n is its P_n
+    return bordered(block) == pseq.poly(n) and bordered(_linalg.mat_transpose(block)) == qseq.poly(n)

@@ -13,10 +13,15 @@ computed.  Two counterexample shapes recur and are written once here:
 ``differences`` ({key, "left", "right"} at each index where two sequences
 differ) and ``matrix_differences`` ({"i", "j", "left", "right"}).  A check
 that is a single boolean is recorded with ``VerificationReport.add``.
+
+The payload writers are here too: ``canonical_json`` for every JSON
+report, ``csv_text`` for the two tabular commands.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from contextlib import contextmanager
@@ -41,6 +46,13 @@ def jsonable(value):
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The rows (iterables of strings) as CSV text, one line each."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def differences(key: str, left, right):
@@ -113,15 +125,10 @@ class VerificationReport:
         finally:
             self.timings_ms[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "params": dict(self.params),
             "n": self.n,
             "checks": [check.to_dict() for check in self.checks],
+            "timings_ms": dict(self.timings_ms),
         }
-        if include_timings:
-            out["timings_ms"] = dict(self.timings_ms)
-        return out
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return canonical_json(self.to_dict(include_timings=include_timings))

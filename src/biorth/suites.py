@@ -36,12 +36,11 @@ def grid_params() -> list[AWParams]:
     return [AWParams(*map(parse_rational, point)) for point in GRID]
 
 
-def ldu_suite(p: AWParams, n: int, n_det: int | None = None) -> dict:
-    """B = L D U at order n, then the determinant triple at order n_det
-    (default n)."""
+def ldu_suite(p: AWParams, n: int) -> dict:
+    """B = L D U, then the determinant triple, at order n."""
     report = ldu.verify_ldu(p, n)
     with report.timed("determinants"):
-        triple = ldu.det_bimoment(p, n if n_det is None else n_det)
+        triple = ldu.det_bimoment(p, n)
         routes = dict(zip(("from_diagonal", "from_closed_form", "from_elimination"), triple))
         agree = len(set(triple)) == 1
         report.add("determinant-triple-agreement", agree, None if agree else routes)
@@ -162,7 +161,7 @@ def stationary_suite(p: AWParams, max_L: int) -> dict:
 # Every suite once: its builder and the arguments after p that verify-all
 # gives it.
 SUITES = (
-    (ldu_suite, (10, 8)),
+    (ldu_suite, (10,)),
     (polys_suite, (8, False)),
     (functional_suite, (6, 60, wordfun.DEFAULT_FUZZ_SEED)),
     (rep_suite, (16,)),

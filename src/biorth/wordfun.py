@@ -18,9 +18,9 @@ and one Fraction (see ``_linalg``).  Other Fractions are built only where
 ``functional_values`` evaluates a batch of word polynomials at one point:
 the table is looked up once, each distinct word's form is taken from the
 memo once, and each moment the batch reads is cleared of denominators
-once.  ``functional`` is the one-polynomial batch; the relations fuzz and
-the suites' sweep over all short words make one batch per relation or
-point.
+once.  ``functional`` is the one-polynomial batch; the relations fuzz
+makes one batch of all its samples, and the suites' sweep over all short
+words one per point.
 
 ``elimination_values`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -91,6 +91,14 @@ class WordPoly:
     def one(cls) -> "WordPoly":
         return cls({"": Fraction(1)})
 
+    @staticmethod
+    def _of(terms: dict[str, Fraction]) -> "WordPoly":
+        """A WordPoly holding ``terms`` as given, unchecked: the operators'
+        results, whose words are parsed and coefficients nonzero."""
+        result = WordPoly.__new__(WordPoly)
+        result.terms = terms
+        return result
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -110,14 +118,10 @@ class WordPoly:
                 out[word] = acc
             else:
                 out.pop(word, None)
-        result = WordPoly.__new__(WordPoly)
-        result.terms = out
-        return result
+        return WordPoly._of(out)
 
     def __neg__(self):
-        result = WordPoly.__new__(WordPoly)
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
+        return WordPoly._of({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, WordPoly):
@@ -135,15 +139,11 @@ class WordPoly:
                         out[word] = acc
                     else:
                         out.pop(word, None)
-            result = WordPoly.__new__(WordPoly)
-            result.terms = out
-            return result
+            return WordPoly._of(out)
         coeff = as_rational(other)
         if not coeff:
             return WordPoly.zero()
-        result = WordPoly.__new__(WordPoly)
-        result.terms = {w: c * coeff for w, c in self.terms.items()}
-        return result
+        return WordPoly._of({w: c * coeff for w, c in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, WordPoly):
@@ -242,8 +242,9 @@ def _form_bits(form: Form) -> int:
 # Memo entries, one per prefix of a word, leave least recently used first
 # while their estimated bits pass the budget; the newest entry stays.  A
 # cli-small benchmark round adds 3,864 and a chain round 7,531, so nothing
-# leaves there; functional --max-len 96 at the costliest GRID point keeps
-# about 32,000 of 69,000 at a peak RSS of 0.15 GB (all 61,120: 0.44 GB).
+# leaves there; functional --max-len 96 at the costliest GRID point computes
+# 62,854 forms, ends holding 8,822 and peaks at 0.13 GB RSS (all 61,120 held:
+# 0.44 GB).
 _NORMAL_CACHE_BUDGET = 1 << 28
 # Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
 _NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
@@ -490,16 +491,16 @@ def check_defining_relations(
         (_random_word(rng, max_len), _random_word(rng, max_len)) for _ in range(trials)
     ]
 
-    def failures(words, coeffs):
-        # the three words are distinct; zero coefficients are dropped
+    # One batch in sample order, so the right-boundary relation reads the
+    # prefixes of u that the bulk one has just stored in the memo.  The
+    # three words are distinct; zero coefficients are dropped.
+    with report.timed("relations"):
         polys = [
             {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
-            for u, v in samples
+            for u, v in samples for words, coeffs in relations.values()
         ]
-        for (u, v), value in zip(samples, functional_values(polys, p)):
-            if value != 0:
-                yield {"u": u, "v": v, "value": value}
-
-    for name, relation in relations.items():
-        report.check(name, name, lambda: failures(*relation))
+        values = functional_values(polys, p)
+    for k, name in enumerate(relations):  # relation k: every third value from k
+        found = ({"u": u, "v": v, "value": x} for (u, v), x in zip(samples, values[k::3]) if x)
+        report.check(name, name, lambda: found)
     return report

@@ -16,6 +16,11 @@ settings.register_profile(
 settings.load_profile("exact")
 
 
+def without_timings(report) -> dict:
+    """A report's payload without its run-dependent ``timings_ms``."""
+    return {key: value for key, value in report.to_dict().items() if key != "timings_ms"}
+
+
 def make_params(point) -> AWParams:
     return AWParams(*(Fraction(x) for x in point))
 

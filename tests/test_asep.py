@@ -341,14 +341,18 @@ def test_particle_hole_reflection_symmetry(canonical):
 
 def test_size_guards(canonical):
     rates = to_rates(canonical)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^generator is guarded to L <= 12$"):
         generator(13, rates)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^stationary_exact is guarded to L <= 8$"):
         stationary_exact(9, rates)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^stationary_exact is guarded to L <= 8$"):
         stationary_exact(11, rates)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^stationary_ansatz is guarded to L <= 12$"):
+        stationary_ansatz(13, canonical)
+    with pytest.raises(SizeLimit, match=r"^compare is guarded to L <= 12$"):
         compare(13, canonical)
-    with pytest.raises(InvalidParams):
-        compare(0, canonical)
+    for guarded in (lambda L: generator(L, rates), lambda L: stationary_exact(L, rates),
+                    lambda L: stationary_ansatz(L, canonical), lambda L: compare(L, canonical)):
+        with pytest.raises(InvalidParams, match=r"^L must be >= 1, got 0$"):
+            guarded(0)
     assert set(VARIANTS) == {"shifted", "unshifted"}

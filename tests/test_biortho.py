@@ -129,6 +129,23 @@ def test_bordered_determinants(grid):
             assert bordered_determinant_check(p, n)
 
 
+@pytest.mark.parametrize("side", ("d", "e"))
+def test_bordered_determinants_fail_when_one_side_is_perturbed(grid, monkeypatch, side):
+    real = biortho.polys_from_inverse
+
+    def perturbed(p, count, variable="d"):
+        seq = real(p, count, variable)
+        if variable != side:
+            return seq
+        last = seq.poly(count - 1)
+        return PolySeq(variable, seq.coeffs[:-1] + ((last[0] + 1, *last[1:]),))
+
+    monkeypatch.setattr(biortho, "polys_from_inverse", perturbed)
+    for p in grid:
+        for n in range(1, 5):
+            assert not bordered_determinant_check(p, n)
+
+
 def test_bordered_determinant_guard(canonical):
     with pytest.raises(SizeLimit):
         bordered_determinant_check(canonical, 7)

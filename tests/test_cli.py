@@ -261,6 +261,29 @@ def test_stationary_command(capsys):
     assert lines[2].startswith("1,31/72,")
 
 
+CSV_PAYLOADS = {
+    ("stationary", "--L", "2", "--format", "csv"): (
+        "configuration,probability,decimal\n"
+        "00,3569/11196,0.318774562344\n"
+        "01,1307/5598,0.233476241515\n"
+        "10,2999/11196,0.267863522687\n"
+        "11,1007/5598,0.179885673455\n"
+    ),
+    ("bimoment", "--n", "3", "--fill", "rows", "--format", "csv"): (
+        "1,18/23,796/1081,14568/20539\n"
+        "8/23,696/1081,13456/20539,2657376/3922949\n"
+        "181/1081,6066/20539,2138012/3922949,909102984/1502489467\n"
+        "1618/20539,606876/3922949,412397704/1502489467,44851509936/88646878553\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", CSV_PAYLOADS, ids=lambda argv: argv[0])
+def test_csv_payloads_are_pinned(argv, capsys):
+    assert main([argv[0], *CANONICAL, *argv[1:]]) == 0
+    assert capsys.readouterr().out == CSV_PAYLOADS[argv]
+
+
 def run_main(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -13,7 +13,7 @@ import pytest
 
 from biorth import biortho, ldu, repmat, suites, wordfun
 
-from conftest import GRID, make_params
+from conftest import GRID, make_params, without_timings
 
 CANONICAL = make_params(GRID[0])
 
@@ -83,7 +83,13 @@ def _uchiyama(monkeypatch):
 
 
 def _relations(monkeypatch):
-    _corrupt(monkeypatch, wordfun, "functional_values", lambda values, polys, p: list(_bump(values, 5, F(1, 3))))
+    # one batch, three values per sample: sample 5 of each relation
+    _corrupt(
+        monkeypatch,
+        wordfun,
+        "functional_values",
+        lambda values, polys, p: [v + F(1, 3) if k // 3 == 5 else v for k, v in enumerate(values)],
+    )
     return wordfun.check_defining_relations(CANONICAL, max_len=4, trials=12, seed=7)
 
 
@@ -161,4 +167,4 @@ def test_failing_payloads_are_pinned(scenario, monkeypatch):
     params, n, checks = FAILING_PAYLOADS[scenario]
     report = scenario(monkeypatch)
     assert not report.passed
-    assert report.to_dict(include_timings=False) == {"params": params, "n": n, "checks": checks}
+    assert without_timings(report) == {"params": params, "n": n, "checks": checks}

@@ -15,7 +15,7 @@ from biorth.reporting import VerificationReport
 from biorth.suites import GRID
 from biorth.wordfun import DEFAULT_FUZZ_SEED, _normal_order_word, _random_word
 
-from conftest import make_params
+from conftest import make_params, without_timings
 
 
 def reference_functional(wp: WordPoly, p: AWParams) -> Fraction:
@@ -84,7 +84,7 @@ def reference_check_defining_relations(
 def outcome(fn, *args):
     """fn's report without timings, or the class and message of what it raised."""
     try:
-        return fn(*args).to_dict(include_timings=False)
+        return without_timings(fn(*args))
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
 

@@ -4,13 +4,15 @@ import pytest
 
 from biorth.reporting import VerificationReport
 
+from conftest import without_timings
+
 
 def test_an_empty_search_passes():
     report = VerificationReport(params={}, n=None)
     check = report.check("empty", "span", lambda: iter(()))
     assert check.passed and check.first_failure is None
     assert report.checks == [check] and "span" in report.timings_ms
-    assert report.to_dict(include_timings=False)["checks"] == [{"name": "empty", "pass": True}]
+    assert without_timings(report)["checks"] == [{"name": "empty", "pass": True}]
 
 
 def test_the_first_counterexample_is_recorded_and_the_search_stops_there():

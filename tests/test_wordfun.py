@@ -22,7 +22,7 @@ from biorth.core import _QPowers
 from biorth.repmat import rep_rational
 from biorth.wordfun import is_normal, normal_power, power_functional
 
-from conftest import make_params
+from conftest import make_params, without_timings
 
 words = st.text(alphabet="de", max_size=4)
 coeffs = st.fractions(min_value=F(-5), max_value=F(5)).filter(bool)
@@ -179,7 +179,7 @@ def test_defining_relations_fuzz(grid):
 def test_fuzz_report_is_deterministic(canonical):
     first = check_defining_relations(canonical, max_len=4, trials=25, seed=7)
     second = check_defining_relations(canonical, max_len=4, trials=25, seed=7)
-    assert first.to_dict(include_timings=False) == second.to_dict(include_timings=False)
+    assert without_timings(first) == without_timings(second)
 
 
 def _table_bits():
