@@ -10,23 +10,37 @@ the recurrence's rational coefficients to integers with one scale per row
 or step, outside the entry loop (``_clear_denominators``, which lives in
 ``core``, whose sweeps use it too); clear the values an entry reads over
 the lcm of their denominators; combine them in plain ``int`` arithmetic;
-build exactly one Fraction per produced entry.
+build exactly one Fraction per entry that leaves the routine.  A value
+that never leaves it (a component of a walk that returns one component
+per step, a row of a fill that keeps only part of each row, an entry of
+a product that is only compared) stays an unreduced (numerator,
+denominator) pair of integers: a Fraction reduces by a full-size gcd,
+1.7-4 times the cost of a multiplication of the same 1.5-6k-bit
+operands, and on these walks most of the common factor it finds comes
+from the step's own small scale (34 of 38 bits on average on the
+order-26 column fill).
 
-Every tridiagonal recurrence is one three-term step, and ``three_term`` is
-its one kernel: it takes cleared steps ((u, v, w), scale) and the triples
-(x, y, z) they read, pairwise, clears each triple once and returns one
-Fraction per entry.  Its callers keep their own coefficients: the moment
-table's column fill (``bimoment.BimomentTable``: column j is the step band
-applied to column j-1) and, as a separate route, the row fill
-(``bimoment._block_by_rows``); ``repmat.TridiagonalOperator.matvec``, on
-which the band walks of ``ldu.build_L`` (row n of L is <e0| d^n) and
-``repmat.jacobi_moments`` run; ``repmat.monic_recurrence`` (the P/Q and T
-polynomials); and ``ldu.build_L_inverse``, which keeps its own recurrence
-so that L L^-1 = I stays a check.  The kernel clears the three neighbours
-of each entry, not a whole column: down a moment-table column the
-denominators grow from about 100 to 10,000 bits (order 48), so one
-column-wide scale would bring every entry up to the largest and make each
-final reduction a gcd at that size.
+Every tridiagonal recurrence is one three-term step on one kernel,
+``three_term_pairs``: it takes cleared steps ((u, v, w), scale) and the
+triples (x, y, z) they read, pairwise, as unreduced (numerator,
+denominator) pairs, clears each triple once and cancels each result only
+by the gcd of its numerator and the step scale, which is cheap because
+the step scale is small.  ``three_term`` is the same step on rationals,
+one reduced Fraction per entry.  Their callers keep their own
+coefficients.  On ``three_term``, whose every entry is returned: the
+moment table's column fill (``bimoment.BimomentTable``: column j is the
+step band applied to column j-1); ``repmat.TridiagonalOperator.matvec``,
+on which the band walk of ``ldu.build_L`` runs (row n of L is
+<e0| d^n); ``repmat.monic_recurrence`` (the P/Q and T polynomials); and
+``ldu.build_L_inverse``, which keeps its own recurrence so that
+L L^-1 = I stays a check.  On the pairs: the row fill
+(``bimoment._block_by_rows``, the separate route to the block, one
+Fraction per kept entry) and the walk of ``repmat.jacobi_moments`` (one
+Fraction per moment).  The kernel clears the three neighbours of each
+entry, not a whole column: down a moment-table column the denominators
+grow from about 100 to 10,000 bits (order 48), so one column-wide scale
+would bring every entry up to the largest and make each final reduction
+a gcd at that size.
 
 Two recurrences stay outside the kernel.  The boundary column
 (``bimoment._extend_boundary``) is a two-term feedback recurrence: each
@@ -62,6 +76,10 @@ routines:
   right factor by the lcm of its denominators, takes integer dot products
   over the overlap of the two nonzero spans (so triangular factors cost
   about half), and forms one Fraction per output entry.
+  ``product_mismatches`` computes the same integer products row by row,
+  lazily, and compares each with the expected entry on integers, so the
+  three products of ``ldu.verify_ldu`` build a Fraction only for a
+  mismatch.
 * ``lu_pivots`` factors a square matrix by left-looking (Doolittle)
   elimination with first-nonzero pivoting and returns the pivots and the
   parity of the row swaps.  Each L row and the U column being built are
@@ -81,24 +99,33 @@ routines:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .core import BiorthError, _clear_denominators
 
 
-def three_term(steps, triples) -> list[Fraction]:
+def three_term_pairs(steps, triples) -> list[tuple[int, int]]:
     """(u x + v y + w z) / scale for each cleared step ((u, v, w), scale)
-    and the triple (x, y, z) of rationals it reads, paired in order: the
-    triple is cleared over the lcm of its denominators (inline, as the
-    innermost loop of every tridiagonal recurrence), one Fraction each."""
+    and the triple (x, y, z) it reads, paired in order, on unreduced
+    (numerator, denominator) pairs with positive denominators, in and out:
+    the triple is cleared over the lcm of its denominators (inline, as the
+    innermost loop of every tridiagonal recurrence), and each result is
+    cancelled only by the gcd of its numerator and the (small) step scale."""
     out = []
-    for ((u, v, w), step_scale), (x, y, z) in zip(steps, triples):
-        xd, yd, zd = x.denominator, y.denominator, z.denominator
+    for ((u, v, w), step_scale), ((xn, xd), (yn, yd), (zn, zd)) in zip(steps, triples):
         scale = lcm(xd, yd, zd)
-        num = u * x.numerator * (scale // xd) + v * y.numerator * (scale // yd)
-        out.append(Fraction(num + w * z.numerator * (scale // zd), step_scale * scale))
+        num = u * xn * (scale // xd) + v * yn * (scale // yd) + w * zn * (scale // zd)
+        common = gcd(num, step_scale)
+        out.append((num // common, step_scale // common * scale))
     return out
+
+
+def three_term(steps, triples) -> list[Fraction]:
+    """``three_term_pairs`` on triples of rationals, one reduced Fraction
+    per entry."""
+    pairs = ((x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()) for x, y, z in triples)
+    return [Fraction(*pair) for pair in three_term_pairs(steps, pairs)]
 
 
 def _spanned(vec):
@@ -111,6 +138,28 @@ def _spanned(vec):
     return ints, scale, nonzero[0], nonzero[-1] + 1
 
 
+def _spanned_columns(a, b, name):
+    """The columns of b, each ``_spanned``, once a is checked to have as
+    many columns as b has rows."""
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise BiorthError(f"{name} needs as many columns in a as rows in b")
+    return [_spanned(col) for col in zip(*b)]
+
+
+def _row_product(row, cols):
+    """Row of a b as unreduced (integer, scale) pairs, from a ``_spanned``
+    row of a and the ``_spanned`` columns of b: each entry is the integer
+    dot product over the overlap of the two nonzero spans."""
+    ints, row_scale, row_lo, row_hi = row
+    out = []
+    for col, col_scale, col_lo, col_hi in cols:
+        lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
+        acc = sum(map(mul, ints[lo:hi], col[lo:hi])) if lo < hi else 0
+        out.append((acc, row_scale * col_scale))
+    return out
+
+
 def mat_mul(a, b):
     """Exact product of two list-of-list matrices of rationals.
 
@@ -118,20 +167,27 @@ def mat_mul(a, b):
     the scaled column j of b over the overlap of their nonzero spans,
     divided by the product of the two scales.
     """
-    inner = len(b)
-    if any(len(row) != inner for row in a):
-        raise BiorthError("mat_mul needs as many columns in a as rows in b")
-    rows = [_spanned(row) for row in a]
-    cols = [_spanned(col) for col in zip(*b)]
-    out = []
-    for row, row_scale, row_lo, row_hi in rows:
-        out_row = []
-        for col, col_scale, col_lo, col_hi in cols:
-            lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
-            acc = sum(map(mul, row[lo:hi], col[lo:hi])) if lo < hi else 0
-            out_row.append(Fraction(acc, row_scale * col_scale))
-        out.append(out_row)
-    return out
+    cols = _spanned_columns(a, b, "mat_mul")
+    return [[Fraction(*entry) for entry in _row_product(_spanned(row), cols)] for row in a]
+
+
+def product_mismatches(expected, a, b):
+    """(i, j, value) for each entry where value = (a b)[i][j] differs from
+    expected[i][j], row by row, computed lazily: each row of a b is
+    ``_row_product``, and its entries are compared with expected on
+    integers (num * scale == acc * den), so a Fraction is built only for a
+    mismatch.  Inconsistent shapes raise at the call."""
+    cols = _spanned_columns(a, b, "product_mismatches")
+    if len(expected) != len(a) or any(len(row) != len(cols) for row in expected):
+        raise BiorthError("product_mismatches needs expected of the shape of a b")
+    return _mismatches(expected, a, cols)
+
+
+def _mismatches(expected, a, cols):
+    for i, (expected_row, row) in enumerate(zip(expected, a)):
+        for j, (entry, (acc, scale)) in enumerate(zip(expected_row, _row_product(_spanned(row), cols))):
+            if entry.numerator * scale != acc * entry.denominator:
+                yield i, j, Fraction(acc, scale)
 
 
 def mat_identity(n):

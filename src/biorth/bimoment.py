@@ -29,13 +29,17 @@ the agreement of the two fills would only repeat
 :func:`check_transpose_symmetry`.
 
 All three recurrences run on integer kernels (see ``_linalg``).  Both bulk
-fills are one band step on the previous column or row, through the shared
-three-term kernel ``_linalg.three_term``: the column fill clears its step
-coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per table and the row fill
-its own (b, d) coefficients once per block, and the kernel clears the
-three entries each new entry reads.  The boundary column feeds back on the
-two entries it has just produced, so it clears its step and those two
-entries itself.  Each entry is one integer combination and one Fraction.
+fills are one band step on the previous column or row: the column fill
+clears its step coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per table
+and the row fill its own (b, d) coefficients once per block, and the
+kernel clears the three entries each new entry reads.  The column fill
+stores every entry it makes, so it runs on ``_linalg.three_term``, one
+Fraction per entry.  The row fill keeps only the first n + 1 entries of
+each row of its trapezoid, so it carries the rows as unreduced integer
+pairs (``_linalg.three_term_pairs``) and builds a Fraction once per kept
+entry.  The boundary column feeds back on the two entries it has just
+produced, so it clears its step and those two entries itself, one
+Fraction per entry.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from ._linalg import _clear_denominators, three_term
+from ._linalg import _clear_denominators, three_term, three_term_pairs
 from .core import AWParams, InvalidParams, SingularParams, _QPowers, format_rational
 from .reporting import csv_text
 
@@ -255,9 +259,11 @@ def _block_by_rows(p: AWParams, n: int) -> list[list[Fraction]]:
     row = boundary_row(p, 2 * n)
     col0 = boundary_column(p, n)
     rows = [row[: n + 1]]
+    row = [value.as_integer_ratio() for value in row]
     for i in range(1, n + 1):
-        row = [col0[i], *three_term(coeffs[: 2 * n - i], zip(row, row[1:], row[2:]))]
-        rows.append(row[: n + 1])
+        steps = three_term_pairs(coeffs[: 2 * n - i], zip(row, row[1:], row[2:]))
+        row = [col0[i].as_integer_ratio(), *steps]
+        rows.append([col0[i], *(Fraction(*pair) for pair in steps[:n])])
     return rows
 
 

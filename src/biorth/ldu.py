@@ -25,7 +25,9 @@ Both triangular recurrences run on the shared three-term kernel
 ``_linalg.three_term``: L through ``TridiagonalOperator.matvec``; L^{-1}
 clears its own step coefficients once per row, and the kernel clears the
 three entries of rows i-1 and i-2 each entry reads and forms one Fraction
-per entry.  D is the running product of one g sweep.
+per entry.  D is the running product of one g sweep.  The three products
+of ``verify_ldu`` are compared on integers (``_linalg.product_mismatches``),
+so a product entry becomes a Fraction only where it fails.
 The closed form extends its q-Pochhammer products from i-1 to i, O(n)
 factor updates in all.
 """
@@ -46,7 +48,7 @@ from .core import (
     d_natural_sweep,
     g_sweep,
 )
-from .reporting import VerificationReport, matrix_differences
+from .reporting import VerificationReport
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,13 @@ def build_D(p: AWParams, n: int) -> DiagonalFactor:
 
 
 def verify_ldu(p: AWParams, n: int) -> VerificationReport:
-    """Check B = L D U on the order-n block, plus both inverse identities."""
+    """Check B = L D U on the order-n block, plus both inverse identities.
+
+    Each product is searched row by row against the matrix it must equal
+    with ``_linalg.product_mismatches``, on integers; the first mismatch
+    is recorded as block vs product (B = L D U) and product vs identity
+    (L L^-1 = I, U^-1 U = I).
+    """
     report = VerificationReport(params=p.to_map(), n=n)
 
     with report.timed("build"):
@@ -158,21 +166,29 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
         diag = build_D(p, n)
         block = bimoment_table(p).block(n)
 
-    def product():
-        scaled = [[value * diag.values[j] for j, value in enumerate(row)] for row in lower.rows()]
-        return _linalg.mat_mul(scaled, upper.rows())
+    def mismatches(expected, a, b, product_left):
+        for i, j, value in _linalg.product_mismatches(expected, a, b):
+            left, right = (value, expected[i][j]) if product_left else (expected[i][j], value)
+            yield {"i": i, "j": j, "left": left, "right": right}
 
-    report.check("bimoment-equals-LDU", "factorization-product", lambda: matrix_differences(block, product()))
+    def scaled_lower():
+        return [[value * diag.values[j] for j, value in enumerate(row)] for row in lower.rows()]
+
+    report.check(
+        "bimoment-equals-LDU",
+        "factorization-product",
+        lambda: mismatches(block, scaled_lower(), upper.rows(), False),
+    )
     identity = _linalg.mat_identity(n + 1)
     report.check(
         "lower-times-inverse",
         "lower-inverse-identity",
-        lambda: matrix_differences(_linalg.mat_mul(lower.rows(), lower_inv.rows()), identity),
+        lambda: mismatches(identity, lower.rows(), lower_inv.rows(), True),
     )
     report.check(
         "inverse-times-upper",
         "upper-inverse-identity",
-        lambda: matrix_differences(_linalg.mat_mul(upper_inv.rows(), upper.rows()), identity),
+        lambda: mismatches(identity, upper_inv.rows(), upper.rows(), True),
     )
     return report
 

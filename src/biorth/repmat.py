@@ -24,16 +24,19 @@ all levels at one point in one sweep, so the recurrence can be validated
 against an independent construction; :func:`aw_eval` is one level of it.
 
 :meth:`TridiagonalOperator.matvec` and :func:`monic_recurrence` are
-three-term steps on the shared integer kernel ``_linalg.three_term``:
-matvec clears each band row of denominators once per operator and
-monic_recurrence its step once per degree, the kernel clears the three
-values each output entry reads, and each entry is one Fraction.  The band
-walks of ``ldu.build_L`` and :func:`jacobi_moments` run on matvec.  The
-``asep`` transfer weights do not: that walk is short and wide, so it
-clears both site operators' bands over one walk-wide scale and stays on
-integers to the end (see ``_linalg``).  Both walks read a band through
-:meth:`TridiagonalOperator.band_rows` and a vector through
-:func:`neighbours`.  :func:`verify_algebra` reads the cleared band rows
+three-term steps on the shared integer kernel, through its Fraction form
+``_linalg.three_term``: matvec clears each band row of denominators once
+per operator and monic_recurrence its step once per degree, the kernel
+clears the three values each output entry reads, and each entry is one
+Fraction.  The band walk of ``ldu.build_L`` runs on matvec.
+:func:`jacobi_moments` walks the same cleared band rows on the kernel
+itself, ``_linalg.three_term_pairs``: its components never leave, so they
+stay unreduced integer pairs, and only the moments are Fractions.  The
+``asep`` transfer weights do not run on the kernel: that walk is short
+and wide, so it clears both site operators' bands over one walk-wide
+scale and stays on integers to the end (see ``_linalg``).  All three
+walks read a band through :meth:`TridiagonalOperator.band_rows` and a
+vector through :func:`neighbours`.  :func:`verify_algebra` reads the cleared band rows
 too: d e and e d are five-diagonal, so it visits only those entries, on
 integers, and builds a Fraction for the first failure alone.
 """
@@ -46,7 +49,7 @@ from functools import cached_property
 from itertools import repeat
 from math import lcm
 
-from ._linalg import _clear_denominators, three_term
+from ._linalg import _clear_denominators, three_term, three_term_pairs
 from .core import (
     AWParams,
     DenominatorVanishes,
@@ -113,11 +116,11 @@ class TridiagonalOperator:
         return three_term(self._cleared_rows[:levels], neighbours(vec, levels))
 
 
-def neighbours(vec, levels: int):
+def neighbours(vec, levels: int, zero=0):
     """(vec[i-1], vec[i], vec[i+1]) for i < levels: the components band row
-    i reads, with zeros beyond both ends of vec."""
+    i reads, with ``zero`` beyond both ends of vec."""
     # padded[i + 1] is component i
-    padded = [0, *vec[: levels + 1], *(0,) * (levels + 1 - len(vec))]
+    padded = [zero, *vec[: levels + 1], *(zero,) * (levels + 1 - len(vec))]
     return zip(padded, padded[1:], padded[2:])
 
 
@@ -476,7 +479,13 @@ def jacobi_moments(diag, offdiag_products, kmax: int):
     diag[n] is the diagonal, offdiag_products[n] the product of the two
     off-diagonal entries coupling levels n and n+1.  Truncation at size N+1
     is exact for k <= 2N because a closed walk of length k never leaves the
-    first k/2 + 1 levels; shorter truncations are refused.
+    first k/2 + 1 levels; shorter truncations are refused, and so is an
+    offdiag_products shorter than size - 1 (``ShapeError``).
+
+    The band is a :class:`TridiagonalOperator`, and the walk steps its
+    cleared rows with ``_linalg.three_term_pairs``: the components are
+    unreduced (numerator, denominator) pairs, and the one Fraction per
+    step is the moment, component 0.
     """
     size = len(diag)
     if kmax < 0:
@@ -493,12 +502,14 @@ def jacobi_moments(diag, offdiag_products, kmax: int):
         upper=tuple(offdiag_products[: size - 1]),
         lower=(1,) * (size - 1),
     )
-    vec = [Fraction(1)]
-    out = [vec[0]]
+    rows = jacobi._cleared_rows
+    vec = [(1, 1)]
+    out = [Fraction(1)]
     for k in range(1, kmax + 1):
         # after k steps only levels that can still return to 0 matter
-        vec = jacobi.matvec(vec, min(k, kmax - k) + 1)
-        out.append(vec[0])
+        levels = min(k, kmax - k) + 1
+        vec = three_term_pairs(rows[:levels], neighbours(vec, levels, (0, 1)))
+        out.append(Fraction(*vec[0]))
     return out
 
 

@@ -9,10 +9,10 @@ The check protocol: a check that searches for a counterexample is a
 function returning a generator of counterexamples, and
 ``VerificationReport.check`` calls it in a timed span, takes the first
 counterexample, if any, and records it; nothing after the first is
-computed.  Two counterexample shapes recur and are written once here:
+computed.  The counterexample shape that recurs is written once here:
 ``differences`` ({key, "left", "right"} at each index where two sequences
-differ) and ``matrix_differences`` ({"i", "j", "left", "right"}).  A check
-that is a single boolean is recorded with ``VerificationReport.add``.
+differ).  A check that is a single boolean is recorded with
+``VerificationReport.add``.
 
 The payload writers are here too: ``canonical_json`` for every JSON
 report, ``csv_text`` for the two tabular commands.
@@ -61,14 +61,6 @@ def differences(key: str, left, right):
     for k, (x, y) in enumerate(zip(left, right)):
         if x != y:
             yield {key: k, "left": x, "right": y}
-
-
-def matrix_differences(left, right):
-    """{"i": i, "j": j, "left": x, "right": y} for each entry where the two
-    matrices differ, row by row."""
-    for i, (row_left, row_right) in enumerate(zip(left, right)):
-        for found in differences("j", row_left, row_right):
-            yield {"i": i, **found}
 
 
 @dataclass

@@ -1,12 +1,16 @@
 """Integer kernels against plain-Fraction references.
 
-The moment table, the row fill, the band walk, the inverse lower factor, the
-monic recurrence, the closed-form determinant, the chain generator, the
+The moment table, the band walk, the inverse lower factor, the monic
+recurrence, the closed-form determinant, the chain generator, the
 closed-form coefficient sweeps (d, e, g and A/B/C) and the Askey-Wilson
-series sweep clear denominators once and form one Fraction per entry; the
-banded algebra check forms one only for its first failure; the
-normal-ordering step and the moment sum read integer coefficients over one
-scale, which the tests convert.  Each
+series sweep clear denominators once and form one Fraction per entry.  The
+row fill and the Jacobi moment walk carry unreduced integer pairs through
+the pair step and form one Fraction per kept entry or moment; the step
+itself is held to its Fraction formula on reduced and unreduced inputs.
+The banded algebra
+check forms a Fraction only for its first failure, and the product search
+only for each mismatch.  The normal-ordering step and the moment sum read
+integer coefficients over one scale, which the tests convert.  Each
 reference below is the Fraction formula the kernel replaced, kept verbatim,
 so the kernels must reproduce it entry for entry -- values, singular orders
 and messages, and the key order of the normal-ordered dicts.
@@ -19,9 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biorth import (
+    BiorthError,
     DenominatorVanishes,
     InvalidParams,
+    ShapeError,
     SingularParams,
+    SizeLimit,
     ZeroParameter,
     bimoment_table,
     build_L_inverse,
@@ -31,12 +38,14 @@ from biorth import (
     e_natural,
     g_coeff,
     is_valid,
+    jacobi_moments,
     phi_terminating,
     qpoch,
     to_rates,
     validate,
     verify_algebra,
 )
+from biorth._linalg import mat_mul, product_mismatches, three_term, three_term_pairs
 from biorth.asep import generator
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
 from biorth.core import (
@@ -51,6 +60,7 @@ from biorth.core import (
 from biorth.repmat import (
     AWRecurrenceCoeffs,
     TridiagonalOperator,
+    _sum_band,
     aw_coeffs,
     aw_eval,
     aw_series,
@@ -58,6 +68,7 @@ from biorth.repmat import (
     monic_recurrence,
     rep_rational,
 )
+from biorth.reporting import differences
 from biorth.suites import GRID
 from biorth.wordfun import _moment_sum, _times_letter, normal_power
 
@@ -778,3 +789,170 @@ def test_banded_algebra_check_matches_the_dense_search(case):
     expected = next(reference_algebra_failures(dop, eop, q), None)
     assert check.passed == (expected is None)
     assert repr(check.first_failure) == repr(expected)
+
+
+rational_entries = entries.map(F)
+
+
+@st.composite
+def pair_steps(draw):
+    """Cleared steps and the rational triples they read, 0-6 of each."""
+    count = draw(st.integers(0, 6))
+    steps = [_clear_denominators([draw(rational_entries) for _ in range(3)]) for _ in range(count)]
+    triples = [tuple(draw(rational_entries) for _ in range(3)) for _ in range(count)]
+    return steps, triples
+
+
+def reference_three_term(steps, triples):
+    """The three-term step as a Fraction formula."""
+    return [(u * x + v * y + w * z) / F(scale) for ((u, v, w), scale), (x, y, z) in zip(steps, triples)]
+
+
+@settings(max_examples=200)
+@given(pair_steps(), scale_factors)
+def test_three_term_step_matches_the_fraction_formula(case, extra):
+    steps, triples = case
+    expected = reference_three_term(steps, triples)
+    reduced = three_term(steps, triples)
+    assert all(type(value) is F for value in reduced)
+    assert reduced == expected
+    # the same values unreduced: each denominator carries a further factor
+    pairs = [
+        tuple((x.numerator * abs(extra), x.denominator * abs(extra)) for x in triple) for triple in triples
+    ]
+    got = three_term_pairs(steps, pairs)
+    assert all(type(num) is int and type(den) is int and den > 0 for num, den in got)
+    assert [F(num, den) for num, den in got] == expected
+
+
+def reference_jacobi_moments(diag, offdiag_products, kmax: int):
+    """jacobi_moments as it was written: a Fraction power walk on matvec."""
+    size = len(diag)
+    if kmax < 0:
+        raise InvalidParams(f"kmax must be >= 0, got {kmax}")
+    if size < kmax // 2 + 1:
+        raise SizeLimit(
+            f"truncation size {size} cannot produce exact moments to k = {kmax}; "
+            f"need size >= {kmax // 2 + 1}"
+        )
+    # monic form: the coupling products above the diagonal, ones below
+    jacobi = TridiagonalOperator(
+        size=size,
+        diag=tuple(diag),
+        upper=tuple(offdiag_products[: size - 1]),
+        lower=(1,) * (size - 1),
+    )
+    vec = [F(1)]
+    out = [vec[0]]
+    for k in range(1, kmax + 1):
+        # after k steps only levels that can still return to 0 matter
+        vec = jacobi.matvec(vec, min(k, kmax - k) + 1)
+        out.append(vec[0])
+    return out
+
+
+def _aw_match_bands(p, levels):
+    """The two Jacobi systems ``verify_aw_match`` compares at ``levels``."""
+    coeffs = aw_sweep(p, levels + 2)
+    diag, products = _sum_band(p, levels + 2)
+    size = levels + 1
+    return (
+        ([c.B / 2 for c in coeffs[:size]], [coeffs[n].A * coeffs[n + 1].C / 4 for n in range(size - 1)]),
+        ([x / 2 for x in diag[:size]], [x / 4 for x in products[: size - 1]]),
+    )
+
+
+def test_jacobi_moments_match_the_power_walk_on_the_aw_match_bands(grid):
+    walked = 0
+    for p in grid:
+        if 0 in (p.a, p.b, p.c, p.d):
+            continue  # aw-match refuses a zero parameter
+        for diag, products in _aw_match_bands(p, 22):
+            expected = reference_jacobi_moments(diag, products, 44)
+            got = jacobi_moments(diag, products, 44)
+            assert repr(got) == repr(expected)
+            walked += 1
+    assert walked >= 8
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(entries, entries.map(lambda x: -abs(x) - 1)), min_size=1, max_size=8),
+    st.lists(st.one_of(st.just(0), entries), min_size=7, max_size=7),
+    st.integers(0, 16),
+)
+def test_jacobi_moments_match_the_power_walk_on_random_bands(diag, products, kmax):
+    # zero couplings, negative diagonals, plain ints and 100-bit entries
+    size = len(diag)
+    products = products[: size - 1]
+    expected = _outcome(lambda: repr(reference_jacobi_moments(diag, products, kmax)))
+    assert _outcome(lambda: repr(jacobi_moments(diag, products, kmax))) == expected
+
+
+def test_jacobi_moments_refuse_a_short_coupling_band():
+    diag = [F(1, 2)] * 4
+    for products in ([], [F(1)], [F(1), F(2)]):
+        with pytest.raises(ShapeError, match="band lengths inconsistent with size"):
+            jacobi_moments(diag, products, 2)
+    # more couplings than size - 1: the surplus is not read
+    assert jacobi_moments(diag, [F(1)] * 5, 6) == jacobi_moments(diag, [F(1)] * 3, 6)
+
+
+@st.composite
+def perturbed_products(draw):
+    """(expected, a, b): a b with 1-3 entries changed, for dense, lower and
+    upper triangular factors and factors with zero rows."""
+    rows, inner, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[draw(rational_entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(rational_entries) for _ in range(cols)] for _ in range(inner)]
+    shape = draw(st.sampled_from(("dense", "lower", "upper", "zero rows")))
+    if shape == "lower":
+        a = [[x if k <= i else F(0) for k, x in enumerate(row)] for i, row in enumerate(a)]
+        b = [[x if j <= k else F(0) for j, x in enumerate(row)] for k, row in enumerate(b)]
+    elif shape == "upper":
+        a = [[x if k >= i else F(0) for k, x in enumerate(row)] for i, row in enumerate(a)]
+        b = [[x if j >= k else F(0) for j, x in enumerate(row)] for k, row in enumerate(b)]
+    elif shape == "zero rows":
+        for i in draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+            a[i] = [F(0)] * inner
+        for k in draw(st.sets(st.integers(0, inner - 1))):
+            b[k] = [F(0)] * cols
+    expected = mat_mul(a, b)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        expected[i][j] += draw(rational_entries)  # zero leaves the entry as it was
+    return expected, a, b
+
+
+def reference_matrix_differences(left, right):
+    """The dense entry search as it was written, on a computed product."""
+    for i, (row_left, row_right) in enumerate(zip(left, right)):
+        for found in differences("j", row_left, row_right):
+            yield {"i": i, **found}
+
+
+@settings(max_examples=200)
+@given(perturbed_products())
+def test_product_search_yields_every_counterexample_in_order(case):
+    expected, a, b = case
+    found = [
+        {"i": i, "j": j, "left": expected[i][j], "right": value}
+        for i, j, value in product_mismatches(expected, a, b)
+    ]
+    assert repr(found) == repr(list(reference_matrix_differences(expected, mat_mul(a, b))))
+    assert all(type(value) is F for _, _, value in product_mismatches(expected, a, b))
+
+
+def test_product_search_refuses_inconsistent_shapes():
+    a, b = [[F(1), F(2)]], [[F(1)], [F(3)]]
+    assert list(product_mismatches([[F(7)]], a, b)) == []
+    for expected, a_, b_ in (
+        ([[F(7)]], a, [[F(1)]]),  # a has more columns than b has rows
+        ([[F(7)]], [[F(1)], [F(1), F(2)]], b),  # ragged a
+        ([[F(7), F(0)]], a, b),  # expected has a column too many
+        ([[F(7)], [F(7)]], a, b),  # and a row too many
+        ([], a, b),
+    ):
+        # raised at the call, before any entry is searched
+        with pytest.raises(BiorthError):
+            product_mismatches(expected, a_, b_)
