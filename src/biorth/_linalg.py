@@ -12,13 +12,13 @@ or step, outside the entry loop (``_clear_denominators``, which lives in
 the lcm of their denominators; combine them in plain ``int`` arithmetic;
 build exactly one Fraction per entry that leaves the routine.  A value
 that never leaves it (a component of a walk that returns one component
-per step, a row of a fill that keeps only part of each row, an entry of
-a product that is only compared) stays an unreduced (numerator,
-denominator) pair of integers: a Fraction reduces by a full-size gcd,
-1.7-4 times the cost of a multiplication of the same 1.5-6k-bit
-operands, and on these walks most of the common factor it finds comes
-from the step's own small scale (34 of 38 bits on average on the
-order-26 column fill).
+per step, a row of a fill that keeps only part of each row, a table
+entry not yet read, an entry of a product that is only compared) stays
+an unreduced (numerator, denominator) pair of integers: a Fraction
+reduces by a full-size gcd, 1.7-4 times the cost of a multiplication of
+the same 1.5-6k-bit operands, and on these walks most of the common
+factor it finds comes from the step's own small scale (34 of 38 bits on
+average on the order-26 column fill).
 
 Every tridiagonal recurrence is one three-term step on one kernel,
 ``three_term_pairs``: it takes cleared steps ((u, v, w), scale) and the
@@ -27,13 +27,15 @@ denominator) pairs, clears each triple once and cancels each result only
 by the gcd of its numerator and the step scale, which is cheap because
 the step scale is small.  ``three_term`` is the same step on rationals,
 one reduced Fraction per entry.  Their callers keep their own
-coefficients.  On ``three_term``, whose every entry is returned: the
+coefficients.  On ``three_term``, whose every entry is returned:
+``repmat.TridiagonalOperator.matvec``, on which the band walk of
+``ldu.build_L`` runs (row n of L is <e0| d^n); ``repmat.monic_recurrence``
+(the P/Q and T polynomials); and ``ldu.build_L_inverse``, which keeps its
+own recurrence so that L L^-1 = I stays a check.  On the pairs: the
 moment table's column fill (``bimoment.BimomentTable``: column j is the
-step band applied to column j-1); ``repmat.TridiagonalOperator.matvec``,
-on which the band walk of ``ldu.build_L`` runs (row n of L is
-<e0| d^n); ``repmat.monic_recurrence`` (the P/Q and T polynomials); and
-``ldu.build_L_inverse``, which keeps its own recurrence so that
-L L^-1 = I stays a check.  On the pairs: the row fill
+step band applied to column j-1; an entry is stored as its pair and
+reduced to a Fraction in place when first read, and the rows below the
+square a reader asks for are never reduced), the row fill
 (``bimoment._block_by_rows``, the separate route to the block, one
 Fraction per kept entry) and the walk of ``repmat.jacobi_moments`` (one
 Fraction per moment).  The kernel clears the three neighbours of each
@@ -79,7 +81,9 @@ routines:
   ``product_mismatches`` computes the same integer products row by row,
   lazily, and compares each with the expected entry on integers, so the
   three products of ``ldu.verify_ldu`` build a Fraction only for a
-  mismatch.
+  mismatch.  Both take the right factor as a matrix or as its
+  ``Columns``, cleared once: ``verify_ldu`` clears U once for its two
+  products with U on the right.
 * ``lu_pivots`` factors a square matrix by left-looking (Doolittle)
   elimination with first-nonzero pivoting and returns the pivots and the
   parity of the row swaps.  Each L row and the U column being built are
@@ -138,13 +142,22 @@ def _spanned(vec):
     return ints, scale, nonzero[0], nonzero[-1] + 1
 
 
-def _spanned_columns(a, b, name):
-    """The columns of b, each ``_spanned``, once a is checked to have as
-    many columns as b has rows."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
+class Columns:
+    """The columns of a matrix b, each ``_spanned``: what a product a b
+    reads of b, cleared once however many products read it."""
+
+    def __init__(self, b):
+        self.inner = len(b)
+        self.spans = [_spanned(col) for col in zip(*b)]
+
+
+def _columns(a, b, name) -> Columns:
+    """b (a matrix or its ``Columns``) as ``Columns``, once a is checked to
+    have as many columns as b has rows."""
+    cols = b if isinstance(b, Columns) else Columns(b)
+    if any(len(row) != cols.inner for row in a):
         raise BiorthError(f"{name} needs as many columns in a as rows in b")
-    return [_spanned(col) for col in zip(*b)]
+    return cols
 
 
 def _row_product(row, cols):
@@ -167,7 +180,7 @@ def mat_mul(a, b):
     the scaled column j of b over the overlap of their nonzero spans,
     divided by the product of the two scales.
     """
-    cols = _spanned_columns(a, b, "mat_mul")
+    cols = _columns(a, b, "mat_mul").spans
     return [[Fraction(*entry) for entry in _row_product(_spanned(row), cols)] for row in a]
 
 
@@ -176,8 +189,9 @@ def product_mismatches(expected, a, b):
     expected[i][j], row by row, computed lazily: each row of a b is
     ``_row_product``, and its entries are compared with expected on
     integers (num * scale == acc * den), so a Fraction is built only for a
-    mismatch.  Inconsistent shapes raise at the call."""
-    cols = _spanned_columns(a, b, "product_mismatches")
+    mismatch.  b is a matrix or its ``Columns``.  Inconsistent shapes raise
+    at the call."""
+    cols = _columns(a, b, "product_mismatches").spans
     if len(expected) != len(a) or any(len(row) != len(cols) for row in expected):
         raise BiorthError("product_mismatches needs expected of the shape of a b")
     return _mismatches(expected, a, cols)

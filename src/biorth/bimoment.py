@@ -24,6 +24,8 @@ column 0, and keeps the boundary row and the step coefficients; each is
 extended from its stored depth (``_extend_boundary`` is the boundary step
 :func:`boundary_column` runs too), so a table grown one order at a time
 computes each entry and step once, as one growth to the final order does.
+A block or entry reader at order n reads only the (n+1)^2 square; the
+rows below it feed later columns (351 of the 1,080 entries at order 26).
 The row fill is coded separately: derived from the swapped column fill,
 the agreement of the two fills would only repeat
 :func:`check_transpose_symmetry`.
@@ -32,14 +34,15 @@ All three recurrences run on integer kernels (see ``_linalg``).  Both bulk
 fills are one band step on the previous column or row: the column fill
 clears its step coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per table
 and the row fill its own (b, d) coefficients once per block, and the
-kernel clears the three entries each new entry reads.  The column fill
-stores every entry it makes, so it runs on ``_linalg.three_term``, one
-Fraction per entry.  The row fill keeps only the first n + 1 entries of
-each row of its trapezoid, so it carries the rows as unreduced integer
-pairs (``_linalg.three_term_pairs``) and builds a Fraction once per kept
-entry.  The boundary column feeds back on the two entries it has just
-produced, so it clears its step and those two entries itself, one
-Fraction per entry.
+kernel clears the three entries each new entry reads.  Both run on
+unreduced integer pairs (``_linalg.three_term_pairs``).  The column fill
+stores each bulk entry as the pair it makes and reduces it to a Fraction
+in place the first time ``entry``, ``block`` or ``stored_items`` reads it;
+from then on readers and later growth see that Fraction, and no entry is
+held twice.  The row fill keeps only the first n + 1 entries of each row
+of its trapezoid and builds a Fraction once per kept entry.  The boundary
+column feeds back on the two entries it has just produced, so it clears
+its step and those two entries itself, one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from ._linalg import _clear_denominators, three_term, three_term_pairs
+from ._linalg import _clear_denominators, three_term_pairs
 from .core import AWParams, InvalidParams, SingularParams, _QPowers, format_rational
 from .reporting import csv_text
 
@@ -104,10 +107,16 @@ class BimomentTable:
 
     Column j is a list B[0][j] .. B[2 order - j][j], and column 0 is the
     boundary column; a growth extends each column in place, by one band
-    step on column j - 1.  The boundary row and the step coefficients are
-    kept too, each extended from its stored depth.  A growth that raises
-    leaves the stored trapezoid as it was.  ``bits`` is the numerator plus
-    denominator bits of the stored entries, the table's size in the store."""
+    step on column j - 1.  Column 0 and the top entries B[0][j] (the
+    boundary row) are Fractions; every other entry is stored as the
+    unreduced (numerator, denominator) pair the step made until its first
+    read replaces it by its Fraction.  The boundary row and the step
+    coefficients are kept too, each extended from its stored depth.  A
+    growth that raises leaves the stored trapezoid as it was.  ``bits`` is
+    the numerator plus denominator bits of each entry as the growth stored
+    it, the table's size in the store: a read that reduces a pair leaves it
+    as it was, so it bounds from above what the table holds (unreduced
+    pairs are 0-6% larger than their Fractions at order 26)."""
 
     def __init__(self, params: AWParams):
         self.params = params
@@ -156,8 +165,8 @@ class BimomentTable:
                 added += _bits(cols[j])
             col, prev = cols[j], cols[j - 1]
             start = len(col)
-            triples = zip(prev[start - 1 :], prev[start:], prev[start + 1 :])
-            new = three_term(steps[start : 2 * n - j + 1], triples)
+            pairs = [_pair(value) for value in prev[start - 1 :]]
+            new = three_term_pairs(steps[start : 2 * n - j + 1], zip(pairs, pairs[1:], pairs[2:]))
             col += new
             added += _bits(new)
         self._order = n
@@ -170,18 +179,38 @@ class BimomentTable:
         cols = self._cols
         if j >= len(cols) or i >= len(cols[j]):
             self.ensure(max(j, (i + j + 1) // 2))
-        return cols[j][i]
+        return _reduced(cols[j], i)
 
     def block(self, n: int) -> list[list[Fraction]]:
         self.ensure(n)
-        return [list(row) for row in zip(*(col[: n + 1] for col in self._cols[: n + 1]))]
+        return [list(row) for row in zip(*(_read(col, n + 1) for col in self._cols[: n + 1]))]
 
     def stored_items(self):
-        return {(i, j): value for j, col in enumerate(self._cols) for i, value in enumerate(col)}
+        return {
+            (i, j): value for j, col in enumerate(self._cols) for i, value in enumerate(_read(col, len(col)))
+        }
+
+
+def _pair(value) -> tuple[int, int]:
+    """A stored entry as a (numerator, denominator) pair."""
+    return value if type(value) is tuple else value.as_integer_ratio()
+
+
+def _reduced(col: list, i: int) -> Fraction:
+    """col[i] as a Fraction: a pair is reduced in place, so it is reduced
+    once and the Fraction is what later reads and growth see."""
+    value = col[i]
+    if type(value) is tuple:
+        value = col[i] = Fraction(*value)
+    return value
+
+
+def _read(col: list, stop: int) -> list[Fraction]:
+    return [_reduced(col, i) for i in range(stop)]
 
 
 def _bits(values) -> int:
-    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
+    return sum(num.bit_length() + den.bit_length() for num, den in map(_pair, values))
 
 
 def _evict_lru(cache: OrderedDict, held: int, budget: int, size) -> int:
@@ -194,10 +223,10 @@ def _evict_lru(cache: OrderedDict, held: int, budget: int, size) -> int:
 
 # Tables leave least recently used first while the bits they hold pass the
 # budget; the table asked for stays, whatever its size (ldu --n 48 at the
-# costliest GRID point needs 31.9 Mbit).  Per benchmark round, cli-small
-# builds 16 tables (0.97 Mbit in all), chain 16 (0.32 Mbit) and verify-all
-# 7, so nothing leaves there; deep-factor builds 24 of up to 3.2 Mbit
-# (51.6 Mbit in all), none read again after its own unit.
+# costliest GRID point needs 32.6 Mbit as counted).  Per benchmark round
+# (seed 2801), cli-small builds 16 tables (1.06 Mbit in all), chain 16
+# (0.45 Mbit) and verify-all 7, so nothing leaves there; deep-factor builds
+# 24 of up to 3.3 Mbit (52.6 Mbit in all), none read again after its own unit.
 _TABLES_BUDGET = 1 << 23
 _TABLES: OrderedDict[AWParams, BimomentTable] = OrderedDict()
 # At least the bits _TABLES holds: each growth adds to it and a lookup past

@@ -27,9 +27,14 @@ clears its own step coefficients once per row, and the kernel clears the
 three entries of rows i-1 and i-2 each entry reads and forms one Fraction
 per entry.  D is the running product of one g sweep.  The three products
 of ``verify_ldu`` are compared on integers (``_linalg.product_mismatches``),
-so a product entry becomes a Fraction only where it fails.
-The closed form extends its q-Pochhammer products from i-1 to i, O(n)
-factor updates in all.
+so a product entry becomes a Fraction only where it fails; U's columns
+are cleared once for the two products that read them.  L D stays one
+reduced Fraction per entry: its rows clear to D's own denominators, and
+folding D into the integer rows unreduced made the products slower.
+Each determinant route is one integer product and one Fraction: the
+closed form takes each level's factors with q = t/s as integers, O(n)
+factors in all, and the diagonal and pivot products multiply numerators
+and denominators apart.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .core import (
     AWParams,
     InvalidParams,
     SingularParams,
+    _QPowers,
     d_natural_sweep,
     g_sweep,
 )
@@ -165,19 +171,20 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
         upper_inv = build_U_inverse(p, n)
         diag = build_D(p, n)
         block = bimoment_table(p).block(n)
+        upper_cols = _linalg.Columns(upper.rows())
 
     def mismatches(expected, a, b, product_left):
         for i, j, value in _linalg.product_mismatches(expected, a, b):
             left, right = (value, expected[i][j]) if product_left else (expected[i][j], value)
             yield {"i": i, "j": j, "left": left, "right": right}
 
-    def scaled_lower():
-        return [[value * diag.values[j] for j, value in enumerate(row)] for row in lower.rows()]
+    def scaled_lower():  # the zeros above L's diagonal stay as they are
+        return [[value * d if value else value for value, d in zip(row, diag.values)] for row in lower.rows()]
 
     report.check(
         "bimoment-equals-LDU",
         "factorization-product",
-        lambda: mismatches(block, scaled_lower(), upper.rows(), False),
+        lambda: mismatches(block, scaled_lower(), upper_cols, False),
     )
     identity = _linalg.mat_identity(n + 1)
     report.check(
@@ -188,7 +195,7 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
     report.check(
         "inverse-times-upper",
         "upper-inverse-identity",
-        lambda: mismatches(identity, upper_inv.rows(), upper.rows(), True),
+        lambda: mismatches(identity, upper_inv.rows(), upper_cols, True),
     )
     return report
 
@@ -202,29 +209,44 @@ def det_closed_form(p: AWParams, n: int) -> Fraction:
     (abcd/q; q)_i and (abcd/q; q^2)_i share their first factor, 1 - abcd/q;
     it cancels and is left out of both (lowest terms), so abcd = q is a
     regular point.
+
+    Level i = m + 1 brings the last factors 1 - x q^m and 1 - y q^(2m) of
+    the Pochhammer symbols, and they enter the n - i + 1 terms i .. n of the
+    product.  With q = t/s a factor is an integer over x's denominator
+    times s^m (y's times s^(2m)), so the product runs on integers: each
+    level's numerators raised to n - i + 1, and the denominators, the same
+    at every level but for s^(2m) on the y side, once.  One Fraction.
     """
     if n < 0:
         raise InvalidParams(f"order must be >= 0, got {n}")
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
-    q2 = q * q
-    # (x; q)_i and (x; q^2)_i are extended from i-1 to i by their last factor:
-    # num_terms[k] is x_k q^(i-1), den_terms[k] is x_k q^(2(i-1))
-    num_terms = [abcd / q, q, a * b, b * c, a * d, c * d]
-    den_terms = [abcd / q, abcd, abcd * q]
-    num = den = out = Fraction(1)
+    xs = [abcd / q, q, a * b, b * c, a * d, c * d]
+    ys = [abcd / q, abcd, abcd, abcd * q]
+    tp, sp = _QPowers(q).upto(2 * (n - 1))
+    num = den = 1
+    s_power = 0
     for i in range(1, n + 1):
+        m = i - 1
         shared = 1 if i == 1 else 0  # the cancelled first factor is met at i = 1
-        for term in num_terms[shared:]:
-            num *= 1 - term
-        low, mid, high = (1 - term for term in den_terms)
-        den *= (1 if shared else low) * mid * mid * high
-        if den == 0:
+        level_num = prod(x.denominator * sp[m] - x.numerator * tp[m] for x in xs[shared:])
+        level_den = prod(y.denominator * sp[2 * m] - y.numerator * tp[2 * m] for y in ys[shared:])
+        if level_den == 0:
             raise SingularParams(f"closed-form determinant denominator vanishes at i={i}")
-        out *= num / den
-        num_terms = [term * q for term in num_terms]
-        den_terms = [term * q2 for term in den_terms]
-    return out
+        uses = n - i + 1
+        num *= level_num**uses
+        den *= level_den**uses
+        s_power += 2 * m * uses
+    # xs[0] and ys[0] share their denominator, so every level's is the same
+    uses = n * (n + 1) // 2
+    num *= prod(y.denominator for y in ys[1:]) ** uses * q.denominator**s_power
+    den *= prod(x.denominator for x in xs[1:]) ** uses
+    return Fraction(num, den)
+
+
+def _product(values, sign: int = 1) -> Fraction:
+    """sign * prod(values), on integers: one Fraction."""
+    return Fraction(sign * prod(v.numerator for v in values), prod(v.denominator for v in values))
 
 
 def det_bimoment(p: AWParams, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -237,9 +259,8 @@ def det_bimoment(p: AWParams, n: int) -> tuple[Fraction, Fraction, Fraction]:
     caller's check; this function reports all three rather than
     collapsing them.
     """
-    diag = build_D(p, n)
-    from_diagonal = prod(diag.values)
+    from_diagonal = _product(build_D(p, n).values)
     from_closed_form = det_closed_form(p, n)
     pivots, parity = _linalg.lu_pivots(bimoment_table(p).block(n))
-    from_elimination = -prod(pivots) if parity else prod(pivots)
+    from_elimination = _product(pivots, -1 if parity else 1)
     return from_diagonal, from_closed_form, from_elimination

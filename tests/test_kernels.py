@@ -1,12 +1,15 @@
 """Integer kernels against plain-Fraction references.
 
-The moment table, the band walk, the inverse lower factor, the monic
-recurrence, the closed-form determinant, the chain generator, the
-closed-form coefficient sweeps (d, e, g and A/B/C) and the Askey-Wilson
-series sweep clear denominators once and form one Fraction per entry.  The
-row fill and the Jacobi moment walk carry unreduced integer pairs through
-the pair step and form one Fraction per kept entry or moment; the step
-itself is held to its Fraction formula on reduced and unreduced inputs.
+The band walk, the inverse lower factor, the monic recurrence, the
+closed-form determinant, the chain generator, the closed-form coefficient
+sweeps (d, e, g and A/B/C) and the Askey-Wilson series sweep clear
+denominators once and form one Fraction per entry (the determinant one in
+all).  The moment table's column fill, the row fill and the Jacobi moment
+walk carry unreduced integer pairs through the pair step; the row fill
+and the walk form one Fraction per kept entry or moment, and the table one
+per entry read, which is held to the reference under any interleaving of
+reads and growth.  The step itself is held to its Fraction formula on
+reduced and unreduced inputs.
 The banded algebra
 check forms a Fraction only for its first failure, and the product search
 only for each mismatch.  The normal-ordering step and the moment sum read
@@ -16,11 +19,12 @@ so the kernels must reproduce it entry for entry -- values, singular orders
 and messages, and the key order of the normal-ordered dicts.
 """
 
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from biorth import (
     BiorthError,
@@ -30,6 +34,7 @@ from biorth import (
     SingularParams,
     SizeLimit,
     ZeroParameter,
+    bimoment,
     bimoment_table,
     build_L_inverse,
     d_natural,
@@ -306,6 +311,55 @@ def test_table_grown_one_order_at_a_time_equals_one_growth(grid):
             stepped.ensure(n)
             assert stepped.order == n
         assert stepped.stored_items() == once.stored_items()
+
+
+_REFERENCE_TABLES = {}
+
+
+def _reference_table_20(p):
+    """``reference_table`` at order 20, once per point: an entry's value does
+    not depend on how the table grew to hold it."""
+    if p not in _REFERENCE_TABLES:
+        _REFERENCE_TABLES[p] = reference_table(p, [20])
+    return _REFERENCE_TABLES[p]
+
+
+# one read or growth of a table, up to order 20: ("ensure" | "block", n) or
+# ("entry", i, j) with max(j, (i + j + 1) // 2) <= 20
+table_ops = st.one_of(
+    st.tuples(st.sampled_from(("ensure", "block")), st.integers(0, 20)),
+    st.integers(0, 20).flatmap(lambda j: st.tuples(st.just("entry"), st.integers(0, 40 - j), st.just(j))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRID), st.lists(table_ops, min_size=1, max_size=8))
+def test_interleaved_reads_and_growth_match_the_reference(point, ops):
+    # a read reduces the entries it returns in place, and later growth reads
+    # them back: every value returned is a Fraction equal to the reference
+    p = make_params(point)
+    expected = _reference_table_20(p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bimoment, "_TABLES", OrderedDict())
+        patch.setattr(bimoment, "_held_bits", 0)
+        table = bimoment_table(p)
+        for op, *args in ops:
+            if op == "ensure":
+                table.ensure(*args)
+            elif op == "block":
+                n = args[0]
+                block = table.block(n)
+                assert block == [[expected[i, j] for j in range(n + 1)] for i in range(n + 1)]
+                assert all(type(value) is F for row in block for value in row)
+            else:
+                value = table.entry(*args)
+                assert type(value) is F and value == expected[tuple(args)]
+            assert bimoment._held_bits >= sum(t.bits for t in bimoment._TABLES.values())
+        n = table.order
+        stored = table.stored_items()
+        assert sorted(stored) == sorted((i, j) for j in range(n + 1) for i in range(2 * n - j + 1))
+        assert stored == {key: expected[key] for key in stored}
+        assert all(type(value) is F for value in stored.values())
 
 
 # abcd q = 1 and abcd q^6 = 1: the boundary denominator vanishes at depth 2 and 7
@@ -586,6 +640,22 @@ def test_validate_matches_its_fraction_reference(p, n):
     expected = _outcome(lambda: reference_validate(p, n))
     assert _outcome(lambda: validate(p, n)) == expected
     assert is_valid(p, n) == (expected[0] == "value")
+
+
+@settings(max_examples=100)
+@given(
+    st.builds(
+        make_params,
+        st.tuples(*[rationals()] * 4, st.sampled_from(["1/2", "-1/3", "3/2", "-5/2"])),
+    ),
+    st.integers(0, 12),
+)
+def test_closed_form_determinant_matches_the_reference_at_random_points(p, n):
+    # q < 0 and q > 1 included; at abcd = q only the reference's uncancelled
+    # factor 1 - abcd/q vanishes (covered above)
+    assume(p.abcd != p.q)
+    expected = _outcome(lambda: repr(reference_det_closed_form(p, n)))
+    assert _outcome(lambda: repr(det_closed_form(p, n))) == expected
 
 
 # zero, negative and 100-bit coefficients, always as Fractions

@@ -111,8 +111,9 @@ def test_a_corrupted_moment_fails_both_routes_alike(canonical, monkeypatch):
     args = (canonical, 3, 40)
     assert check_defining_relations(*args).passed
     table = bimoment_table(canonical)
-    table.ensure(8)  # every entry words of length <= 2 * 3 + 2 read
-    table._cols[0][1] = table.entry(1, 0) + 1
+    read = table.entry
+    # B[1][0] one too large wherever it is read, whatever form the table stores it in
+    monkeypatch.setattr(table, "entry", lambda i, j: read(i, j) + ((i, j) == (1, 0)))
     got = outcome(check_defining_relations, *args)
     assert got == outcome(reference_check_defining_relations, *args)
     failed = {check["name"]: check["first_failure"] for check in got["checks"] if not check["pass"]}
