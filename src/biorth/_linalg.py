@@ -26,53 +26,20 @@ triples (x, y, z) they read, pairwise, as unreduced (numerator,
 denominator) pairs, clears each triple once and cancels each result only
 by the gcd of its numerator and the step scale, which is cheap because
 the step scale is small.  ``three_term`` is the same step on rationals,
-one reduced Fraction per entry.  Their callers keep their own
-coefficients.  On ``three_term``, whose every entry is returned:
-``repmat.TridiagonalOperator.matvec``, on which the band walk of
-``ldu.build_L`` runs (row n of L is <e0| d^n); ``repmat.monic_recurrence``
-(the P/Q and T polynomials); and ``ldu.build_L_inverse``, which keeps its
-own recurrence so that L L^-1 = I stays a check.  On the pairs: the
-moment table's column fill (``bimoment.BimomentTable``: column j is the
-step band applied to column j-1; an entry is stored as its pair and
-reduced to a Fraction in place when first read, and the rows below the
-square a reader asks for are never reduced), the row fill
-(``bimoment._block_by_rows``, the separate route to the block, one
-Fraction per kept entry) and the walk of ``repmat.jacobi_moments`` (one
-Fraction per moment).  The kernel clears the three neighbours of each
-entry, not a whole column: down a moment-table column the denominators
-grow from about 100 to 10,000 bits (order 48), so one column-wide scale
-would bring every entry up to the largest and make each final reduction
-a gcd at that size.
+one reduced Fraction per entry.  Callers keep their own coefficients.
+The kernel clears the three neighbours of each entry, not a whole column:
+down a moment-table column the denominators grow from about 100 to 10,000
+bits (order 48), so one column-wide scale would bring every entry up to
+the largest and make each final reduction a gcd at that size.  A
+walk-wide scale pays only on a short walk: the ``asep`` transfer walk is
+at most 12 steps (``asep._GENERATOR_LIMIT``) over bands of at most 7
+levels, so its integers (3.4k bits at L = 12 at the costliest GRID point,
+against 214 reduced) still win, because no step pays a gcd; ``ldu.build_L``
+and ``repmat.jacobi_moments`` walk tens to hundreds of levels, where the
+scale would multiply in at every step, and a vector-wide scale already
+measured slower there than the per-entry clearing.
 
-Two recurrences stay outside the kernel.  The boundary column
-(``bimoment._extend_boundary``) is a two-term feedback recurrence: each
-step reads the two entries it has just produced and yields one.  The
-``asep`` transfer walk clears both site operators' bands over one
-walk-wide scale S and stays on integers to the end.  It is at most 12
-steps (``asep._GENERATOR_LIMIT``) over bands of at most 7 levels, so its
-integers (3.4k bits at L = 12 at the costliest GRID point, against 214
-reduced) still win, because no step pays a gcd; ``build_L`` and
-``jacobi_moments`` walk tens to hundreds of levels, where S would
-multiply in at every step, and a vector-wide scale already measured
-slower there than the per-entry clearing.
-
-The rule also covers the row sums of ``asep.generator``, the residual of
-``asep.certify_stationary``, the moment sums ``wordfun._moment_sums`` (a
-batch clears each moment it reads once, over one scale: the table's
-denominators nearly divide one another, so over orders i + j <= 40 at the
-costliest GRID point their lcm has 1,923 bits, the largest 1,838), the
-closed-form sweeps ``core.g_sweep``, ``core.d_natural_sweep`` and
-``repmat.aw_sweep`` (q = t/s read through integer powers of t and s), the
-Askey-Wilson series ``repmat.aw_series`` (its level-independent factors
-cleared once per point, one Fraction per level), the ``aw`` suite's
-recurrence residual (a ``three_term`` step per level) and the banded
-algebra check ``repmat.verify_algebra`` (band rows i-1 .. i+1 of both
-operators over one scale per row, and no Fraction unless an entry fails).
-The word route goes further: a normal form is integer coefficients over one
-integer scale all along it, so ``wordfun._times_letter`` builds no
-Fraction (a d letter multiplies the scale by t^J for q^-j, 0 <= j <= J),
-and Fractions are built only where a public function returns.  The dense
-routines:
+The dense routines:
 
 * ``mat_mul`` scales each row of the left factor and each column of the
   right factor by the lcm of its denominators, takes integer dot products

@@ -51,6 +51,7 @@ from .core import (
     InvalidParams,
     NotIrreducible,
     SizeLimit,
+    _clear_denominators,
     format_rational,
     to_rates,
 )
@@ -106,7 +107,7 @@ class StationaryDistribution:
         if len(self.probabilities) != 1 << self.length:
             raise InvalidParams("probability vector length is not 2^L")
         # the sum on integers over the lcm of the denominators
-        numerators, scale = _linalg._clear_denominators(self.probabilities)
+        numerators, scale = _clear_denominators(self.probabilities)
         if sum(numerators) != scale:
             raise InvalidParams("probabilities must sum to exactly 1")
 
@@ -136,7 +137,7 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
     # Each rate paired with its integer over one common scale: a row sum is
     # added up on the integers and reduced once.
     values = (rates.alpha, rates.beta, rates.gamma, rates.delta, Fraction(1), rates.q)
-    integers, scale = _linalg._clear_denominators(values)
+    integers, scale = _clear_denominators(values)
     alpha, beta, gamma, delta, right, left = zip(values, integers)
     row_sums = [0] * size
 
@@ -235,12 +236,12 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
             backward.setdefault(dst, []).append(src)
     if not (_reaches_all(forward, size) and _reaches_all(backward, size)):
         raise NotIrreducible(f"the generator at L={length} is not strongly connected")
-    int_rates, _ = _linalg._clear_denominators(list(matrix.values()))
+    int_rates, _ = _clear_denominators(list(matrix.values()))
     entries = [(src, dst, rate) for (src, dst), rate in zip(matrix, int_rates)]
     for dist in candidates:
         if dist.length != length:
             raise InvalidParams(f"candidate of length {dist.length} for L={length}")
-        weights, _ = _linalg._clear_denominators(dist.probabilities)
+        weights, _ = _clear_denominators(dist.probabilities)
         if not all(w > 0 for w in weights):
             continue
         residual = [0] * size

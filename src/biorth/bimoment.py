@@ -17,13 +17,14 @@ needs the boundary column to depth 2n and a trapezoid of intermediate
 entries above the diagonal of the fill direction: column j is filled down
 to row 2n - j.
 
-The column fill is the shared :class:`BimomentTable`, cached per parameter
-set and grown in place, so every checker in a process reads one table.  It
-stores column j as a list down to row 2n - j, with the boundary column as
-column 0, and keeps the boundary row and the step coefficients; each is
-extended from its stored depth (``_extend_boundary`` is the boundary step
-:func:`boundary_column` runs too), so a table grown one order at a time
-computes each entry and step once, as one growth to the final order does.
+The column fill is the shared :class:`BimomentTable` of the point asked
+for last (:func:`bimoment_table`), grown in place, so every checker working
+on that point reads one table.  It stores column j as a list down to row
+2n - j, with the boundary column as column 0, and keeps the boundary row
+and the step coefficients; each is extended from its stored depth
+(``_extend_boundary`` is the boundary step :func:`boundary_column` runs
+too), so a table grown one order at a time computes each entry and step
+once, as one growth to the final order does.
 A block or entry reader at order n reads only the (n+1)^2 square; the
 rows below it feed later columns (351 of the 1,080 entries at order 26).
 The row fill is coded separately: derived from the swapped column fill,
@@ -47,13 +48,11 @@ its step and those two entries itself, one Fraction per entry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
-from ._linalg import _clear_denominators, three_term_pairs
-from .core import AWParams, InvalidParams, SingularParams, _QPowers, format_rational
+from ._linalg import three_term_pairs
+from .core import AWParams, InvalidParams, SingularParams, _QPowers, _clear_denominators, format_rational
 from .reporting import csv_text
 
 _FILLS = ("columns", "rows")
@@ -112,11 +111,7 @@ class BimomentTable:
     unreduced (numerator, denominator) pair the step made until its first
     read replaces it by its Fraction.  The boundary row and the step
     coefficients are kept too, each extended from its stored depth.  A
-    growth that raises leaves the stored trapezoid as it was.  ``bits`` is
-    the numerator plus denominator bits of each entry as the growth stored
-    it, the table's size in the store: a read that reduces a pair leaves it
-    as it was, so it bounds from above what the table holds (unreduced
-    pairs are 0-6% larger than their Fractions at order 26)."""
+    growth that raises leaves the stored trapezoid as it was."""
 
     def __init__(self, params: AWParams):
         self.params = params
@@ -124,7 +119,6 @@ class BimomentTable:
         self._cols = [[Fraction(1)]]
         self._row0 = [Fraction(1)]
         self._order = 0
-        self.bits = _bits(self._cols[0])
         # _steps[i]: the coefficients (1 - q^i, (a + c) q^i, -ac q^i) of
         # (i-1, j-1), (i, j-1), (i+1, j-1), cleared to integers over a scale
         self._steps = [None]
@@ -135,7 +129,6 @@ class BimomentTable:
 
     def ensure(self, n: int) -> None:
         """Grow the stored trapezoid to cover the square block of order n."""
-        global _held_bits
         if n < 0:
             raise InvalidParams(f"block order must be >= 0, got {n}")
         if n <= self._order:
@@ -158,20 +151,14 @@ class BimomentTable:
         for _ in range(len(steps), 2 * n):
             steps.append(_clear_denominators([1 - qi, a_plus_c * qi, -ac * qi]))
             qi *= q
-        added = _bits(col0[depth:])
         for j in range(1, n + 1):
             if j == len(cols):
                 cols.append([row0[j]])
-                added += _bits(cols[j])
             col, prev = cols[j], cols[j - 1]
             start = len(col)
             pairs = [_pair(value) for value in prev[start - 1 :]]
-            new = three_term_pairs(steps[start : 2 * n - j + 1], zip(pairs, pairs[1:], pairs[2:]))
-            col += new
-            added += _bits(new)
+            col += three_term_pairs(steps[start : 2 * n - j + 1], zip(pairs, pairs[1:], pairs[2:]))
         self._order = n
-        self.bits += added
-        _held_bits += added
 
     def entry(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
@@ -209,44 +196,22 @@ def _read(col: list, stop: int) -> list[Fraction]:
     return [_reduced(col, i) for i in range(stop)]
 
 
-def _bits(values) -> int:
-    return sum(num.bit_length() + den.bit_length() for num, den in map(_pair, values))
-
-
-def _evict_lru(cache: OrderedDict, held: int, budget: int, size) -> int:
-    """Drop the least recently used entries of ``cache`` while the ``held``
-    size passes ``budget``, never the newest; return the size left."""
-    while held > budget and len(cache) > 1:
-        held -= size(cache.popitem(last=False)[1])
-    return held
-
-
-# Tables leave least recently used first while the bits they hold pass the
-# budget; the table asked for stays, whatever its size (ldu --n 48 at the
-# costliest GRID point needs 32.6 Mbit as counted).  Per benchmark round
-# (seed 2801), cli-small builds 16 tables (1.06 Mbit in all), chain 16
-# (0.45 Mbit) and verify-all 7, so nothing leaves there; deep-factor builds
-# 24 of up to 3.3 Mbit (52.6 Mbit in all), none read again after its own unit.
-_TABLES_BUDGET = 1 << 23
-_TABLES: OrderedDict[AWParams, BimomentTable] = OrderedDict()
-# At least the bits _TABLES holds: each growth adds to it and a lookup past
-# the budget recounts it (a clear, or an evicted table grown, leaves it high).
-_held_bits = 0
+# The table of the point asked for last.  A process works on one point at a
+# time: over one verify-all and one round of each benchmark workload (seeds
+# 11 and 2901) not one of 1,026 lookups asked for a table other than the
+# last one, so a store of one table recomputes none (per round, cli-small
+# builds 16, chain 16, deep-factor 24 and verify-all 7).
+_TABLES: dict[AWParams, BimomentTable] = {}
 
 
 def bimoment_table(p: AWParams) -> BimomentTable:
-    """Shared cached table for p, grown on demand; the store drops the least
-    recently used tables while it holds more than ``_TABLES_BUDGET`` bits."""
-    global _held_bits
+    """The shared table for p, grown on demand: the stored one when p is the
+    point asked for last, else a new one that replaces it in the store (a
+    caller that still holds the old table can keep growing and reading it)."""
     table = _TABLES.get(p)
     if table is None:
+        _TABLES.clear()
         table = _TABLES[p] = BimomentTable(p)
-        _held_bits += table.bits
-    else:
-        _TABLES.move_to_end(p)
-    if _held_bits > _TABLES_BUDGET:
-        bits = attrgetter("bits")
-        _held_bits = _evict_lru(_TABLES, sum(map(bits, _TABLES.values())), _TABLES_BUDGET, bits)
     return table
 
 

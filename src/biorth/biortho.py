@@ -23,41 +23,17 @@ the moment block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg, repmat
 from .bimoment import bimoment_table
 from .core import AWParams, InvalidParams, SingularParams, SizeLimit
 from .ldu import build_D, build_L, build_L_inverse, build_U
+from .repmat import PolySeq
 from .reporting import VerificationReport
 from .wordfun import WordPoly, functional
 
 _VARIABLES = ("d", "e")
-
-
-@dataclass(frozen=True)
-class PolySeq:
-    """Sequence of monic polynomials; coeffs[n][k] multiplies x^k."""
-
-    variable: str
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for n, row in enumerate(self.coeffs):
-            if len(row) != n + 1 or row[n] != 1:
-                raise InvalidParams(f"polynomial {n} is not monic of degree {n}")
-
-    @property
-    def count(self) -> int:
-        return len(self.coeffs)
-
-    def poly(self, n: int) -> tuple[Fraction, ...]:
-        return self.coeffs[n]
-
-    def square(self) -> list[list[Fraction]]:
-        """The coefficient rows zero-padded to a count x count matrix."""
-        return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
 
 
 def _p_side(p: AWParams, count: int, variable: str) -> AWParams:

@@ -37,10 +37,10 @@ _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 
 # Largest size flag per subcommand.  At the costliest GRID point, (3/2, 3/4,
 # -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 48 takes 7-13 s
-# (n 32: 1.3 s, n 40: 3.8 s) on one 31.9 Mbit moment table, which the table
-# store keeps though it passes its budget, and functional --max-len 96 with
-# the default 200 trials takes 3.8-4.0 s at a peak RSS of 0.13 GB, which the
-# memo's budget holds (64: 1.4-1.5 s, 0.13 GB); aw --n 96 with its three t
+# (n 32: 1.3 s, n 40: 3.8 s) on one 31.9 Mbit moment table, and
+# functional --max-len 96 with the default 200 trials takes 3.8-4.0 s at a
+# peak RSS of 0.13 GB, which the memo's budget holds (64: 1.4-1.5 s,
+# 0.13 GB); aw --n 96 with its three t
 # values takes 2.1-2.3 s (n 128: 7.5 s, n 150: 16.5 s) and polys --n 64
 # 22-24 s (n 72: 39-55 s); rep --n 96 takes 0.4-0.65 s (n 128: 2.7 s) and
 # bimoment --n 48 1.0 s, and at bimoment n 64 two GRID points have entries

@@ -51,6 +51,7 @@ from .core import (
     InvalidParams,
     SingularParams,
     _QPowers,
+    _clear_denominators,
     d_natural_sweep,
     g_sweep,
 )
@@ -127,7 +128,7 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
     m = [[Fraction(1)] + [zero] * n]
     for i in range(1, n + 1):
         two_back = bd * q ** (i - 2) * g[i - 2] if i >= 2 else 0
-        step = _linalg._clear_denominators([1, -dnat[i - 1], two_back])
+        step = _clear_denominators([1, -dnat[i - 1], two_back])
         last = [0, *m[i - 1]]  # last[j] is Linv[i-1][j-1]
         before = m[i - 2] if i >= 2 else [0] * (n + 1)  # before[j] is Linv[i-2][j]
         row = _linalg.three_term(repeat(step, i + 1), zip(last, last[1:], before))

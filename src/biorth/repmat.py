@@ -18,10 +18,11 @@ written once in :func:`aw_sweep`: R[n][n] = B_n and
 R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger moments of the two
 Jacobi systems agree.  Both the check and
 :func:`t_polys` read R off :func:`rep_rational`; :func:`t_polys` and the P/Q
-recurrence route share :func:`monic_recurrence`.  :func:`aw_series`
-evaluates the family through its terminating basic hypergeometric series,
-all levels at one point in one sweep, so the recurrence can be validated
-against an independent construction; :func:`aw_eval` is one level of it.
+recurrence route share :func:`monic_recurrence` and the :class:`PolySeq`
+they return.  :func:`aw_series` evaluates the family through its
+terminating basic hypergeometric series, all levels at one point in one
+sweep, so the recurrence can be validated against an independent
+construction; :func:`aw_eval` is one level of it.
 
 :meth:`TridiagonalOperator.matvec` and :func:`monic_recurrence` are
 three-term steps on the shared integer kernel, through its Fraction form
@@ -49,7 +50,7 @@ from functools import cached_property
 from itertools import repeat
 from math import lcm
 
-from ._linalg import _clear_denominators, three_term, three_term_pairs
+from ._linalg import three_term, three_term_pairs
 from .core import (
     AWParams,
     DenominatorVanishes,
@@ -59,6 +60,7 @@ from .core import (
     SizeLimit,
     ZeroParameter,
     _QPowers,
+    _clear_denominators,
     as_rational,
     d_natural,
     d_natural_sweep,
@@ -636,6 +638,30 @@ def aw_eval(p: AWParams, n: int, t) -> Fraction:
     return aw_series(p, n + 1, t, n)[0]
 
 
+@dataclass(frozen=True)
+class PolySeq:
+    """Sequence of monic polynomials; coeffs[n][k] multiplies x^k."""
+
+    variable: str
+    coeffs: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        for n, row in enumerate(self.coeffs):
+            if len(row) != n + 1 or row[n] != 1:
+                raise InvalidParams(f"polynomial {n} is not monic of degree {n}")
+
+    @property
+    def count(self) -> int:
+        return len(self.coeffs)
+
+    def poly(self, n: int) -> tuple[Fraction, ...]:
+        return self.coeffs[n]
+
+    def square(self) -> list[list[Fraction]]:
+        """The coefficient rows zero-padded to a count x count matrix."""
+        return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
+
+
 def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
     """Coefficient rows (constant term first) of T_0 .. T_len(diag), where
 
@@ -653,15 +679,13 @@ def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(seq)
 
 
-def t_polys(p: AWParams, count: int):
+def t_polys(p: AWParams, count: int) -> PolySeq:
     """Monic polynomials generated by the operator-sum recurrence.
 
     Internally the natural variable is 2x; reported coefficients are in x:
     That_{n+1}(x) = (x - R[n][n]/2) That_n(x)
                     - (R[n-1][n] R[n][n-1] / 4) That_{n-1}(x).
     """
-    from .biortho import PolySeq
-
     if count <= 0:
         raise InvalidParams(f"count must be positive, got {count}")
     diag, products = _sum_band(p, count - 1) if count > 1 else ((), ())

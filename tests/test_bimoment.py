@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from biorth import WordPoly, bimoment_block, bimoment_table, functional
+from biorth import WordPoly, bimoment, bimoment_block, bimoment_table, functional
 from biorth.bimoment import BimomentTable, check_recurrences, check_transpose_symmetry
+from biorth.suites import verify_point
 
 from conftest import make_params
 
@@ -83,3 +84,20 @@ def test_csv_and_json_shapes(canonical):
 
 def test_table_is_shared_per_params(canonical):
     assert bimoment_table(canonical) is bimoment_table(canonical)
+
+
+def test_verify_point_builds_one_table_per_point(grid, monkeypatch):
+    # every suite at a point reads that point's table, so the one-table store
+    # builds each table once: no suite returns to an earlier point
+    built = []
+
+    class CountedTable(BimomentTable):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    monkeypatch.setattr(bimoment, "BimomentTable", CountedTable)
+    monkeypatch.setattr(bimoment, "_TABLES", {})
+    for p in grid:
+        verify_point(p)
+    assert built == grid

@@ -19,7 +19,6 @@ so the kernels must reproduce it entry for entry -- values, singular orders
 and messages, and the key order of the normal-ordered dicts.
 """
 
-from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -340,8 +339,7 @@ def test_interleaved_reads_and_growth_match_the_reference(point, ops):
     p = make_params(point)
     expected = _reference_table_20(p)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bimoment, "_TABLES", OrderedDict())
-        patch.setattr(bimoment, "_held_bits", 0)
+        patch.setattr(bimoment, "_TABLES", {})
         table = bimoment_table(p)
         for op, *args in ops:
             if op == "ensure":
@@ -354,12 +352,27 @@ def test_interleaved_reads_and_growth_match_the_reference(point, ops):
             else:
                 value = table.entry(*args)
                 assert type(value) is F and value == expected[tuple(args)]
-            assert bimoment._held_bits >= sum(t.bits for t in bimoment._TABLES.values())
         n = table.order
         stored = table.stored_items()
         assert sorted(stored) == sorted((i, j) for j in range(n + 1) for i in range(2 * n - j + 1))
         assert stored == {key: expected[key] for key in stored}
         assert all(type(value) is F for value in stored.values())
+
+
+def test_a_dropped_table_still_held_keeps_growing(grid, monkeypatch):
+    # another point's lookup drops the table from the store, not from a
+    # caller that holds it (check_transpose_symmetry reads its point's table
+    # while it looks up two others)
+    first, second = grid[:2]
+    monkeypatch.setattr(bimoment, "_TABLES", {})
+    held = bimoment_table(first)
+    held.ensure(5)
+    bimoment_table(second).ensure(5)
+    assert list(bimoment._TABLES) == [second]
+    expected = _reference_table_20(first)
+    assert held.entry(30, 3) == expected[30, 3]  # grows to order 17
+    assert held.block(20) == [[expected[i, j] for j in range(21)] for i in range(21)]
+    assert held.stored_items() == expected
 
 
 # abcd q = 1 and abcd q^6 = 1: the boundary denominator vanishes at depth 2 and 7

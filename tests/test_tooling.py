@@ -1,8 +1,12 @@
-"""The benchmark tracer patches library functions by name; each must exist."""
+"""Tooling: the benchmark tracer patches library functions by name, and each
+must exist; the benchmark reads the caches through hooks; the source line
+counter counts by its rule."""
 
-import importlib
+import importlib.util
 import itertools
 import os
+import subprocess
+import sys
 from collections import OrderedDict
 
 from biorth import bimoment, wordfun
@@ -28,7 +32,7 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
     # the benchmark reads the table store and the memo through these hooks
     monkeypatch.syspath_prepend(ROOT)
     workloads = importlib.import_module("perfbench.workloads")
-    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
+    monkeypatch.setattr(bimoment, "_TABLES", {})
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     for n in (0, 1, 5, 12):
         bimoment.bimoment_table(canonical).ensure(n)
@@ -38,19 +42,60 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
     workloads.reset_caches()
     assert workloads.cache_state() == {"tables": 0, "entries": 0, "normal_cache": 0}
 
-    # Each round below holds 156 kbit of tables and 94 kbit of memo, within
-    # budgets that two rounds together pass: a size counted before a reset
-    # must not evict what the next round grows.
-    monkeypatch.setattr(bimoment, "_TABLES_BUDGET", 1 << 18)
+    # Each round below holds 94 kbit of memo, within a budget that two rounds
+    # together pass: a size counted before a reset must not evict what the
+    # next round grows.  The table store holds the last point's table only.
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1 << 17)
     words = [{"".join(word): 1} for word in itertools.product("de", repeat=8)]
     for _ in range(3):
         workloads.reset_caches()
-        assert sum(table.bits for table in bimoment._TABLES.values()) == 0
+        assert not bimoment._TABLES
         assert sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values())) == 0
         for p in (canonical, canonical.swap_ab_cd()):
             bimoment.bimoment_table(p).ensure(12)
+        assert list(bimoment._TABLES) == [canonical.swap_ab_cd()]
         wordfun.functional_values(words, canonical)
         state = workloads.cache_state()
-        assert (state["tables"], state["normal_cache"]) == (2, 2**9 - 1)
+        assert (state["tables"], state["normal_cache"]) == (1, 2**9 - 1)
         assert wordfun._memo_bits == sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values()))
+
+
+# 17 physical lines; the code lines are 5, 8, 11, 12, 14, 16 and 17: a string
+# assigned to a name is code, a docstring is not
+SAMPLE_MODULE = '''"""Module docstring
+over two lines."""
+
+# a comment alone
+import os  # a trailing comment
+
+
+class A:
+    """One-line docstring."""
+
+    x = """not a docstring,
+    a value"""
+
+    def f(self):
+        """Docstring."""
+        return (1 +
+                2)
+'''
+
+
+def test_src_lines_counts_a_known_module():
+    script = os.path.join(ROOT, "scripts", "src_lines.py")
+    spec = importlib.util.spec_from_file_location("src_lines", script)
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    assert src_lines.count_lines(SAMPLE_MODULE) == (17, 7)
+
+    # the command's total row sums the counts over the package's modules
+    package = os.path.join(ROOT, "src", "biorth")
+    counts = []
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                counts.append(src_lines.count_lines(handle.read()))
+    out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
+    total = [f"{sum(column):,d}" for column in zip(*counts)]
+    assert out.split("\n")[-2].split() == ["total", *total]

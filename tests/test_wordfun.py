@@ -182,32 +182,22 @@ def test_fuzz_report_is_deterministic(canonical):
     assert without_timings(first) == without_timings(second)
 
 
-def _table_bits():
-    return sum(table.bits for table in bimoment._TABLES.values())
+def test_the_table_store_holds_the_last_point_only(grid, monkeypatch):
+    # a lookup of the last point returns its table, kept through its growth;
+    # a lookup of another point replaces it, so a dropped point is built anew
+    first, second, third = grid[:3]
+    monkeypatch.setattr(bimoment, "_TABLES", {})
+    kept = bimoment.bimoment_table(first)
+    kept.ensure(4)
+    for p in (first, second, third, first):
+        table = bimoment.bimoment_table(p)
+        table.ensure(6)
+        assert bimoment.bimoment_table(p) is table
+        assert bimoment._TABLES == {p: table}
+    assert table is not kept
 
 
 def test_caches_evict_least_recently_used(grid, monkeypatch):
-    # The budget holds any two of the three tables grown to order 4, not all
-    # three: a hit refreshes "first", and the lookup after "third" grows
-    # evicts "second".
-    first, second, third = grid[:3]
-    sizes = []
-    for p in (first, second, third):
-        table = bimoment.BimomentTable(p)
-        table.ensure(4)
-        sizes.append(table.bits)
-    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
-    monkeypatch.setattr(bimoment, "_TABLES_BUDGET", sum(sizes) - 1)
-    kept = bimoment.bimoment_table(first)
-    kept.ensure(4)
-    bimoment.bimoment_table(second).ensure(4)
-    assert bimoment.bimoment_table(first) is kept
-    bimoment.bimoment_table(third).ensure(4)
-    assert list(bimoment._TABLES) == [second, first, third]  # grown since the lookup
-    bimoment.bimoment_table(third)
-    assert list(bimoment._TABLES) == [first, third]
-    assert _table_bits() == sizes[0] + sizes[2]
-
     # each memo entry here is one term over scale 1: 65 bits, so room for two
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 130)
@@ -219,16 +209,6 @@ def test_caches_evict_least_recently_used(grid, monkeypatch):
 
 
 def test_caches_keep_the_newest_entry_over_the_budget(grid, monkeypatch):
-    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
-    monkeypatch.setattr(bimoment, "_TABLES_BUDGET", 1)
-    first, second = grid[:2]
-    bimoment.bimoment_table(first).ensure(6)
-    table = bimoment.bimoment_table(second)
-    assert list(bimoment._TABLES) == [second]
-    table.ensure(6)
-    assert bimoment.bimoment_table(second) is table
-    assert list(bimoment._TABLES) == [second]
-
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1)
     q = grid[0].q
@@ -237,29 +217,6 @@ def test_caches_keep_the_newest_entry_over_the_budget(grid, monkeypatch):
     assert wordfun._fractions(wordfun._normal_order_word(word, q, _QPowers(q))) == expected
     assert list(wordfun._NORMAL_CACHE) == [(word, 1, 2)]
     assert wordfun._memo_bits == wordfun._form_bits(wordfun._NORMAL_CACHE[word, 1, 2])
-
-
-def test_deep_tables_stay_within_the_budget_and_one_table(monkeypatch):
-    # 24 distinct points grown to order 26, one unit each, as a deep-factor
-    # benchmark round does: 1.2-3.0 Mbit a table, 56 Mbit in all
-    points = [
-        make_params((a, "5/6", c, "-1/8", q))
-        for q in ("1/2", "1/3", "1/4", "2/5")
-        for a, c in (("1", "0"), ("1/2", "-1/7"), ("2", "-2/7"), ("3/2", "-3/7"),
-                     ("7/2", "-5/7"), ("4/3", "-1/2"))
-    ]
-    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
-    budget = bimoment._TABLES_BUDGET
-    largest = 0
-    for p in points:
-        table = bimoment.bimoment_table(p)
-        table.ensure(26)
-        largest = max(largest, table.bits)
-        assert _table_bits() <= budget + table.bits  # grown since its lookup
-        assert bimoment.bimoment_table(p) is table  # kept through its own unit
-        assert _table_bits() <= max(budget, table.bits)
-    assert 2 <= len(bimoment._TABLES) < len(points)
-    assert largest < budget < 24 * largest
 
 
 # canonical a, b, c, d at q = t/s with t = 1, t > 1, q > 1 and q < 0 (t < 0)
