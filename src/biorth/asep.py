@@ -166,9 +166,14 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
                 add(s, (s & ~hi) | lo, right)
             elif pair == lo:
                 add(s, (s | hi) & ~lo, left)
+    # the row sums take a few distinct values, so each diagonal value is built once
+    diagonal: dict[int, Fraction] = {}
     for s, total in enumerate(row_sums):
         if total:
-            entries[(s, s)] = Fraction(-total, scale)
+            value = diagonal.get(total)
+            if value is None:
+                value = diagonal[total] = Fraction(-total, scale)
+            entries[(s, s)] = value
     return entries
 
 

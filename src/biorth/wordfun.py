@@ -2,18 +2,22 @@
 
 A word is a string over the alphabet {"d", "e"}; a word polynomial is a
 finite rational combination of words.  The functional is evaluated by
-normal ordering and summing bimoment entries.  Normal ordering is right
-multiplication: a word is its prefix's normal form {(i, j): coeff of
-d^i e^j} times its last letter, by one step (``_times_letter``) that also
-builds the closed-form powers of ``normal_power``.  With q = t/s each
-coefficient of a word's normal form is an integer polynomial in s/t, so
-along the whole route a normal form is held as (ints, scale): integer
-coefficients {(i, j): int} over one integer scale (1 when t = 1).  The
-step moves terms on integers (a bare e only re-keys them), the memo stores
-(ints, scale) under (word, t, s), a word polynomial's forms are merged over
-the lcm of their scales, and each moment sum is one integer dot product
-and one Fraction (see ``_linalg``).  Other Fractions are built only where
-``normal_order`` and ``normal_power`` return.
+normal ordering and summing bimoment entries.  The relation
+d e - q e d = 1 - q keeps #d - #e, so the normal form of a word with I d's
+and J e's lies on one diagonal, the terms d^(I-k) e^(J-k).  With q = t/s
+its coefficients are integer polynomials in s/t over the one scale t^n (n
+the pairs of an e before a d), so a word's form is one tuple of integers:
+entry k the coefficient of d^(I-k) e^(J-k), then the scale.  Normal
+ordering is right multiplication: a word is its prefix's form times its
+last letter.  A trailing e changes no coefficient, and the memo, keyed by
+(word, t, s), stores the prefix's own tuple for it; a trailing d is one
+pass over the tuple (``_times_d``, the one place the d-rule is written).
+A word polynomial's forms are placed at their (i, j) over the lcm of their
+scales, and each moment sum is one integer dot product and one Fraction
+(see ``_linalg``).  ``normal_power`` multiplies forms spread over several
+diagonals by a rational letter, each term's d part by what the same
+``_times_d`` moves one entry to, read once per j.  Other Fractions are
+built only where ``normal_order`` and ``normal_power`` return.
 
 ``functional_values`` evaluates a batch of word polynomials at one point:
 the table is looked up once, each distinct word's form is taken from the
@@ -172,60 +176,80 @@ def _split_normal(word: str) -> tuple[int, int]:
     return cut, len(word) - cut
 
 
-# A normal form: integer coefficients {(i, j): coeff of d^i e^j} over one
-# integer scale.
+# A word's normal form.  The relation d e - q e d = 1 - q keeps #d - #e, so
+# a word with I d's and J e's normal orders to terms d^(I-k) e^(J-k) on one
+# diagonal.  Its form is one tuple: entry k is the integer coefficient of
+# d^(I-k) e^(J-k) over the integer scale, which is the last entry (t^n for
+# q = t/s and n pairs of an e before a d), and I and J are read off the word.
+WordForm = tuple[int, ...]
+# A normal form spread over several diagonals, as a word polynomial's or a
+# power's: integer coefficients {(i, j): coeff of d^i e^j} over one integer
+# scale.  The moment sums read this one.
 Form = tuple[dict[tuple[int, int], int], int]
+
+
+def _times_d(coeffs, top: int, depth: int, tp: list[int], sp: list[int]) -> list[int]:
+    """One diagonal times d: ``coeffs``, entry k the coefficient of
+    d^(I-k) e^(top-k), become those of d^(I+1-k) e^(top-k), by
+
+        d^i e^j . d = q^(-j) d^(i+1) e^j + (1 - q^(-j)) d^i e^(j-1),
+
+    the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
+    relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.  On
+    integers: with q = t/s and depth >= top, q^(-j) t^depth = s^j t^(depth-j)
+    is read from ``tp`` and ``sp``, the powers of t and s up to depth, so the
+    result is over t^depth times the old scale.
+    """
+    t_depth = tp[depth]
+    out = []
+    lower = 0  # what the entry before moved down to this one
+    j = top
+    for coeff in coeffs:
+        moved = sp[j] * tp[depth - j] * coeff
+        out.append(moved + lower)
+        lower = t_depth * coeff - moved
+        j -= 1
+    if j >= 0:  # the last entry had j >= 1; at j = 0 nothing moves down
+        out.append(lower)
+    return out
 
 
 def _times_letter(form: Form, const, d_coeff, e_coeff, powers: _QPowers) -> Form:
     """The normal form (ints, scale) times the letter
-    const + d_coeff d + e_coeff e, normal ordered again by
-
-        d^i e^j . e = d^i e^(j+1)
-        d^i e^j . d = q^(-j) d^(i+1) e^j + (1 - q^(-j)) d^i e^(j-1),
-
-    the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
-    relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.
+    const + d_coeff d + e_coeff e, normal ordered again: d^i e^j . e =
+    d^i e^(j+1), and d^i e^j . d as ``_times_d`` moves a diagonal of one
+    entry, read once per j.
 
     An integer kernel (see ``_linalg``): a rational letter is cleared of
-    denominators once (an integer one, the word route's bare d and e, needs
-    no clearing, and a bare e only re-keys the terms), and when it has a d
-    part, with q = t/s and J the largest j, q^(-j) = s^j t^(J-j) / t^J puts
-    every moved term over the one scale t^J, read from ``powers`` (the
-    powers of q's numerator and denominator).  No Fraction is built: the
-    result is again (ints, scale).
+    denominators once, and when it has a d part every term is put over the
+    one scale t^J, J the largest j.  No Fraction is built.
     """
     ints, scale = form
-    if type(const) is int and type(d_coeff) is int and type(e_coeff) is int:
-        if not const and not d_coeff and e_coeff == 1:
-            return {(i, j + 1): coeff for (i, j), coeff in ints.items() if coeff}, scale
-        letter_scale = 1
-    else:
-        (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
-    if d_coeff:
-        top = max((j for _, j in ints), default=0)
-        tp, sp = powers.upto(top)
-        t_top = tp[top]
-        moved_by = [d_coeff * sp[j] * tp[top - j] for j in range(top + 1)]  # d q^(-j) t^J
-    else:
-        t_top = 1
-    e_top, d_top, const_top = e_coeff * t_top, d_coeff * t_top, const * t_top
+    (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
+    depth = max((j for _, j in ints), default=0) if d_coeff else 0
+    tp, sp = powers.upto(depth)
+    t_depth = tp[depth]
+    e_top, const_top = e_coeff * t_depth, const * t_depth
+    # d^i e^j . d_coeff d per unit coefficient, one per j: the coefficient
+    # of d^(i+1) e^j, then of d^i e^(j-1) when j > 0
+    units = [_times_d((d_coeff,), j, depth, tp, sp) for j in range(depth + 1)] if d_coeff else ()
     out: dict[tuple[int, int], int] = {}
     get = out.get
     for (i, j), coeff in ints.items():
         if e_top:
             key = (i, j + 1)
             out[key] = get(key, 0) + e_top * coeff
-        if d_top:
-            moved = moved_by[j] * coeff
+        if d_coeff:
+            unit = units[j]
             key = (i + 1, j)
-            out[key] = get(key, 0) + moved
-            if j:
+            out[key] = get(key, 0) + unit[0] * coeff
+            if len(unit) > 1:
                 key = (i, j - 1)
-                out[key] = get(key, 0) + d_top * coeff - moved
+                out[key] = get(key, 0) + unit[1] * coeff
         if const_top:
-            out[i, j] = get((i, j), 0) + const_top * coeff
-    return {key: value for key, value in out.items() if value}, scale * letter_scale * t_top
+            key = (i, j)
+            out[key] = get(key, 0) + const_top * coeff
+    return {key: value for key, value in out.items() if value}, scale * letter_scale * t_depth
 
 
 def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
@@ -233,30 +257,36 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
     return {key: Fraction(value, scale) for key, value in ints.items()}
 
 
-def _form_bits(form: Form) -> int:
-    """O(1) size estimate of a memo entry: terms x (64 + scale bits)."""
-    ints, scale = form
-    return len(ints) * (64 + scale.bit_length())
+def _form_bits(form: WordForm) -> int:
+    """O(1) size estimate of a memo entry: terms x (64 + scale bits).  A
+    tuple that w and w + "e" share is counted for each, and a coefficient
+    is sized by the scale, so this is an estimate, not the bytes held."""
+    return (len(form) - 1) * (64 + form[-1].bit_length())
 
 
 # Memo entries, one per prefix of a word, leave least recently used first
-# while their estimated bits pass the budget; the newest entry stays.  A
-# cli-small benchmark round adds 3,864 and a chain round 7,531, so nothing
-# leaves there; functional --max-len 96 at the costliest GRID point computes
-# 62,854 forms, ends holding 8,822 and peaks at 0.13 GB RSS (all 61,120 held:
-# 0.44 GB).
+# while their estimated bits (``_form_bits``) pass the budget; the newest
+# entry stays.  The budget bounds the estimate, not memory: the figures
+# here are measured.  A cli-small benchmark round adds about 4,100 entries
+# (1.3 MB by tracemalloc) and a chain round about 7,600 (2.5 MB), so
+# nothing leaves there; functional --max-len 96 at the costliest GRID
+# point computes 62,859 forms, ends holding 8,822 and peaks at 0.10 GB RSS
+# (all 61,120 held: 0.30 GB).
 _NORMAL_CACHE_BUDGET = 1 << 28
 # Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
-_NORMAL_CACHE: OrderedDict[tuple[str, int, int], Form] = OrderedDict()
+_NORMAL_CACHE: OrderedDict[tuple[str, int, int], WordForm] = OrderedDict()
 # The estimated bits _NORMAL_CACHE holds; a store into an empty memo resets
 # it, so a clear from outside leaves no stale count.
 _memo_bits = 0
 
 
-def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> Form:
-    """Normal form (ints, scale) of ``word``: the form of its longest
-    memoised prefix times the remaining letters, one at a time, each longer
-    prefix memoised on the way.  A miss reads q's powers from ``powers``."""
+def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> WordForm:
+    """Normal form (coefficients, then the scale) of ``word``: the form of
+    its longest memoised prefix times the remaining letters, one at a time,
+    each longer prefix memoised on the way.  An e changes no coefficient, so
+    a prefix ending in e holds the form of the prefix before it; a d is one
+    pass of ``_times_d``, reading q's powers from ``powers``.  The prefix
+    found moves to the recent end."""
     global _memo_bits
     t, s = q.numerator, q.denominator
     cache = _NORMAL_CACHE
@@ -269,25 +299,30 @@ def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> Form:
             break
         cut -= 1
     else:
-        form = {(0, 0): 1}, 1  # the empty word's
+        cut, form = 0, (1, 1)  # the empty word's: 1 over scale 1
         if not cache:
             _memo_bits = 0  # cleared since the last store
-    for cut in range(cut + 1, len(word) + 1):
-        if cut:
-            d_coeff = 1 if word[cut - 1] == "d" else 0
-            form = _times_letter(form, 0, d_coeff, 1 - d_coeff, powers)
-        cache[word[:cut], t, s] = form
+        cache["", t, s] = form
+        _memo_bits += _form_bits(form)
+    top = word.count("e", 0, cut)
+    tp, sp = powers.upto(word.count("e"))
+    for cut in range(cut, len(word)):
+        if word[cut] == "e":
+            top += 1
+        else:
+            form = (*_times_d(form[:-1], top, top, tp, sp), form[-1] * tp[top])
+        cache[word[: cut + 1], t, s] = form
         _memo_bits += _form_bits(form)
     while _memo_bits > _NORMAL_CACHE_BUDGET and len(cache) > 1:
         _memo_bits -= _form_bits(cache.popitem(last=False)[1])
     return form
 
 
-def _normal_form(terms, q: Fraction, forms: dict[str, Form], powers: _QPowers) -> Form:
+def _normal_form(terms, q: Fraction, forms: dict[str, WordForm], powers: _QPowers) -> Form:
     """(ints, scale) of the word polynomial ``terms`` ({word: coeff}): its
     coefficients cleared once, and each word's form, from ``forms`` or on a
     miss from the memo (filled with q's ``powers``), brought to the lcm of
-    the word scales."""
+    the word scales and placed at its terms' (i, j)."""
     coeffs, coeff_scale = _clear_denominators(terms.values())
     word_forms = []
     for word in terms:
@@ -295,13 +330,19 @@ def _normal_form(terms, q: Fraction, forms: dict[str, Form], powers: _QPowers) -
         if form is None:
             form = forms[word] = _normal_order_word(parse_word(word), q, powers)
         word_forms.append(form)
-    scale = lcm(*(word_scale for _, word_scale in word_forms))
+    scale = lcm(*(form[-1] for form in word_forms))
     out: dict[tuple[int, int], int] = {}
-    for coeff, (ints, word_scale) in zip(coeffs, word_forms):
-        factor = coeff * (scale // word_scale)
-        for key, c in ints.items():
-            value = factor * c
-            out[key] = out[key] + value if key in out else value
+    get = out.get
+    for coeff, word, form in zip(coeffs, terms, word_forms):
+        factor = coeff * (scale // form[-1])
+        i = word.count("d")
+        j = len(word) - i
+        for c in form[:-1]:  # entry k at (I - k, J - k)
+            if c:
+                key = (i, j)
+                out[key] = get(key, 0) + factor * c
+            i -= 1
+            j -= 1
     return {key: value for key, value in out.items() if value}, coeff_scale * scale
 
 
@@ -347,7 +388,7 @@ def functional_values(polys, p: AWParams) -> list[Fraction]:
     of word forms, powers and moments live only as long as the call.
     """
     q = p.q
-    forms: dict[str, Form] = {}
+    forms: dict[str, WordForm] = {}
     powers = _QPowers(q)
     return _moment_sums(
         bimoment_table(p), [_normal_form(poly, q, forms, powers) for poly in polys]

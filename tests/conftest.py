@@ -1,9 +1,11 @@
+import contextlib
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from biorth import AWParams, is_valid
+from biorth import AWParams, is_valid, wordfun
 from biorth.suites import GRID
 
 settings.register_profile(
@@ -23,6 +25,39 @@ def without_timings(report) -> dict:
 
 def make_params(point) -> AWParams:
     return AWParams(*(Fraction(x) for x in point))
+
+
+@contextlib.contextmanager
+def fresh_memo():
+    """An empty normal-order memo and a zero bit count, both put back on
+    exit: patching the memo alone would leave the count of the test's memo
+    standing against the restored one."""
+    saved = wordfun._NORMAL_CACHE, wordfun._memo_bits
+    wordfun._NORMAL_CACHE, wordfun._memo_bits = OrderedDict(), 0
+    try:
+        yield wordfun._NORMAL_CACHE
+    finally:
+        wordfun._NORMAL_CACHE, wordfun._memo_bits = saved
+
+
+def word_terms(word: str, form) -> dict[tuple[int, int], int]:
+    """A word's memo form (coefficients along its diagonal, then the scale)
+    as {(i, j): coeff of d^i e^j}: entry k at (I - k, J - k), zeros left out."""
+    i, j = word.count("d"), word.count("e")
+    return {(i - k, j - k): coeff for k, coeff in enumerate(form[:-1]) if coeff}
+
+
+def memo_bits_held() -> int:
+    return sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values()))
+
+
+@pytest.fixture
+def memo():
+    """The test's own empty memo (see ``fresh_memo``); afterwards the
+    restored counter must still count what the restored memo holds."""
+    with fresh_memo() as cache:
+        yield cache
+    assert wordfun._memo_bits == memo_bits_held()
 
 
 @pytest.fixture(scope="session")

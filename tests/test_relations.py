@@ -15,7 +15,7 @@ from biorth.reporting import VerificationReport
 from biorth.suites import GRID
 from biorth.wordfun import DEFAULT_FUZZ_SEED, _normal_order_word, _random_word
 
-from conftest import make_params, without_timings
+from conftest import make_params, without_timings, word_terms
 
 
 def reference_functional(wp: WordPoly, p: AWParams) -> Fraction:
@@ -24,11 +24,11 @@ def reference_functional(wp: WordPoly, p: AWParams) -> Fraction:
     q = p.q
     coeffs, coeff_scale = _clear_denominators(list(wp.terms.values()))
     forms = [_normal_order_word(word, q, _QPowers(q)) for word in wp.terms]
-    scale = lcm(*(word_scale for _, word_scale in forms))
+    scale = lcm(*(form[-1] for form in forms))
     out: dict[tuple[int, int], int] = {}
-    for coeff, (ints, word_scale) in zip(coeffs, forms):
-        factor = coeff * (scale // word_scale)
-        for key, c in ints.items():
+    for coeff, word, form in zip(coeffs, wp.terms, forms):
+        factor = coeff * (scale // form[-1])
+        for key, c in word_terms(word, form).items():
             value = factor * c
             out[key] = out[key] + value if key in out else value
     ints, scale = {key: value for key, value in out.items() if value}, coeff_scale * scale

@@ -1,15 +1,18 @@
 """Tooling: the benchmark tracer patches library functions by name, and each
 must exist; the benchmark reads the caches through hooks; the source line
-counter counts by its rule."""
+counter counts by its rule; the peak-RSS script reports one command."""
 
+import hashlib
 import importlib.util
 import itertools
+import json
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 
 from biorth import bimoment, wordfun
+
+from conftest import memo_bits_held
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,12 +31,11 @@ def test_tracer_entry_points_resolve(monkeypatch):
     assert not missing
 
 
-def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
+def test_cache_state_counts_the_stored_trapezoid(canonical, memo, monkeypatch):
     # the benchmark reads the table store and the memo through these hooks
     monkeypatch.syspath_prepend(ROOT)
     workloads = importlib.import_module("perfbench.workloads")
     monkeypatch.setattr(bimoment, "_TABLES", {})
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     for n in (0, 1, 5, 12):
         bimoment.bimoment_table(canonical).ensure(n)
         state = workloads.cache_state()
@@ -50,14 +52,14 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
     for _ in range(3):
         workloads.reset_caches()
         assert not bimoment._TABLES
-        assert sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values())) == 0
+        assert memo_bits_held() == 0
         for p in (canonical, canonical.swap_ab_cd()):
             bimoment.bimoment_table(p).ensure(12)
         assert list(bimoment._TABLES) == [canonical.swap_ab_cd()]
         wordfun.functional_values(words, canonical)
         state = workloads.cache_state()
         assert (state["tables"], state["normal_cache"]) == (1, 2**9 - 1)
-        assert wordfun._memo_bits == sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values()))
+        assert wordfun._memo_bits == memo_bits_held()
 
 
 # 17 physical lines; the code lines are 5, 8, 11, 12, 14, 16 and 17: a string
@@ -99,3 +101,30 @@ def test_src_lines_counts_a_known_module():
     out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
     total = [f"{sum(column):,d}" for column in zip(*counts)]
     assert out.split("\n")[-2].split() == ["total", *total]
+
+
+def test_peak_rss_reports_one_command(canonical):
+    # the script runs the command in a child process; its digest is the
+    # payload's with every timings_ms removed, so it matches a run of its own
+    script = os.path.join(ROOT, "scripts", "peak_rss.py")
+    argv = ["functional", *param_flags(canonical), "--max-len", "4"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, script, *argv], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    fields = dict(line.split() for line in out.splitlines())
+    assert list(fields) == ["wall_s", "peak_rss_mb", "exit", "payload_sha256"]
+    assert float(fields["wall_s"]) > 0 and float(fields["peak_rss_mb"]) > 0
+    assert fields["exit"] == "0"
+
+    direct = subprocess.run(
+        [sys.executable, "-m", "biorth.cli", *argv], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    payload = json.loads(direct)
+    for report in payload["reports"].values():
+        del report["timings_ms"]
+    assert fields["payload_sha256"] == hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def param_flags(p) -> list[str]:
+    return [arg for name, value in p.to_map().items() for arg in (f"--{name}", value)]

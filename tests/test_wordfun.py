@@ -1,6 +1,7 @@
+import heapq
 import itertools
 import random
-from collections import OrderedDict
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from biorth.core import _QPowers
 from biorth.repmat import rep_rational
 from biorth.wordfun import is_normal, normal_power, power_functional
 
-from conftest import make_params, without_timings
+from conftest import fresh_memo, make_params, without_timings, word_terms
 
 words = st.text(alphabet="de", max_size=4)
 coeffs = st.fractions(min_value=F(-5), max_value=F(5)).filter(bool)
@@ -118,22 +119,20 @@ def test_long_words_match_transfer_route(canonical, grid):
             assert functional(WordPoly({word: 1}), p) == transfer_value(word, p), word
 
 
-def test_normal_order_memoises_prefixes(canonical, monkeypatch):
+def test_normal_order_memoises_prefixes(canonical, memo):
     # one entry per prefix of the word, not one per intermediate rewrite
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     normal_order(WordPoly({"e" * 8 + "d" * 8: 1}), canonical.q)
-    assert len(wordfun._NORMAL_CACHE) <= 17
+    assert len(memo) <= 17
 
 
-def test_thousand_letter_words_on_a_cold_memo(canonical, monkeypatch):
+def test_thousand_letter_words_on_a_cold_memo(canonical, memo):
     # a cold memo is filled one letter at a time, without recursion, so no
     # word length meets the interpreter's limit; the values match a memo
     # warmed by hand
     q = canonical.q
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
 
     def on_empty_memo(word, warm_cuts):
-        wordfun._NORMAL_CACHE.clear()
+        memo.clear()
         for cut in warm_cuts:
             normal_order(WordPoly({word[:cut]: 1}), q)
         return normal_order(WordPoly({word: 1}), q)
@@ -197,26 +196,30 @@ def test_the_table_store_holds_the_last_point_only(grid, monkeypatch):
     assert table is not kept
 
 
-def test_caches_evict_least_recently_used(grid, monkeypatch):
+def test_caches_evict_least_recently_used(grid, memo, monkeypatch):
     # each memo entry here is one term over scale 1: 65 bits, so room for two
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 130)
     q = grid[0].q
     for word in ("d", "e", "d", "de"):
         wordfun._normal_order_word(word, q, _QPowers(q))
-    assert list(wordfun._NORMAL_CACHE) == [("d", 1, 2), ("de", 1, 2)]
+    assert list(memo) == [("d", 1, 2), ("de", 1, 2)]
     assert wordfun._memo_bits == 130
 
 
-def test_caches_keep_the_newest_entry_over_the_budget(grid, monkeypatch):
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+def test_caches_keep_the_newest_entry_over_the_budget(grid, memo, monkeypatch):
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1)
     q = grid[0].q
     word = "dede"
     expected = reference_normal_order(WordPoly({word: 1}), q)
-    assert wordfun._fractions(wordfun._normal_order_word(word, q, _QPowers(q))) == expected
-    assert list(wordfun._NORMAL_CACHE) == [(word, 1, 2)]
-    assert wordfun._memo_bits == wordfun._form_bits(wordfun._NORMAL_CACHE[word, 1, 2])
+    assert placed_fractions(word, wordfun._normal_order_word(word, q, _QPowers(q))) == expected
+    assert list(memo) == [(word, 1, 2)]
+    assert wordfun._memo_bits == wordfun._form_bits(memo[word, 1, 2])
+
+
+def placed_fractions(word: str, form) -> dict[tuple[int, int], F]:
+    """A word's memo form (coefficients, then the scale) as
+    {(i, j): coeff of d^i e^j}."""
+    return {key: F(c, form[-1]) for key, c in word_terms(word, form).items()}
 
 
 # canonical a, b, c, d at q = t/s with t = 1, t > 1, q > 1 and q < 0 (t < 0)
@@ -225,20 +228,46 @@ ORACLE_POINTS = [make_params(("1", "1/2", "-1/3", "-1/4", q)) for q in ORACLE_QS
 long_polys = st.dictionaries(st.text(alphabet="de", max_size=7), coeffs, max_size=4).map(WordPoly)
 
 
+def _inversions(word: str) -> int:
+    """The pairs of an e before a d."""
+    count = seen = 0
+    for letter in word:
+        if letter == "e":
+            seen += 1
+        else:
+            count += seen
+    return count
+
+
 def reference_normal_order(wp: WordPoly, q: F) -> dict[tuple[int, int], F]:
     """Plain-Fraction normal ordering: rewrite the leftmost "ed" by
-    e d = q^(-1) d e - q^(-1) (1 - q) until every word is d^i e^j."""
+    e d = q^(-1) d e - q^(-1) (1 - q) until every word is d^i e^j.  Equal
+    words are merged before they are rewritten: a rewrite lowers (length,
+    inversions), so taking the largest pending word first rewrites each
+    word once, and words of length 30 stay cheap."""
     out: dict[tuple[int, int], F] = {}
-    work = list(wp.terms.items())
-    while work:
-        word, coeff = work.pop()
+    pending: dict[str, F] = {}
+    heap: list[tuple[int, int, str]] = []
+
+    def add(word, coeff):
+        if word in pending:
+            pending[word] += coeff
+        else:
+            pending[word] = coeff
+            heapq.heappush(heap, (-len(word), -_inversions(word), word))
+
+    for word, coeff in wp.terms.items():
+        add(word, coeff)
+    while heap:
+        word = heapq.heappop(heap)[2]
+        coeff = pending.pop(word)
         cut = word.find("ed")
         if cut < 0:
             key = (word.count("d"), word.count("e"))
             out[key] = out.get(key, F(0)) + coeff
         else:
-            work.append((word[:cut] + "de" + word[cut + 2 :], coeff / q))
-            work.append((word[:cut] + word[cut + 2 :], -coeff * (1 - q) / q))
+            add(word[:cut] + "de" + word[cut + 2 :], coeff / q)
+            add(word[:cut] + word[cut + 2 :], -coeff * (1 - q) / q)
     return {key: value for key, value in out.items() if value}
 
 
@@ -257,17 +286,67 @@ def test_functional_matches_fraction_normal_ordering(p, wp):
     assert functional(wp, p) == value
 
 
-def test_memo_holds_integers_over_one_scale(monkeypatch):
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE", OrderedDict())
+def test_memo_holds_integers_over_one_scale(memo):
     words = ["".join(w) for w in itertools.product("de", repeat=6)]
     for p in ORACLE_POINTS:
         functional(WordPoly({word: 1 for word in words}), p)
-    assert len(wordfun._NORMAL_CACHE) == len(ORACLE_POINTS) * (2**7 - 1)
-    for (word, t, s), (ints, scale) in wordfun._NORMAL_CACHE.items():
+    assert len(memo) == len(ORACLE_POINTS) * (2**7 - 1)
+    for (word, t, s), form in memo.items():
         assert type(t) is int and type(s) is int  # no key holds a Fraction
-        assert type(scale) is int and all(type(c) is int for c in ints.values())
+        assert all(type(c) is int for c in form)
         if t == 1:
-            assert scale == 1, (word, t, s)
+            assert form[-1] == 1, (word, t, s)
+
+
+# at q = -1, 1 - q^(-2) = 0 leaves zeros inside a diagonal
+DIAGONAL_QS = [F(q) for q in ORACLE_QS + ["-1"]]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DIAGONAL_QS), st.text(alphabet="de", max_size=30))
+def test_a_word_form_lies_on_one_diagonal(q, word):
+    with fresh_memo() as memo:
+        form = wordfun._normal_order_word(word, q, _QPowers(q))
+        assert placed_fractions(word, form) == reference_normal_order(WordPoly({word: 1}), q)
+        d_count = word.count("d")
+        assert len(form) - 1 <= min(d_count, len(word) - d_count) + 1
+        # a trailing e changes no coefficient: w + "e" holds w's own form
+        for cut, letter in enumerate(word, 1):
+            if letter == "e":
+                assert memo[word[:cut], q.numerator, q.denominator] is memo[
+                    word[: cut - 1], q.numerator, q.denominator
+                ]
+
+
+def test_zeros_inside_a_diagonal_are_not_placed(memo):
+    # at q = -1, e e d d = d d e e + 0 * d e + 0 * 1
+    q = F(-1)
+    assert wordfun._normal_order_word("eedd", q, _QPowers(q)) == (1, 0, 0, 1)
+    assert wordfun._normal_form({"eedd": 1}, q, {}, _QPowers(q)) == ({(2, 2): 1}, 1)
+    assert normal_order(WordPoly({"eedd": 1}), q) == WordPoly({"ddee": 1})
+
+
+def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical, memo):
+    # the memo after every word of length <= 8 (511 forms, keys included),
+    # against the same forms as {(i, j): coeff} dicts (keys not counted)
+    q = canonical.q
+    words = ["".join(w) for n in range(9) for w in itertools.product("de", repeat=n)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        powers = _QPowers(q)
+        for word in words:
+            wordfun._normal_order_word(word, q, powers)
+        held = tracemalloc.get_traced_memory()[0] - start
+        start += held
+        as_dicts = [
+            (word_terms(word, form), form[-1]) for (word, _, _), form in memo.items()
+        ]
+        dict_bytes = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == len(as_dicts) == 511
+    assert held <= dict_bytes / 2, (held, dict_bytes)
 
 
 @st.composite
