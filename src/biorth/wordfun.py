@@ -9,9 +9,9 @@ its coefficients are integer polynomials in s/t over the one scale t^n (n
 the pairs of an e before a d), so a word's form is one tuple of integers:
 entry k the coefficient of d^(I-k) e^(J-k), then the scale.  Normal
 ordering is right multiplication: a word is its prefix's form times its
-last letter.  A trailing e changes no coefficient, and the memo, keyed by
-(word, t, s), stores the prefix's own tuple for it; a trailing d is one
-pass over the tuple (``_times_d``, the one place the d-rule is written).
+last letter.  A trailing e changes no coefficient, so the memo, keyed by
+(word, t, s), stores only prefixes that end in d; a trailing d is one pass
+over the tuple (``_times_d``, the one place the d-rule is written).
 A word polynomial's forms are placed at their (i, j) over the lcm of their
 scales, and each moment sum is one integer dot product and one Fraction
 (see ``_linalg``).  ``normal_power`` multiplies forms spread over several
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -258,63 +257,56 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
 
 
 def _form_bits(form: WordForm) -> int:
-    """O(1) size estimate of a memo entry: terms x (64 + scale bits).  A
-    tuple that w and w + "e" share is counted for each, and a coefficient
-    is sized by the scale, so this is an estimate, not the bytes held."""
-    return (len(form) - 1) * (64 + form[-1].bit_length())
+    """The bits of a memo entry's integers, its scale included."""
+    return sum(map(int.bit_length, form))
 
 
-# Memo entries, one per prefix of a word, leave least recently used first
-# while their estimated bits (``_form_bits``) pass the budget; the newest
-# entry stays.  The budget bounds the estimate, not memory: the figures
-# here are measured.  A cli-small benchmark round adds about 4,100 entries
-# (1.3 MB by tracemalloc) and a chain round about 7,600 (2.5 MB), so
-# nothing leaves there; functional --max-len 96 at the costliest GRID
-# point computes 62,859 forms, ends holding 8,822 and peaks at 0.10 GB RSS
-# (all 61,120 held: 0.30 GB).
-_NORMAL_CACHE_BUDGET = 1 << 28
+# Memo entries, one per prefix of a word that ends in d, each its own tuple.
+# Their integers' bits are counted as they are stored, and a word whose
+# stores pass the budget empties the memo (it still returns its form).  A
+# chain benchmark round charges 0.47 Mbit, so nothing empties there;
+# functional --max-len 96 empties it during the fuzz and peaks at 52-74 MB
+# RSS over the GRID points (see cli._LIMITS).
+_NORMAL_CACHE_BUDGET = 1 << 27
 # Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
-_NORMAL_CACHE: OrderedDict[tuple[str, int, int], WordForm] = OrderedDict()
-# The estimated bits _NORMAL_CACHE holds; a store into an empty memo resets
-# it, so a clear from outside leaves no stale count.
+_NORMAL_CACHE: dict[tuple[str, int, int], WordForm] = {}
+# The bits _NORMAL_CACHE holds; a word that finds the memo empty resets it,
+# so a clear from outside leaves no stale count.
 _memo_bits = 0
 
 
 def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> WordForm:
     """Normal form (coefficients, then the scale) of ``word``: the form of
     its longest memoised prefix times the remaining letters, one at a time,
-    each longer prefix memoised on the way.  An e changes no coefficient, so
-    a prefix ending in e holds the form of the prefix before it; a d is one
-    pass of ``_times_d``, reading q's powers from ``powers``.  The prefix
-    found moves to the recent end."""
+    each longer prefix that ends in d memoised on the way.  An e changes no
+    coefficient, so a word's form is that of the word up to its last d, and
+    the word with no d has the empty word's (1, 1), which is never stored; a
+    d is one pass of ``_times_d``, reading q's powers from ``powers``."""
     global _memo_bits
     t, s = q.numerator, q.denominator
     cache = _NORMAL_CACHE
-    cut = len(word)
-    while cut >= 0:
-        key = (word[:cut], t, s)
-        form = cache.get(key)
+    end = cut = word.rfind("d") + 1
+    while cut:
+        form = cache.get((word[:cut], t, s))
         if form is not None:
-            cache.move_to_end(key)
             break
-        cut -= 1
+        cut = word.rfind("d", 0, cut - 1) + 1
     else:
-        cut, form = 0, (1, 1)  # the empty word's: 1 over scale 1
+        form = (1, 1)  # the empty word's: 1 over scale 1
         if not cache:
             _memo_bits = 0  # cleared since the last store
-        cache["", t, s] = form
-        _memo_bits += _form_bits(form)
     top = word.count("e", 0, cut)
-    tp, sp = powers.upto(word.count("e"))
-    for cut in range(cut, len(word)):
+    tp, sp = powers.upto(word.count("e", 0, end))
+    for cut in range(cut, end):
         if word[cut] == "e":
             top += 1
         else:
             form = (*_times_d(form[:-1], top, top, tp, sp), form[-1] * tp[top])
-        cache[word[: cut + 1], t, s] = form
-        _memo_bits += _form_bits(form)
-    while _memo_bits > _NORMAL_CACHE_BUDGET and len(cache) > 1:
-        _memo_bits -= _form_bits(cache.popitem(last=False)[1])
+            cache[word[: cut + 1], t, s] = form
+            _memo_bits += _form_bits(form)
+    if _memo_bits > _NORMAL_CACHE_BUDGET:
+        cache.clear()
+        _memo_bits = 0
     return form
 
 

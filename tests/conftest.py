@@ -1,5 +1,4 @@
 import contextlib
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,7 @@ def fresh_memo():
     exit: patching the memo alone would leave the count of the test's memo
     standing against the restored one."""
     saved = wordfun._NORMAL_CACHE, wordfun._memo_bits
-    wordfun._NORMAL_CACHE, wordfun._memo_bits = OrderedDict(), 0
+    wordfun._NORMAL_CACHE, wordfun._memo_bits = {}, 0
     try:
         yield wordfun._NORMAL_CACHE
     finally:
@@ -48,13 +47,14 @@ def word_terms(word: str, form) -> dict[tuple[int, int], int]:
 
 
 def memo_bits_held() -> int:
+    """The bits of every integer the memo holds, scales included."""
     return sum(map(wordfun._form_bits, wordfun._NORMAL_CACHE.values()))
 
 
 @pytest.fixture
 def memo():
     """The test's own empty memo (see ``fresh_memo``); afterwards the
-    restored counter must still count what the restored memo holds."""
+    restored counter must still equal the bits the restored memo holds."""
     with fresh_memo() as cache:
         yield cache
     assert wordfun._memo_bits == memo_bits_held()

@@ -44,10 +44,11 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, memo, monkeypatch):
     workloads.reset_caches()
     assert workloads.cache_state() == {"tables": 0, "entries": 0, "normal_cache": 0}
 
-    # Each round below holds 94 kbit of memo, within a budget that two rounds
-    # together pass: a size counted before a reset must not evict what the
-    # next round grows.  The table store holds the last point's table only.
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1 << 17)
+    # Each round below holds 6,464 bits of memo, within a budget that two
+    # rounds together pass: a count kept from before a reset must not empty
+    # the memo the next round grows.  The table store holds the last point's
+    # table only.
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1 << 13)
     words = [{"".join(word): 1} for word in itertools.product("de", repeat=8)]
     for _ in range(3):
         workloads.reset_caches()
@@ -58,7 +59,7 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, memo, monkeypatch):
         assert list(bimoment._TABLES) == [canonical.swap_ab_cd()]
         wordfun.functional_values(words, canonical)
         state = workloads.cache_state()
-        assert (state["tables"], state["normal_cache"]) == (1, 2**9 - 1)
+        assert (state["tables"], state["normal_cache"]) == (1, 2**8 - 1)
         assert wordfun._memo_bits == memo_bits_held()
 
 

@@ -196,24 +196,56 @@ def test_the_table_store_holds_the_last_point_only(grid, monkeypatch):
     assert table is not kept
 
 
-def test_caches_evict_least_recently_used(grid, memo, monkeypatch):
-    # each memo entry here is one term over scale 1: 65 bits, so room for two
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 130)
+def test_a_full_memo_empties(grid, memo, monkeypatch):
+    # at q = 1/2 the forms of "d" and "dd" are (1, 1), 2 bits each, and that
+    # of "ded" is (2, -1, 1), 4 bits: its store passes a 5-bit budget
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 5)
     q = grid[0].q
-    for word in ("d", "e", "d", "de"):
-        wordfun._normal_order_word(word, q, _QPowers(q))
-    assert list(memo) == [("d", 1, 2), ("de", 1, 2)]
-    assert wordfun._memo_bits == 130
+    powers = _QPowers(q)
+    for word in ("d", "dd"):
+        wordfun._normal_order_word(word, q, powers)
+    assert memo == {("d", 1, 2): (1, 1), ("dd", 1, 2): (1, 1)}
+    assert wordfun._memo_bits == 4
+    assert wordfun._normal_order_word("ded", q, powers) == (2, -1, 1)
+    assert memo == {} and wordfun._memo_bits == 0
+    wordfun._normal_order_word("dde", q, powers)
+    assert list(memo) == [("d", 1, 2), ("dd", 1, 2)]
+    assert wordfun._memo_bits == 4
 
 
-def test_caches_keep_the_newest_entry_over_the_budget(grid, memo, monkeypatch):
+def test_a_word_over_the_budget_returns_its_exact_form(grid, memo, monkeypatch):
     monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1)
     q = grid[0].q
-    word = "dede"
-    expected = reference_normal_order(WordPoly({word: 1}), q)
-    assert placed_fractions(word, wordfun._normal_order_word(word, q, _QPowers(q))) == expected
-    assert list(memo) == [(word, 1, 2)]
-    assert wordfun._memo_bits == wordfun._form_bits(memo[word, 1, 2])
+    for word in ("dede", "eddeed" * 4 + "e"):
+        expected = reference_normal_order(WordPoly({word: 1}), q)
+        assert placed_fractions(word, wordfun._normal_order_word(word, q, _QPowers(q))) == expected
+        assert memo == {} and wordfun._memo_bits == 0
+
+
+@pytest.mark.parametrize("q", ["1/2", "2/5"])
+def test_the_memo_counts_its_integers_bits_within_the_budget(q, monkeypatch):
+    # At q = 1/2 every scale is 1, which a count that sizes coefficients by
+    # the scale reads as almost nothing.  The count is the bit lengths held;
+    # a word may pass the budget by its own stores, and the memo empties
+    # before the call returns.
+    budget = 1 << 16
+    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", budget)
+    inner = wordfun._normal_order_word
+    emptied = []
+
+    def checked(*args):
+        held_before = bool(wordfun._NORMAL_CACHE)
+        form = inner(*args)
+        held = sum(c.bit_length() for f in wordfun._NORMAL_CACHE.values() for c in f)
+        assert wordfun._memo_bits == held <= budget
+        emptied.append(held_before and not wordfun._NORMAL_CACHE)
+        return form
+
+    monkeypatch.setattr(wordfun, "_normal_order_word", checked)
+    with fresh_memo():
+        report = check_defining_relations(make_params(("1", "1/2", "-1/3", "-1/4", q)), 24, 40)
+    assert report.passed
+    assert any(emptied)
 
 
 def placed_fractions(word: str, form) -> dict[tuple[int, int], F]:
@@ -290,7 +322,8 @@ def test_memo_holds_integers_over_one_scale(memo):
     words = ["".join(w) for w in itertools.product("de", repeat=6)]
     for p in ORACLE_POINTS:
         functional(WordPoly({word: 1 for word in words}), p)
-    assert len(memo) == len(ORACLE_POINTS) * (2**7 - 1)
+    # one entry per word of length <= 6 that ends in d
+    assert len(memo) == len(ORACLE_POINTS) * (2**6 - 1)
     for (word, t, s), form in memo.items():
         assert type(t) is int and type(s) is int  # no key holds a Fraction
         assert all(type(c) is int for c in form)
@@ -306,16 +339,20 @@ DIAGONAL_QS = [F(q) for q in ORACLE_QS + ["-1"]]
 @given(st.sampled_from(DIAGONAL_QS), st.text(alphabet="de", max_size=30))
 def test_a_word_form_lies_on_one_diagonal(q, word):
     with fresh_memo() as memo:
-        form = wordfun._normal_order_word(word, q, _QPowers(q))
+        powers = _QPowers(q)
+        form = wordfun._normal_order_word(word, q, powers)
         assert placed_fractions(word, form) == reference_normal_order(WordPoly({word: 1}), q)
         d_count = word.count("d")
         assert len(form) - 1 <= min(d_count, len(word) - d_count) + 1
-        # a trailing e changes no coefficient: w + "e" holds w's own form
+        # a trailing e changes no coefficient: w + "e" places w's own tuple
         for cut, letter in enumerate(word, 1):
             if letter == "e":
-                assert memo[word[:cut], q.numerator, q.denominator] is memo[
-                    word[: cut - 1], q.numerator, q.denominator
-                ]
+                assert wordfun._normal_order_word(word[:cut], q, powers) is (
+                    wordfun._normal_order_word(word[: cut - 1], q, powers)
+                )
+        # and only the prefixes that end in d are stored
+        t, s = q.numerator, q.denominator
+        assert set(memo) == {(word[:cut], t, s) for cut, x in enumerate(word, 1) if x == "d"}
 
 
 def test_zeros_inside_a_diagonal_are_not_placed(memo):
@@ -327,8 +364,9 @@ def test_zeros_inside_a_diagonal_are_not_placed(memo):
 
 
 def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical, memo):
-    # the memo after every word of length <= 8 (511 forms, keys included),
-    # against the same forms as {(i, j): coeff} dicts (keys not counted)
+    # the memo after every word of length <= 8 (the 255 that end in d are
+    # stored, keys included), against those 511 words' forms as
+    # {(i, j): coeff} dicts (keys not counted)
     q = canonical.q
     words = ["".join(w) for n in range(9) for w in itertools.product("de", repeat=n)]
     tracemalloc.start()
@@ -338,14 +376,13 @@ def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical, memo):
         for word in words:
             wordfun._normal_order_word(word, q, powers)
         held = tracemalloc.get_traced_memory()[0] - start
-        start += held
-        as_dicts = [
-            (word_terms(word, form), form[-1]) for (word, _, _), form in memo.items()
-        ]
+        forms = [wordfun._normal_order_word(word, q, powers) for word in words]
+        start = tracemalloc.get_traced_memory()[0]
+        as_dicts = [(word_terms(word, form), form[-1]) for word, form in zip(words, forms)]
         dict_bytes = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert len(memo) == len(as_dicts) == 511
+    assert len(memo) == 2**8 - 1 and len(as_dicts) == len(words) == 2**9 - 1
     assert held <= dict_bytes / 2, (held, dict_bytes)
 
 
