@@ -4,7 +4,8 @@ A configuration of L sites is an integer 0 <= s < 2^L whose most
 significant bit is site 1.  The continuous-time generator moves a particle
 right across a bond at rate 1 and left at rate q, injects/extracts at the
 left boundary at rates alpha/gamma and at the right boundary at rates
-delta/beta.
+delta/beta.  ``generator`` visits only the moves a state has: a bond can
+hop exactly where its two sites differ, one set bit of s ^ (s << 1).
 
 The stationary distribution is certified, not solved for:
 
@@ -14,14 +15,17 @@ The stationary distribution is certified, not solved for:
   literally; variant "unshifted" substitutes D = (1 + d)/(1-q),
   E = (1 + e)/(1-q).  Configurations sharing a suffix share the vector
   X_tauk ... X_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
-  steps.  The walk is on integers: both operators' bands are cleared once,
-  over one scale S, so state tau's weight is an integer W_tau over S^L,
-  the total is sum(W) / S^L and each probability is W_tau / sum(W), one
-  gcd per state (see ``_linalg`` for why that scale is walk-wide here and
-  per entry in the deep walks).  ``ansatz_weight`` evaluates one
-  configuration by the word route instead (expand the letter product,
-  normal order, read the moment table); it is the tests' reference for
-  the representation route;
+  steps, each kept to the levels that can still return to level 0: the
+  last step is one integer per state.  The walk holds its vectors level
+  by level, so a step is one pass per level over all suffixes.  It is on
+  integers: both operators' bands are cleared once, over one scale S, so
+  state tau's weight is an integer W_tau over S^L, the total is
+  sum(W) / S^L and each probability is W_tau / sum(W), one gcd per state
+  (see ``_linalg`` for why that scale is walk-wide here and per entry in
+  the deep walks).  The total is checked against the moment table's
+  normalization.  ``ansatz_weight`` evaluates one configuration by the
+  word route instead (expand the letter product, normal order, read the
+  moment table); it is the tests' reference for the representation route;
 * ``certify_stationary`` proves a candidate stationary: the generator is
   strongly connected (so its left kernel is one-dimensional) and the
   candidate's residual pi M is exactly zero.  Only the generator enters,
@@ -29,8 +33,9 @@ The stationary distribution is certified, not solved for:
 
 ``compare`` hands the requested variants and the unshifted one to the
 certificate; the distribution it proves is the oracle, and the comparison
-records which requested variant(s) reproduce it -- it reports, it never
-corrects.  When no candidate certifies there is no oracle.
+records which requested variant(s) reproduce it, and whether each
+candidate's normalization matches -- it reports, it never corrects.  When no
+candidate certifies there is no oracle.
 ``stationary_exact`` solves pi M = 0 by dense elimination on the
 2^L x 2^L generator, at a cost of about 8^L operations; the library does
 not call it, it is the independent reference the tests hold the
@@ -40,6 +45,7 @@ certificate to.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -55,7 +61,7 @@ from .core import (
     format_rational,
     to_rates,
 )
-from .repmat import neighbours, rep_rational
+from .repmat import rep_rational
 from .reporting import canonical_json, csv_text, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
@@ -64,10 +70,11 @@ from .wordfun import WordPoly, functional, power_functional
 # 1.5 s and L = 8 takes 39 s.
 _EXACT_LIMIT = 8
 # The generator is linear in its 2^L states: at L = 12 it has 34,816 entries
-# (5 MB) and takes 0.04 s over GRID, the certificate without candidates
-# 0.09 s, on the same host; both double per site.  Also the guard of
-# ``stationary_ansatz`` and ``compare``: compare(12) takes at most 0.43 s over
-# GRID and the four abcd = q or q^2 points of the tests (L = 11: 0.18 s).
+# (4.2 MB) and takes 0.02 s at each GRID point, the certificate without
+# candidates 0.06 s, on the same host; both double per site.  Also the guard
+# of ``stationary_ansatz`` and ``compare``: compare(12) takes at most
+# 0.23-0.35 s over GRID and the four abcd = q or q^2 points of the tests
+# (L = 11: 0.08-0.13 s).
 _GENERATOR_LIMIT = 12
 VARIANTS = ("shifted", "unshifted")
 
@@ -107,9 +114,15 @@ class StationaryDistribution:
         if len(self.probabilities) != 1 << self.length:
             raise InvalidParams("probability vector length is not 2^L")
         # the sum on integers over the lcm of the denominators
-        numerators, scale = _clear_denominators(self.probabilities)
+        numerators, scale = self.cleared
         if sum(numerators) != scale:
             raise InvalidParams("probabilities must sum to exactly 1")
+
+    @cached_property
+    def cleared(self) -> tuple[list[int], int]:
+        """(integers, scale): the probabilities times the lcm of their
+        denominators, computed once for the checks that read them."""
+        return _clear_denominators(self.probabilities)
 
     def probability(self, state: int) -> Fraction:
         return self.probabilities[state]
@@ -129,43 +142,49 @@ class StationaryDistribution:
 
 
 def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fraction]:
-    """Sparse rate matrix {(from, to): rate}, diagonal = -(row sum)."""
+    """Sparse rate matrix {(from, to): rate}, diagonal = -(row sum).
+
+    Each state's entries are its boundary moves, left then right, then its
+    bond hops in bond order (from site 1); every diagonal entry follows
+    them all, and a zero rate makes no entry.  The bond between bits k and
+    k - 1 (bit 0 is site L) can hop exactly when the two bits differ, so a
+    state visits only the set bits k of ``(s ^ (s << 1)) & hops``, highest
+    first: to the right at rate 1 when bit k is set, to the left at rate q
+    otherwise, and either way to ``s ^ (3 << (k - 1))``.
+    """
     _guard_length("generator", length, _GENERATOR_LIMIT)
     size = 1 << length
-    left_mask = 1 << (length - 1)
-    entries: dict[tuple[int, int], Fraction] = {}
+    top = size >> 1
+    hops = size - 2  # bits 1 .. L-1: the left site of each bond
     # Each rate paired with its integer over one common scale: a row sum is
     # added up on the integers and reduced once.
     values = (rates.alpha, rates.beta, rates.gamma, rates.delta, Fraction(1), rates.q)
     integers, scale = _clear_denominators(values)
-    alpha, beta, gamma, delta, right, left = zip(values, integers)
-    row_sums = [0] * size
-
-    def add(src: int, dst: int, rate: tuple[Fraction, int]):
-        value, integer = rate
+    alpha, beta, gamma, delta, (one, right), (q, left) = zip(values, integers)
+    entries: dict[tuple[int, int], Fraction] = {}
+    row_sums = []
+    for s in range(size):
+        total = 0
+        value, integer = gamma if s & top else alpha
         if value:
-            key = (src, dst)
+            entries[s, s ^ top] = value
+            total = integer
+        value, integer = beta if s & 1 else delta
+        if value:
+            key = (s, s ^ 1)
             # at L = 1 the one site is at both boundaries, so both moves share a key
             entries[key] = entries[key] + value if key in entries else value
-            row_sums[src] += integer
-
-    for s in range(size):
-        if s & left_mask:
-            add(s, s & ~left_mask, gamma)
-        else:
-            add(s, s | left_mask, alpha)
-        if s & 1:
-            add(s, s & ~1, beta)
-        else:
-            add(s, s | 1, delta)
-        for bond in range(length - 1):
-            hi = 1 << (length - 1 - bond)
-            lo = hi >> 1
-            pair = s & (hi | lo)
-            if pair == hi:
-                add(s, (s & ~hi) | lo, right)
-            elif pair == lo:
-                add(s, (s | hi) & ~lo, left)
+            total += integer
+        moves = (s ^ (s << 1)) & hops
+        forward = moves & s
+        if not q:
+            moves = forward
+        total += forward.bit_count() * right + (moves ^ forward).bit_count() * left
+        while moves:
+            k = moves.bit_length() - 1
+            moves ^= 1 << k
+            entries[s, s ^ (3 << (k - 1))] = one if s >> k & 1 else q
+        row_sums.append(total)
     # the row sums take a few distinct values, so each diagonal value is built once
     diagonal: dict[int, Fraction] = {}
     for s, total in enumerate(row_sums):
@@ -173,7 +192,7 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
             value = diagonal.get(total)
             if value is None:
                 value = diagonal[total] = Fraction(-total, scale)
-            entries[(s, s)] = value
+            entries[s, s] = value
     return entries
 
 
@@ -246,7 +265,7 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
     for dist in candidates:
         if dist.length != length:
             raise InvalidParams(f"candidate of length {dist.length} for L={length}")
-        weights, _ = _clear_denominators(dist.probabilities)
+        weights, _ = dist.cleared
         if not all(w > 0 for w in weights):
             continue
         residual = [0] * size
@@ -316,15 +335,6 @@ def _band_rows(op, scale: int) -> list[tuple[int, int, int]]:
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in op.band_rows()]
 
 
-def _band_step(rows, vec: list[int], levels: int) -> list[int]:
-    """The first ``levels`` components of the integer band ``rows`` applied
-    to vec; vec's missing components are zero."""
-    return [
-        low * x + mid * y + up * z
-        for (low, mid, up), (x, y, z) in zip(rows[:levels], neighbours(vec, levels))
-    ]
-
-
 def _transfer_weights(length: int, empty, occupied) -> tuple[list[int], int]:
     """<e0| X_tau1 ... X_tauL |e0> for every state, shared by suffix, as
     (integers, scale): the weight of state tau is integers[tau] / scale.
@@ -334,36 +344,55 @@ def _transfer_weights(length: int, empty, occupied) -> tuple[list[int], int]:
     plain integers, S^k times its value after k steps, and the scale of
     the weights is S^L.
 
-    After k steps, vectors[s] = X_tau(L-k+1) ... X_tauL |e0> where s holds
-    sites L-k+1..L in its k low bits, so each step prepends site L-k as
-    bit k of the state.  Only levels <= min(k, L - k) are kept: higher
-    ones are still zero (a step climbs at most one level) or can no longer
-    return to level 0 in the L - k steps left.
+    The vectors are held level by level: after k steps, columns[i][s] is
+    component i of X_tau(L-k+1) ... X_tauL |e0>, where s holds sites
+    L-k+1..L in its k low bits, so each step prepends site L-k as bit k of
+    the state and computes a level for all states in one pass.  Only levels
+    <= min(k, L - k) are kept: higher ones are still zero (a step climbs at
+    most one level) or can no longer return to level 0 in the L - k steps
+    left.  The last step keeps level 0 alone, one integer per state.
     """
     ops = (empty, occupied)
     scale = lcm(*(x.denominator for op in ops for x in (*op.lower, *op.diag, *op.upper)))
     bands = [_band_rows(op, scale) for op in ops]
-    vectors = [[1]]
+    columns = [[1]]
     for k in range(1, length + 1):
-        levels = min(k, length - k) + 1
-        vectors = [_band_step(rows, v, levels) for rows in bands for v in vectors]
-    return [v[0] for v in vectors], scale**length
+        zeros = [0] * len(columns[0])
+        # level i reads levels i - 1, i and i + 1, zero past both ends
+        padded = [zeros, *columns, zeros, zeros]
+        stepped = []
+        for i in range(min(k, length - k) + 1):
+            below, level, above = padded[i : i + 3]
+            column = []
+            for rows in bands:
+                low, mid, up = rows[i]
+                column += [low * x + mid * y + up * z for x, y, z in zip(below, level, above)]
+            stepped.append(column)
+        columns = stepped
+    return columns[0], scale**length
 
 
-def _ansatz(length: int, p: AWParams, variant: str, rep) -> StationaryDistribution:
-    """``stationary_ansatz`` on the representation ``rep`` of
-    ``_representation(p, length)``."""
+def _ansatz(
+    length: int, p: AWParams, variant: str, rep
+) -> tuple[StationaryDistribution | None, bool]:
+    """The ansatz distribution on the representation ``rep`` of
+    ``_representation(p, length)``, and whether its normalization equals
+    the moment table's (see ``stationary_ansatz``).  A weight sum of zero
+    leaves nothing to normalize by: the distribution is None if the moment
+    table's normalization is not zero too (a mismatch), and it raises if
+    both vanish."""
     shift, scale = _site_letter(p, variant)
     weights, weight_scale = _transfer_weights(length, *_site_operators(p, rep, variant))
     weight_sum = sum(weights)
     total = Fraction(weight_sum, weight_scale)
-    if power_functional(p, length, 2 * shift, scale) != total:
-        raise BiorthError("normalization mismatch between weight sum and letter-sum power")
+    matches = power_functional(p, length, 2 * shift, scale) == total
     if total == 0:
-        raise BiorthError("ansatz normalization vanishes")
+        if matches:
+            raise BiorthError("ansatz normalization vanishes")
+        return None, False
     # weight / total, with the scale cancelled: one gcd per state
     probs = tuple(Fraction(w, weight_sum) for w in weights)
-    return StationaryDistribution(length=length, probabilities=probs, normalization=total)
+    return StationaryDistribution(length=length, probabilities=probs, normalization=total), matches
 
 
 def stationary_ansatz(
@@ -378,10 +407,14 @@ def stationary_ansatz(
     functional of the L-th power of the summed site letters (normal ordered
     in closed form by ``wordfun.power_functional``), and checked against
     the sum of the weights.  The representation and the moment table share
-    nothing above the parameters, so a mismatch means one route is broken.
+    nothing above the parameters, so a mismatch means one route is broken,
+    and it raises.
     """
     _guard_length("stationary_ansatz", length, _GENERATOR_LIMIT)
-    return _ansatz(length, p, variant, _representation(p, length))
+    dist, matches = _ansatz(length, p, variant, _representation(p, length))
+    if not matches:
+        raise BiorthError("normalization mismatch between weight sum and letter-sum power")
+    return dist
 
 
 @dataclass(frozen=True)
@@ -394,17 +427,26 @@ class VariantComparison:
 @dataclass(frozen=True)
 class ComparisonReport:
     """Side-by-side of ansatz variants against the certified chain state
-    (None where no candidate certifies)."""
+    (None where no candidate certifies), and, for every variant built
+    (the requested ones and the unshifted oracle candidate), whether its
+    weight sum equals its moment-table normalization."""
 
     params: AWParams
     rates: HoppingRates
     length: int
     variants: tuple[VariantComparison, ...]
     oracle: StationaryDistribution | None
+    normalization_matches: dict[str, bool]
 
     @property
     def matching_variants(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variants if v.matches_oracle)
+
+    @property
+    def passed(self) -> bool:
+        """Some requested variant reproduces the oracle, and every variant
+        built has its moment-table normalization."""
+        return bool(self.matching_variants) and all(self.normalization_matches.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -420,40 +462,57 @@ class ComparisonReport:
                 for v in self.variants
             ],
             "oracle": None if self.oracle is None else {"probabilities": self.oracle.to_map()},
+            "normalization_matches": self.normalization_matches,
         }
 
     def to_json(self) -> str:
         return canonical_json(jsonable(self.to_json_dict()))
 
 
+def _max_abs_difference(first: StationaryDistribution, second: StationaryDistribution) -> Fraction:
+    """max |x - y| over two distributions' probabilities, on the integers
+    they are cleared to: the maximum is one Fraction."""
+    xs, x_scale = first.cleared
+    ys, y_scale = second.cleared
+    scale = lcm(x_scale, y_scale)
+    x_factor, y_factor = scale // x_scale, scale // y_scale
+    return Fraction(max(abs(x * x_factor - y * y_factor) for x, y in zip(xs, ys)), scale)
+
+
 def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     """Compare the requested ansatz variants with the oracle at length L.
 
     Exact equality configuration by configuration; on mismatch the largest
-    absolute discrepancy is recorded.  The exact representation is built
-    once and shared by the variants.  The oracle is the first of the
-    requested variants, then the unshifted one (computed only as a
-    candidate if not requested), that ``certify_stationary`` proves
-    stationary, at a cost linear in the 2^L states.  If none certifies,
-    the ansatz itself is wrong: the oracle is None, and so is every
-    discrepancy.  Guarded with the generator it certifies against.
+    absolute discrepancy is recorded.  Every variant built also records
+    whether its weight sum equals the moment table's normalization; unlike
+    ``stationary_ansatz``, a mismatch is reported, not raised, and a
+    variant whose weights sum to zero has no distribution.  The exact
+    representation is built once and shared by the variants.  The oracle
+    is the first of the requested variants, then the unshifted one
+    (computed only as a candidate if not requested), that
+    ``certify_stationary`` proves stationary, at a cost linear in the 2^L
+    states.  If none certifies, the ansatz itself is wrong: the oracle is
+    None, and so is every discrepancy.  Guarded with the generator it
+    certifies against.
     """
     _guard_length("compare", length, _GENERATOR_LIMIT)
     rates = to_rates(p)
     rep = _representation(p, length)
     candidates = dict.fromkeys((*variants, "unshifted"))
-    dists = {variant: _ansatz(length, p, variant, rep) for variant in candidates}
-    oracle = certify_stationary(length, rates, dists.values())
+    ansatz = {variant: _ansatz(length, p, variant, rep) for variant in candidates}
+    dists = [dist for dist, _ in ansatz.values() if dist is not None]
+    oracle = certify_stationary(length, rates, dists)
     rows = []
     for variant in variants:
-        probs = dists[variant].probabilities
-        if oracle is None:
+        dist, _ = ansatz[variant]
+        if oracle is None or dist is None:
             gap = None
-        elif probs == oracle.probabilities:
+        elif dist.probabilities == oracle.probabilities:
             gap = Fraction(0)
         else:
-            gap = max(abs(x - y) for x, y in zip(probs, oracle.probabilities))
-        rows.append(VariantComparison(variant, matches_oracle=(gap == 0), max_abs_discrepancy=gap))
+            gap = _max_abs_difference(dist, oracle)
+        rows.append(VariantComparison(variant, gap == 0, gap))
     return ComparisonReport(
-        params=p, rates=rates, length=length, variants=tuple(rows), oracle=oracle
+        params=p, rates=rates, length=length, variants=tuple(rows), oracle=oracle,
+        normalization_matches={variant: ok for variant, (_, ok) in ansatz.items()},
     )

@@ -133,13 +133,20 @@ def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
 
 
 def stationary_suite(p: AWParams, max_L: int) -> dict:
-    """Some ansatz variant equals the exact chain state at each L up to
-    max_L, and one variant does so at every L."""
+    """At each L up to max_L, each variant's weight sum equals its
+    moment-table normalization and some variant equals the exact chain
+    state; then one variant does so at every L."""
     report = VerificationReport(params=p.to_map(), n=max_L)
     matching_by_length = []
     with report.timed("oracle-comparison"):
         for length in range(1, max_L + 1):
             comparison = asep.compare(length, p)
+            mismatched = [name for name, ok in comparison.normalization_matches.items() if not ok]
+            report.add(
+                f"ansatz-normalization-L{length}",
+                not mismatched,
+                {"variants": mismatched} if mismatched else None,
+            )
             matching = set(comparison.matching_variants)
             matching_by_length.append(matching)
             report.add(

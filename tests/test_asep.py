@@ -158,14 +158,75 @@ def test_integer_walk_equals_the_fraction_walk(grid):
             assert [F(w, scale) for w in ints] == expected, (p, length, variant)
 
 
-def test_normalization_checks_the_weights_against_the_word_route(canonical, monkeypatch):
-    def off_by_one(length, empty, occupied):
-        weights, scale = _transfer_weights(length, empty, occupied)
-        return [weights[0] + scale] + weights[1:], scale
+def _off_by_one(length, empty, occupied):
+    weights, scale = _transfer_weights(length, empty, occupied)
+    return [weights[0] + scale] + weights[1:], scale
 
-    monkeypatch.setattr(asep, "_transfer_weights", off_by_one)
+
+def test_normalization_checks_the_weights_against_the_word_route(canonical, monkeypatch):
+    monkeypatch.setattr(asep, "_transfer_weights", _off_by_one)
     with pytest.raises(BiorthError, match="normalization mismatch"):
         stationary_ansatz(3, canonical)
+
+
+def test_a_normalization_mismatch_is_a_reported_counterexample(canonical, monkeypatch, capsys):
+    flags = ["--a", "1", "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2", "--L", "3"]
+
+    def stationary_payload(*extra):
+        assert main(["stationary", *flags, *extra]) == 1
+        return json.loads(capsys.readouterr().out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asep, "_transfer_weights", _off_by_one)
+        report = compare(3, canonical)
+        assert report.normalization_matches == {"shifted": False, "unshifted": False}
+        assert not report.passed
+        checks = {c.name: c for c in stationary_suite(canonical, 3)["stationary"].checks}
+        check = checks["ansatz-normalization-L3"]
+        assert not check.passed and check.first_failure == {"variants": list(VARIANTS)}
+        payload = stationary_payload()
+        assert payload["normalization_matches"] == {"shifted": False, "unshifted": False}
+        payload = stationary_payload("--variant", "unshifted")
+        assert [v["name"] for v in payload["variants"]] == ["unshifted"]
+        assert payload["normalization_matches"] == {"unshifted": False}
+
+    # the unshifted oracle candidate, built though only shifted is asked for
+    power = asep.power_functional
+    with monkeypatch.context() as patch:
+        patch.setattr(asep, "power_functional", lambda p, n, s, t: power(p, n, s, t) + (s != 0))
+        payload = stationary_payload("--variant", "shifted")
+        assert [v["name"] for v in payload["variants"]] == ["shifted"]
+        assert payload["normalization_matches"] == {"shifted": True, "unshifted": False}
+
+    # weights that sum to zero against a nonzero moment-table normalization
+    def zero_weights(length, empty, occupied):
+        weights, scale = _transfer_weights(length, empty, occupied)
+        return [0] * len(weights), scale
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asep, "_transfer_weights", zero_weights)
+        payload = stationary_payload()
+        assert payload["normalization_matches"] == {"shifted": False, "unshifted": False}
+        assert payload["oracle"] is None
+        assert [v["max_abs_discrepancy"] for v in payload["variants"]] == [None, None]
+        # both routes zero: nothing to normalize by, and nothing disagrees
+        patch.setattr(asep, "power_functional", lambda p, n, s, t: F(0))
+        with pytest.raises(BiorthError, match="normalization vanishes"):
+            compare(3, canonical)
+        assert main(["stationary", *flags]) == 2
+        capsys.readouterr()
+
+
+def test_max_abs_discrepancy_equals_the_fraction_difference(grid):
+    for p in grid:
+        for length in range(1, 9):
+            report = compare(length, p, ("shifted",))
+            probs = stationary_ansatz(length, p, "shifted").probabilities
+            expected = max(abs(x - y) for x, y in zip(probs, report.oracle.probabilities))
+            (row,) = report.variants
+            assert type(row.max_abs_discrepancy) is F
+            assert row.max_abs_discrepancy == expected, (p, length)
+            assert row.matches_oracle == (expected == 0)
 
 
 # abcd = q and abcd = q^2, where the level-0 closed forms carry a removable
@@ -219,8 +280,11 @@ def test_compare_reports(canonical):
     by_name = {v.name: v for v in report.variants}
     assert by_name["unshifted"].max_abs_discrepancy == 0
     assert by_name["shifted"].max_abs_discrepancy > 0
+    assert report.normalization_matches == {"shifted": True, "unshifted": True}
+    assert report.passed
     payload = report.to_json_dict()
-    assert set(payload) == {"params", "rates", "L", "variants", "oracle"}
+    assert set(payload) == {"params", "rates", "L", "variants", "oracle", "normalization_matches"}
+    assert set(payload["variants"][0]) == {"name", "matches_oracle", "max_abs_discrepancy"}
 
 
 def test_certified_oracle_equals_dense_oracle(grid):

@@ -28,6 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 from biorth import (
     BiorthError,
     DenominatorVanishes,
+    HoppingRates,
     InvalidParams,
     ShapeError,
     SingularParams,
@@ -419,10 +420,20 @@ def test_closed_form_determinant_matches_pochhammer_products(grid):
             assert det_closed_form(p, n) == reference_det_closed_form(p, n), n
 
 
+# rates with q = 0 (no left hops) and with exactly one of gamma, delta zero
+EDGE_RATES = (
+    HoppingRates(F(1), F(1), F(0), F(0), F(0)),
+    HoppingRates(F(1, 2), F(2, 3), F(1, 5), F(0), F(0)),
+    HoppingRates(F(3), F(1, 7), F(1, 3), F(2, 9), F(0)),
+    HoppingRates(F(1), F(2), F(0), F(1, 4), F(1, 3)),
+    HoppingRates(F(2), F(1), F(1, 4), F(0), F(1, 3)),
+    HoppingRates(F(7, 3), F(1, 2), F(0), F(3, 2), F(2, 7)),
+)
+
+
 def test_generator_matches_fraction_row_sums(grid):
-    for p in grid:
-        rates = to_rates(p)
-        for length in range(1, 7):
+    for rates in [to_rates(p) for p in grid] + list(EDGE_RATES):
+        for length in range(1, 10):
             expected = reference_generator(length, rates)
             # same keys, values and insertion order
             assert list(generator(length, rates).items()) == list(expected.items()), length

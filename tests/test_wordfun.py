@@ -1,7 +1,7 @@
 import heapq
 import itertools
 import random
-import tracemalloc
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -363,25 +363,34 @@ def test_zeros_inside_a_diagonal_are_not_placed(memo):
     assert normal_order(WordPoly({"eedd": 1}), q) == WordPoly({"ddee": 1})
 
 
+def reachable_bytes(root) -> int:
+    """sys.getsizeof summed over every object reachable from root through
+    lists, tuples and dicts (keys and values), each object counted once.
+    The count reads the objects themselves, so unlike an allocation trace
+    it does not depend on what earlier tests left on the free lists."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if isinstance(obj, dict):
+                stack += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (list, tuple)):
+                stack += obj
+    return total
+
+
 def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical, memo):
     # the memo after every word of length <= 8 (the 255 that end in d are
     # stored, keys included), against those 511 words' forms as
-    # {(i, j): coeff} dicts (keys not counted)
+    # {(i, j): coeff} dicts (the words not counted)
     q = canonical.q
     words = ["".join(w) for n in range(9) for w in itertools.product("de", repeat=n)]
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        powers = _QPowers(q)
-        for word in words:
-            wordfun._normal_order_word(word, q, powers)
-        held = tracemalloc.get_traced_memory()[0] - start
-        forms = [wordfun._normal_order_word(word, q, powers) for word in words]
-        start = tracemalloc.get_traced_memory()[0]
-        as_dicts = [(word_terms(word, form), form[-1]) for word, form in zip(words, forms)]
-        dict_bytes = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
+    powers = _QPowers(q)
+    forms = [wordfun._normal_order_word(word, q, powers) for word in words]
+    as_dicts = [(word_terms(word, form), form[-1]) for word, form in zip(words, forms)]
+    held, dict_bytes = reachable_bytes(memo), reachable_bytes(as_dicts)
     assert len(memo) == 2**8 - 1 and len(as_dicts) == len(words) == 2**9 - 1
     assert held <= dict_bytes / 2, (held, dict_bytes)
 
