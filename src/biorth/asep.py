@@ -4,7 +4,7 @@ A configuration of L sites is an integer 0 <= s < 2^L whose most
 significant bit is site 1.  The continuous-time generator moves a particle
 right across a bond at rate 1 and left at rate q, injects/extracts at the
 left boundary at rates alpha/gamma and at the right boundary at rates
-delta/beta.  ``generator`` visits only the moves a state has: a bond can
+delta/beta.  The generator visits only the moves a state has: a bond can
 hop exactly where its two sites differ, one set bit of s ^ (s << 1).
 
 The stationary distribution is certified, not solved for:
@@ -141,8 +141,10 @@ class StationaryDistribution:
         return csv_text([("configuration", "probability", "decimal"), *rows])
 
 
-def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fraction]:
-    """Sparse rate matrix {(from, to): rate}, diagonal = -(row sum).
+def _integer_generator(length: int, rates: HoppingRates) -> tuple[dict[tuple[int, int], int], int]:
+    """The rate matrix as integers over one scale: ({(from, to): integer},
+    scale), the rates cleared of denominators once, so a row sum is added
+    up on the integers.
 
     Each state's entries are its boundary moves, left then right, then its
     bond hops in bond order (from site 1); every diagonal entry follows
@@ -156,44 +158,45 @@ def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fractio
     size = 1 << length
     top = size >> 1
     hops = size - 2  # bits 1 .. L-1: the left site of each bond
-    # Each rate paired with its integer over one common scale: a row sum is
-    # added up on the integers and reduced once.
-    values = (rates.alpha, rates.beta, rates.gamma, rates.delta, Fraction(1), rates.q)
-    integers, scale = _clear_denominators(values)
-    alpha, beta, gamma, delta, (one, right), (q, left) = zip(values, integers)
-    entries: dict[tuple[int, int], Fraction] = {}
+    integers, scale = _clear_denominators(
+        (rates.alpha, rates.beta, rates.gamma, rates.delta, Fraction(1), rates.q)
+    )
+    alpha, beta, gamma, delta, right, left = integers
+    entries: dict[tuple[int, int], int] = {}
     row_sums = []
     for s in range(size):
-        total = 0
-        value, integer = gamma if s & top else alpha
-        if value:
-            entries[s, s ^ top] = value
-            total = integer
-        value, integer = beta if s & 1 else delta
-        if value:
+        total = rate = gamma if s & top else alpha
+        if rate:
+            entries[s, s ^ top] = rate
+        rate = beta if s & 1 else delta
+        if rate:
             key = (s, s ^ 1)
             # at L = 1 the one site is at both boundaries, so both moves share a key
-            entries[key] = entries[key] + value if key in entries else value
-            total += integer
+            entries[key] = entries.get(key, 0) + rate
+            total += rate
         moves = (s ^ (s << 1)) & hops
         forward = moves & s
-        if not q:
+        if not left:
             moves = forward
         total += forward.bit_count() * right + (moves ^ forward).bit_count() * left
         while moves:
             k = moves.bit_length() - 1
             moves ^= 1 << k
-            entries[s, s ^ (3 << (k - 1))] = one if s >> k & 1 else q
+            entries[s, s ^ (3 << (k - 1))] = right if s >> k & 1 else left
         row_sums.append(total)
-    # the row sums take a few distinct values, so each diagonal value is built once
-    diagonal: dict[int, Fraction] = {}
     for s, total in enumerate(row_sums):
         if total:
-            value = diagonal.get(total)
-            if value is None:
-                value = diagonal[total] = Fraction(-total, scale)
-            entries[s, s] = value
-    return entries
+            entries[s, s] = -total
+    return entries, scale
+
+
+def generator(length: int, rates: HoppingRates) -> dict[tuple[int, int], Fraction]:
+    """Sparse rate matrix {(from, to): rate}, diagonal = -(row sum): the
+    entries of ``_integer_generator`` in its order, over its scale.  The
+    entries take a few distinct values, so each Fraction is built once."""
+    integers, scale = _integer_generator(length, rates)
+    values = {integer: Fraction(integer, scale) for integer in set(integers.values())}
+    return {key: values[integer] for key, integer in integers.items()}
 
 
 def _dense_generator(length: int, rates: HoppingRates):
@@ -246,11 +249,11 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
     the stationary state.  Raises ``NotIrreducible`` if the generator is
     not strongly connected.
 
-    The residual is taken on integers: the rates and each candidate are
-    scaled by the lcm of their denominators, which moves no sign and no
-    zero.
+    The residual is taken on integers: the generator's own
+    (``_integer_generator``), and each candidate scaled by the lcm of its
+    denominators, which moves no sign and no zero.
     """
-    matrix = generator(length, rates)
+    matrix, _ = _integer_generator(length, rates)
     size = 1 << length
     forward: dict[int, list[int]] = {}
     backward: dict[int, list[int]] = {}
@@ -260,8 +263,6 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
             backward.setdefault(dst, []).append(src)
     if not (_reaches_all(forward, size) and _reaches_all(backward, size)):
         raise NotIrreducible(f"the generator at L={length} is not strongly connected")
-    int_rates, _ = _clear_denominators(list(matrix.values()))
-    entries = [(src, dst, rate) for (src, dst), rate in zip(matrix, int_rates)]
     for dist in candidates:
         if dist.length != length:
             raise InvalidParams(f"candidate of length {dist.length} for L={length}")
@@ -269,7 +270,7 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
         if not all(w > 0 for w in weights):
             continue
         residual = [0] * size
-        for src, dst, rate in entries:
+        for (src, dst), rate in matrix.items():
             residual[dst] += weights[src] * rate
         if not any(residual):
             return dist

@@ -35,23 +35,26 @@ _RATE_FLAGS = ("alpha", "beta", "gamma", "delta")
 _PARAM_FLAGS = _AW_FLAGS + _RATE_FLAGS + ("q",)
 _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 
-# Largest size flag per subcommand.  At the costliest GRID point, (3/2, 3/4,
-# -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, ldu --n 48 takes 7-13 s
-# (n 32: 1.3 s, n 40: 3.8 s) on one 31.9 Mbit moment table, and
-# functional --max-len 96 with the default 200 trials takes 2.3-3.0 s; over
-# the seven GRID points its peak RSS is 52-74 MB, the most at that point
-# (--max-len 64: 0.6-1.0 s, 50-55 MB); aw --n 96 with its three t values
-# takes 2.1-2.3 s (n 128: 7.5 s, n 150: 16.5 s) and polys --n 64 16-22 s,
-# the most of the GRID points (n 72: 39-55 s); rep --n 96 takes 0.4-0.65 s
-# (n 128: 2.7 s) and bimoment --n 48 1.0 s, and at bimoment n 64 two GRID
-# points have entries past the 4300 digits Python will print.
-_LIMITS = {"bimoment": ("n", 48), "ldu": ("n", 48), "polys": ("n", 64), "rep": ("n", 96),
-           "aw": ("n", 96), "functional": ("max_len", 96)}
+# Largest value of each size flag per subcommand.  At the costliest GRID
+# point, (3/2, 3/4, -1/6, -1/8, 2/5), on a 2-core host with Python 3.11,
+# ldu --n 48 takes 7-13 s (n 32: 1.3 s, n 40: 3.8 s) on one 31.9 Mbit moment
+# table; functional --max-len 96 with the default 200 trials takes 2.2-3.1 s
+# and peaks at 54 MB RSS, the most of the seven GRID points (30-54 MB), and
+# its cost grows with the trials, every sample's word forms held at once:
+# 1000 trials take 10.8 s and 153 MB, 2000 take 20.2 s and 280 MB (off the
+# grid a q of larger height costs more per trial: 200 trials take 10-12 s
+# at q = 1/101 and 13-19 s at q = 97/101, over 100-120 MB); aw --n 96
+# with its three t values takes 2.1-2.3 s (n 128: 7.5 s, n 150: 16.5 s) and
+# polys --n 64 16-22 s, the most of the GRID points (n 72: 39-55 s); rep
+# --n 96 takes 0.4-0.65 s (n 128: 2.7 s) and bimoment --n 48 1.0 s, and at
+# bimoment n 64 two GRID points have entries past the 4300 digits Python
+# will print.
+_LIMITS = {"bimoment": {"n": 48}, "ldu": {"n": 48}, "polys": {"n": 64}, "rep": {"n": 96},
+           "aw": {"n": 96}, "functional": {"max_len": 96, "trials": 2000}}
 
 
 def _guard_size(args) -> None:
-    if args.command in _LIMITS:
-        dest, limit = _LIMITS[args.command]
+    for dest, limit in _LIMITS.get(args.command, {}).items():
         value = getattr(args, dest)
         if value > limit:
             flag = "--" + dest.replace("_", "-")

@@ -9,9 +9,13 @@ its coefficients are integer polynomials in s/t over the one scale t^n (n
 the pairs of an e before a d), so a word's form is one tuple of integers:
 entry k the coefficient of d^(I-k) e^(J-k), then the scale.  Normal
 ordering is right multiplication: a word is its prefix's form times its
-last letter.  A trailing e changes no coefficient, so the memo, keyed by
-(word, t, s), stores only prefixes that end in d; a trailing d is one pass
-over the tuple (``_times_d``, the one place the d-rule is written).
+last letter.  A trailing e changes no coefficient, so only the prefixes
+that end in d are formed; a trailing d is one pass over the tuple
+(``_times_d``, the one place the d-rule is written).  A batch of words is
+normal ordered in sorted order, where the words that share a prefix are
+adjacent: the walk keeps the current word's prefixes that end in d, so it
+forms each such prefix of the batch once and keeps no more of them than
+the longest word has d's (``_word_forms``).  No form outlives its batch.
 A word polynomial's forms are placed at their (i, j) over the lcm of their
 scales, and each moment sum is one integer dot product and one Fraction
 (see ``_linalg``).  ``normal_power`` multiplies forms spread over several
@@ -20,11 +24,11 @@ diagonals by a rational letter, each term's d part by what the same
 built only where ``normal_order`` and ``normal_power`` return.
 
 ``functional_values`` evaluates a batch of word polynomials at one point:
-the table is looked up once, each distinct word's form is taken from the
-memo once, and each moment the batch reads is cleared of denominators
-once.  ``functional`` is the one-polynomial batch; the relations fuzz
-makes one batch of all its samples, and the suites' sweep over all short
-words one per point.
+the table is looked up once, each distinct word is normal ordered once,
+in that sorted walk, and each moment the batch reads is cleared of
+denominators once.  ``functional`` is the one-polynomial batch; the
+relations fuzz makes one batch of all its samples, and the suites' sweep
+over all short words one per point.
 
 ``elimination_values`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -256,72 +260,54 @@ def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
     return {key: Fraction(value, scale) for key, value in ints.items()}
 
 
-def _form_bits(form: WordForm) -> int:
-    """The bits of a memo entry's integers, its scale included."""
-    return sum(map(int.bit_length, form))
+_NORMAL_CACHE: dict = {}  # never stored into; kept for perfbench/workloads, which reads it
 
 
-# Memo entries, one per prefix of a word that ends in d, each its own tuple.
-# Their integers' bits are counted as they are stored, and a word whose
-# stores pass the budget empties the memo (it still returns its form).  A
-# chain benchmark round charges 0.47 Mbit, so nothing empties there;
-# functional --max-len 96 empties it during the fuzz and peaks at 52-74 MB
-# RSS over the GRID points (see cli._LIMITS).
-_NORMAL_CACHE_BUDGET = 1 << 27
-# Keyed by (word, t, s) for q = t/s, so no lookup hashes a Fraction.
-_NORMAL_CACHE: dict[tuple[str, int, int], WordForm] = {}
-# The bits _NORMAL_CACHE holds; a word that finds the memo empty resets it,
-# so a clear from outside leaves no stale count.
-_memo_bits = 0
-
-
-def _normal_order_word(word: str, q: Fraction, powers: _QPowers) -> WordForm:
+def _normal_order_word(word: str, path: list[tuple[int, WordForm]], powers: _QPowers) -> WordForm:
     """Normal form (coefficients, then the scale) of ``word``: the form of
-    its longest memoised prefix times the remaining letters, one at a time,
-    each longer prefix that ends in d memoised on the way.  An e changes no
+    the longest prefix on ``path`` times the remaining letters, one at a
+    time, each longer prefix that ends in d pushed onto ``path`` as (end,
+    form).  ``path`` holds prefixes of ``word`` that end in d, shortest
+    first, and every such prefix up to its last entry.  An e changes no
     coefficient, so a word's form is that of the word up to its last d, and
-    the word with no d has the empty word's (1, 1), which is never stored; a
-    d is one pass of ``_times_d``, reading q's powers from ``powers``."""
-    global _memo_bits
-    t, s = q.numerator, q.denominator
-    cache = _NORMAL_CACHE
-    end = cut = word.rfind("d") + 1
-    while cut:
-        form = cache.get((word[:cut], t, s))
-        if form is not None:
-            break
-        cut = word.rfind("d", 0, cut - 1) + 1
-    else:
-        form = (1, 1)  # the empty word's: 1 over scale 1
-        if not cache:
-            _memo_bits = 0  # cleared since the last store
-    top = word.count("e", 0, cut)
+    the word with no d has the empty word's (1, 1); a d is one pass of
+    ``_times_d``, reading q's powers from ``powers``."""
+    start, form = path[-1] if path else (0, (1, 1))  # the empty word's: 1 over scale 1
+    end = word.rfind("d") + 1
+    top = word.count("e", 0, start)
     tp, sp = powers.upto(word.count("e", 0, end))
-    for cut in range(cut, end):
+    for cut in range(start, end):
         if word[cut] == "e":
             top += 1
         else:
             form = (*_times_d(form[:-1], top, top, tp, sp), form[-1] * tp[top])
-            cache[word[: cut + 1], t, s] = form
-            _memo_bits += _form_bits(form)
-    if _memo_bits > _NORMAL_CACHE_BUDGET:
-        cache.clear()
-        _memo_bits = 0
+            path.append((cut + 1, form))
     return form
 
 
-def _normal_form(terms, q: Fraction, forms: dict[str, WordForm], powers: _QPowers) -> Form:
+def _word_forms(words, powers: _QPowers) -> dict[str, WordForm]:
+    """{word: form} of the distinct ``words``, normal ordered in sorted order.
+    The words that share a prefix are then adjacent, so the walk keeps only
+    the prefixes of the last word that end in d, cut back to what it shares
+    with the next one, and normal orders each such prefix of the batch
+    once."""
+    forms: dict[str, WordForm] = {}
+    path: list[tuple[int, WordForm]] = []
+    last = ""
+    for word in sorted(map(parse_word, set(words))):
+        while path and not word.startswith(last[: path[-1][0]]):
+            path.pop()
+        forms[word] = _normal_order_word(word, path, powers)
+        last = word
+    return forms
+
+
+def _normal_form(terms, forms: dict[str, WordForm]) -> Form:
     """(ints, scale) of the word polynomial ``terms`` ({word: coeff}): its
-    coefficients cleared once, and each word's form, from ``forms`` or on a
-    miss from the memo (filled with q's ``powers``), brought to the lcm of
-    the word scales and placed at its terms' (i, j)."""
+    coefficients cleared once, and each word's form, from ``forms``, brought
+    to the lcm of the word scales and placed at its terms' (i, j)."""
     coeffs, coeff_scale = _clear_denominators(terms.values())
-    word_forms = []
-    for word in terms:
-        form = forms.get(word)
-        if form is None:
-            form = forms[word] = _normal_order_word(parse_word(word), q, powers)
-        word_forms.append(form)
+    word_forms = [forms[word] for word in terms]
     scale = lcm(*(form[-1] for form in word_forms))
     out: dict[tuple[int, int], int] = {}
     get = out.get
@@ -343,7 +329,7 @@ def normal_order(wp: WordPoly, q) -> WordPoly:
     q = as_rational(q)
     if q == 0:
         raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
-    coeffs = _fractions(_normal_form(wp.terms, q, {}, _QPowers(q)))
+    coeffs = _fractions(_normal_form(wp.terms, _word_forms(wp.terms, _QPowers(q))))
     return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in coeffs.items()})
 
 
@@ -374,17 +360,15 @@ def functional_values(polys, p: AWParams) -> list[Fraction]:
     coefficients; a zero one adds nothing): normal order, then sum moments.
 
     One batch at one point: the moment table is looked up and q read once,
-    each distinct word is normal ordered once (through the memo, whose
-    misses read one list of q's powers), each polynomial is merged on
-    integers, and each moment the batch reads is cleared once.  The stores
-    of word forms, powers and moments live only as long as the call.
+    the batch's distinct words are normal ordered in one sorted walk
+    (``_word_forms``, each prefix that ends in d once, on one list of q's
+    powers), each polynomial is merged on integers, and each moment the
+    batch reads is cleared once.  Nothing outlives the call.
     """
-    q = p.q
-    forms: dict[str, WordForm] = {}
-    powers = _QPowers(q)
-    return _moment_sums(
-        bimoment_table(p), [_normal_form(poly, q, forms, powers) for poly in polys]
-    )
+    polys = list(polys)
+    table = bimoment_table(p)
+    forms = _word_forms((word for poly in polys for word in poly), _QPowers(p.q))
+    return _moment_sums(table, [_normal_form(poly, forms) for poly in polys])
 
 
 def functional(wp: WordPoly, p: AWParams) -> Fraction:
@@ -528,9 +512,9 @@ def check_defining_relations(
         (_random_word(rng, max_len), _random_word(rng, max_len)) for _ in range(trials)
     ]
 
-    # One batch in sample order, so the right-boundary relation reads the
-    # prefixes of u that the bulk one has just stored in the memo.  The
-    # three words are distinct; zero coefficients are dropped.
+    # One batch of all samples, so words that share a prefix share its
+    # normal ordering.  The three words are distinct; zero coefficients
+    # are dropped.
     with report.timed("relations"):
         polys = [
             {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}

@@ -361,12 +361,12 @@ def test_wrong_ansatz_has_no_oracle(canonical, monkeypatch, capsys):
 def test_certificate_refuses_a_reducible_generator(canonical, monkeypatch):
     rates = to_rates(canonical)
     candidate = stationary_exact(2, rates)
-    split = {(0, 1): F(1), (1, 0): F(1), (2, 3): F(1), (3, 2): F(1)}
-    one_way = {(0, 1): F(1), (1, 2): F(1), (2, 3): F(1), (3, 1): F(1)}
+    split = {(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1}
+    one_way = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 1): 1}
     for matrix in (split, one_way):  # 2, 3 unreachable from 0; 0 unreachable
         for s in range(4):
             matrix[(s, s)] = -sum(r for (src, dst), r in matrix.items() if src == s != dst)
-        monkeypatch.setattr(asep, "generator", lambda length, rates, m=matrix: m)
+        monkeypatch.setattr(asep, "_integer_generator", lambda length, rates, m=matrix: (m, 1))
         with pytest.raises(NotIrreducible):
             certify_stationary(2, rates, [candidate])
 

@@ -91,6 +91,19 @@ def test_config_errors_exit_2(capsys):
     assert all("guarded to --n <=" in line for line in errors[-5:])
 
 
+def test_functional_trials_are_guarded(capsys, monkeypatch):
+    # refused before any work: the suite is never built
+    def no_work(*args):
+        raise AssertionError("the functional suite ran")
+
+    monkeypatch.setattr(suites, "functional_suite", no_work)
+    limit = cli._LIMITS["functional"]["trials"]
+    assert main(["functional", *CANONICAL, "--trials", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: functional is guarded to --trials <= {limit}, got {limit + 1}\n"
+
+
 def test_overlong_literal_exits_2(capsys):
     flags = ["--a", "1" * 4400, "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2"]
     assert main(["bimoment", *flags, "--n", "1"]) == 2

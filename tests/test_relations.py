@@ -23,7 +23,7 @@ def reference_functional(wp: WordPoly, p: AWParams) -> Fraction:
     one polynomial, one table lookup and one clearing of its moments."""
     q = p.q
     coeffs, coeff_scale = _clear_denominators(list(wp.terms.values()))
-    forms = [_normal_order_word(word, q, _QPowers(q)) for word in wp.terms]
+    forms = [_normal_order_word(word, [], _QPowers(q)) for word in wp.terms]
     scale = lcm(*(form[-1] for form in forms))
     out: dict[tuple[int, int], int] = {}
     for coeff, word, form in zip(coeffs, wp.terms, forms):

@@ -12,8 +12,6 @@ import sys
 
 from biorth import bimoment, wordfun
 
-from conftest import memo_bits_held
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -31,8 +29,8 @@ def test_tracer_entry_points_resolve(monkeypatch):
     assert not missing
 
 
-def test_cache_state_counts_the_stored_trapezoid(canonical, memo, monkeypatch):
-    # the benchmark reads the table store and the memo through these hooks
+def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
+    # the benchmark reads the table store and the word memo through these hooks
     monkeypatch.syspath_prepend(ROOT)
     workloads = importlib.import_module("perfbench.workloads")
     monkeypatch.setattr(bimoment, "_TABLES", {})
@@ -44,23 +42,18 @@ def test_cache_state_counts_the_stored_trapezoid(canonical, memo, monkeypatch):
     workloads.reset_caches()
     assert workloads.cache_state() == {"tables": 0, "entries": 0, "normal_cache": 0}
 
-    # Each round below holds 6,464 bits of memo, within a budget that two
-    # rounds together pass: a count kept from before a reset must not empty
-    # the memo the next round grows.  The table store holds the last point's
-    # table only.
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1 << 13)
+    # The table store holds the last point's table only, and normal
+    # ordering keeps nothing past its batch.
     words = [{"".join(word): 1} for word in itertools.product("de", repeat=8)]
     for _ in range(3):
         workloads.reset_caches()
         assert not bimoment._TABLES
-        assert memo_bits_held() == 0
         for p in (canonical, canonical.swap_ab_cd()):
             bimoment.bimoment_table(p).ensure(12)
         assert list(bimoment._TABLES) == [canonical.swap_ab_cd()]
         wordfun.functional_values(words, canonical)
         state = workloads.cache_state()
-        assert (state["tables"], state["normal_cache"]) == (1, 2**8 - 1)
-        assert wordfun._memo_bits == memo_bits_held()
+        assert (state["tables"], state["normal_cache"]) == (1, 0)
 
 
 # 17 physical lines; the code lines are 5, 8, 11, 12, 14, 16 and 17: a string

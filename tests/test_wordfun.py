@@ -23,7 +23,7 @@ from biorth.core import _QPowers
 from biorth.repmat import rep_rational
 from biorth.wordfun import is_normal, normal_power, power_functional
 
-from conftest import fresh_memo, make_params, without_timings, word_terms
+from conftest import make_params, without_timings, word_terms
 
 words = st.text(alphabet="de", max_size=4)
 coeffs = st.fractions(min_value=F(-5), max_value=F(5)).filter(bool)
@@ -119,28 +119,38 @@ def test_long_words_match_transfer_route(canonical, grid):
             assert functional(WordPoly({word: 1}), p) == transfer_value(word, p), word
 
 
-def test_normal_order_memoises_prefixes(canonical, memo):
-    # one entry per prefix of the word, not one per intermediate rewrite
+def counted_passes(monkeypatch) -> list[int]:
+    """Patch ``_times_d`` to record the e count of each pass it makes."""
+    passes = []
+    inner = wordfun._times_d
+
+    def counted(coeffs, top, *rest):
+        passes.append(top)
+        return inner(coeffs, top, *rest)
+
+    monkeypatch.setattr(wordfun, "_times_d", counted)
+    return passes
+
+
+def test_normal_order_memoises_prefixes(canonical, monkeypatch):
+    # one pass per prefix that ends in d, not one per intermediate rewrite
+    passes = counted_passes(monkeypatch)
     normal_order(WordPoly({"e" * 8 + "d" * 8: 1}), canonical.q)
-    assert len(memo) <= 17
+    assert passes == [8] * 8
 
 
-def test_thousand_letter_words_on_a_cold_memo(canonical, memo):
-    # a cold memo is filled one letter at a time, without recursion, so no
-    # word length meets the interpreter's limit; the values match a memo
-    # warmed by hand
+def test_thousand_letter_words_on_a_cold_memo(canonical):
+    # a word alone is formed from the empty word one letter at a time,
+    # without recursion, so no word length meets the interpreter's limit;
+    # its form matches that of a batch which walks its prefixes first
     q = canonical.q
-
-    def on_empty_memo(word, warm_cuts):
-        memo.clear()
-        for cut in warm_cuts:
-            normal_order(WordPoly({word[:cut]: 1}), q)
-        return normal_order(WordPoly({word: 1}), q)
-
+    powers = _QPowers(q)
     for word in ("d" * 1000, "e" * 1000, "e" + "d" * 999):
-        assert on_empty_memo(word, ()) == on_empty_memo(word, range(500, len(word), 500))
+        prefixes = [word[:cut] for cut in range(500, len(word), 500)]
+        alone = wordfun._normal_order_word(word, [], powers)
+        assert wordfun._word_forms([word, *prefixes], powers)[word] == alone
     expected = WordPoly({"d" * 999 + "e": q**-999, "d" * 998: 1 - q**-999})
-    assert on_empty_memo("e" + "d" * 999, ()) == expected
+    assert normal_order(WordPoly({"e" + "d" * 999: 1}), q) == expected
 
 
 def test_functional_oracle(canonical):
@@ -196,56 +206,35 @@ def test_the_table_store_holds_the_last_point_only(grid, monkeypatch):
     assert table is not kept
 
 
-def test_a_full_memo_empties(grid, memo, monkeypatch):
-    # at q = 1/2 the forms of "d" and "dd" are (1, 1), 2 bits each, and that
-    # of "ded" is (2, -1, 1), 4 bits: its store passes a 5-bit budget
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 5)
-    q = grid[0].q
-    powers = _QPowers(q)
-    for word in ("d", "dd"):
-        wordfun._normal_order_word(word, q, powers)
-    assert memo == {("d", 1, 2): (1, 1), ("dd", 1, 2): (1, 1)}
-    assert wordfun._memo_bits == 4
-    assert wordfun._normal_order_word("ded", q, powers) == (2, -1, 1)
-    assert memo == {} and wordfun._memo_bits == 0
-    wordfun._normal_order_word("dde", q, powers)
-    assert list(memo) == [("d", 1, 2), ("dd", 1, 2)]
-    assert wordfun._memo_bits == 4
+SHORT_WORDS = ["".join(w) for n in range(9) for w in itertools.product("de", repeat=n)]
 
 
-def test_a_word_over_the_budget_returns_its_exact_form(grid, memo, monkeypatch):
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", 1)
-    q = grid[0].q
-    for word in ("dede", "eddeed" * 4 + "e"):
-        expected = reference_normal_order(WordPoly({word: 1}), q)
-        assert placed_fractions(word, wordfun._normal_order_word(word, q, _QPowers(q))) == expected
-        assert memo == {} and wordfun._memo_bits == 0
+def test_every_short_word_costs_one_pass_per_d_prefix(grid, monkeypatch):
+    # the 511 words of length <= 8, in any order, make one pass for each of
+    # the 255 that end in d, and each word's form is its form alone
+    passes = counted_passes(monkeypatch)
+    words = list(SHORT_WORDS)
+    random.Random(3).shuffle(words)
+    for p in grid[:3]:
+        powers = _QPowers(p.q)
+        passes.clear()
+        forms = wordfun._word_forms(words, powers)
+        assert len(passes) == 2**8 - 1
+        assert forms == {word: wordfun._normal_order_word(word, [], powers) for word in words}
 
 
-@pytest.mark.parametrize("q", ["1/2", "2/5"])
-def test_the_memo_counts_its_integers_bits_within_the_budget(q, monkeypatch):
-    # At q = 1/2 every scale is 1, which a count that sizes coefficients by
-    # the scale reads as almost nothing.  The count is the bit lengths held;
-    # a word may pass the budget by its own stores, and the memo empties
-    # before the call returns.
-    budget = 1 << 16
-    monkeypatch.setattr(wordfun, "_NORMAL_CACHE_BUDGET", budget)
-    inner = wordfun._normal_order_word
-    emptied = []
+@given(st.sampled_from(["1/2", "2/5", "-1/3", "3/2"]), st.lists(st.text(alphabet="de", max_size=12)))
+def test_a_batch_forms_each_word_as_alone(q, words):
+    powers = _QPowers(F(q))
+    alone = {word: wordfun._normal_order_word(word, [], powers) for word in words}
+    for batch in (words, words[::-1], sorted(words)):
+        assert wordfun._word_forms(batch, powers) == alone
 
-    def checked(*args):
-        held_before = bool(wordfun._NORMAL_CACHE)
-        form = inner(*args)
-        held = sum(c.bit_length() for f in wordfun._NORMAL_CACHE.values() for c in f)
-        assert wordfun._memo_bits == held <= budget
-        emptied.append(held_before and not wordfun._NORMAL_CACHE)
-        return form
 
-    monkeypatch.setattr(wordfun, "_normal_order_word", checked)
-    with fresh_memo():
-        report = check_defining_relations(make_params(("1", "1/2", "-1/3", "-1/4", q)), 24, 40)
+def test_the_fuzz_stores_nothing_process_wide(canonical):
+    report = check_defining_relations(canonical, max_len=24, trials=40)
     assert report.passed
-    assert any(emptied)
+    assert wordfun._NORMAL_CACHE == {}
 
 
 def placed_fractions(word: str, form) -> dict[tuple[int, int], F]:
@@ -318,17 +307,17 @@ def test_functional_matches_fraction_normal_ordering(p, wp):
     assert functional(wp, p) == value
 
 
-def test_memo_holds_integers_over_one_scale(memo):
+def test_memo_holds_integers_over_one_scale():
+    # every word of length <= 6 at each point, on integers; at q = 1/s the
+    # scale t^n is 1
     words = ["".join(w) for w in itertools.product("de", repeat=6)]
     for p in ORACLE_POINTS:
-        functional(WordPoly({word: 1 for word in words}), p)
-    # one entry per word of length <= 6 that ends in d
-    assert len(memo) == len(ORACLE_POINTS) * (2**6 - 1)
-    for (word, t, s), form in memo.items():
-        assert type(t) is int and type(s) is int  # no key holds a Fraction
-        assert all(type(c) is int for c in form)
-        if t == 1:
-            assert form[-1] == 1, (word, t, s)
+        forms = wordfun._word_forms(words, _QPowers(p.q))
+        assert list(forms) == sorted(words)
+        for form in forms.values():
+            assert all(type(c) is int for c in form)
+            if p.q.numerator == 1:
+                assert form[-1] == 1
 
 
 # at q = -1, 1 - q^(-2) = 0 leaves zeros inside a diagonal
@@ -338,28 +327,26 @@ DIAGONAL_QS = [F(q) for q in ORACLE_QS + ["-1"]]
 @settings(max_examples=200)
 @given(st.sampled_from(DIAGONAL_QS), st.text(alphabet="de", max_size=30))
 def test_a_word_form_lies_on_one_diagonal(q, word):
-    with fresh_memo() as memo:
-        powers = _QPowers(q)
-        form = wordfun._normal_order_word(word, q, powers)
-        assert placed_fractions(word, form) == reference_normal_order(WordPoly({word: 1}), q)
-        d_count = word.count("d")
-        assert len(form) - 1 <= min(d_count, len(word) - d_count) + 1
-        # a trailing e changes no coefficient: w + "e" places w's own tuple
-        for cut, letter in enumerate(word, 1):
-            if letter == "e":
-                assert wordfun._normal_order_word(word[:cut], q, powers) is (
-                    wordfun._normal_order_word(word[: cut - 1], q, powers)
-                )
-        # and only the prefixes that end in d are stored
-        t, s = q.numerator, q.denominator
-        assert set(memo) == {(word[:cut], t, s) for cut, x in enumerate(word, 1) if x == "d"}
+    powers = _QPowers(q)
+    path = []
+    form = wordfun._normal_order_word(word, path, powers)
+    assert placed_fractions(word, form) == reference_normal_order(WordPoly({word: 1}), q)
+    d_count = word.count("d")
+    assert len(form) - 1 <= min(d_count, len(word) - d_count) + 1
+    # only the prefixes that end in d are formed, shortest first
+    assert [end for end, _ in path] == [cut for cut, x in enumerate(word, 1) if x == "d"]
+    # a trailing e changes no coefficient: w + "e" places w's own tuple
+    forms = wordfun._word_forms([word[:cut] for cut in range(len(word) + 1)], powers)
+    for cut, letter in enumerate(word, 1):
+        if letter == "e":
+            assert forms[word[:cut]] is forms[word[: cut - 1]]
 
 
-def test_zeros_inside_a_diagonal_are_not_placed(memo):
+def test_zeros_inside_a_diagonal_are_not_placed():
     # at q = -1, e e d d = d d e e + 0 * d e + 0 * 1
     q = F(-1)
-    assert wordfun._normal_order_word("eedd", q, _QPowers(q)) == (1, 0, 0, 1)
-    assert wordfun._normal_form({"eedd": 1}, q, {}, _QPowers(q)) == ({(2, 2): 1}, 1)
+    assert wordfun._normal_order_word("eedd", [], _QPowers(q)) == (1, 0, 0, 1)
+    assert wordfun._normal_form({"eedd": 1}, {"eedd": (1, 0, 0, 1)}) == ({(2, 2): 1}, 1)
     assert normal_order(WordPoly({"eedd": 1}), q) == WordPoly({"ddee": 1})
 
 
@@ -381,17 +368,14 @@ def reachable_bytes(root) -> int:
     return total
 
 
-def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical, memo):
-    # the memo after every word of length <= 8 (the 255 that end in d are
-    # stored, keys included), against those 511 words' forms as
-    # {(i, j): coeff} dicts (the words not counted)
-    q = canonical.q
-    words = ["".join(w) for n in range(9) for w in itertools.product("de", repeat=n)]
-    powers = _QPowers(q)
-    forms = [wordfun._normal_order_word(word, q, powers) for word in words]
-    as_dicts = [(word_terms(word, form), form[-1]) for word, form in zip(words, forms)]
-    held, dict_bytes = reachable_bytes(memo), reachable_bytes(as_dicts)
-    assert len(memo) == 2**8 - 1 and len(as_dicts) == len(words) == 2**9 - 1
+def test_memo_forms_take_under_half_the_bytes_of_keyed_dicts(canonical):
+    # the forms of every word of length <= 8 (511 words sharing 256 tuples:
+    # one per word that ends in d, and the empty word's), against those
+    # forms as {(i, j): coeff} dicts (the words not counted)
+    forms = wordfun._word_forms(SHORT_WORDS, _QPowers(canonical.q))
+    as_dicts = [(word_terms(word, form), form[-1]) for word, form in forms.items()]
+    held, dict_bytes = reachable_bytes(list(forms.values())), reachable_bytes(as_dicts)
+    assert len({id(form) for form in forms.values()}) == 2**8 and len(as_dicts) == 2**9 - 1
     assert held <= dict_bytes / 2, (held, dict_bytes)
 
 
