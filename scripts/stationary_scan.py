@@ -68,7 +68,8 @@ def scan(args) -> int:
             print(f"L={length}: matching variant(s): {matching:12s} no candidate certifies")
             matched_everywhere = False
             continue
-        worst = max(v.max_abs_discrepancy for v in report.variants)
+        # a variant whose weights sum to zero has no distribution, so no discrepancy
+        worst = max(v.max_abs_discrepancy for v in report.variants if v.max_abs_discrepancy is not None)
         print(f"L={length}: matching variant(s): {matching:12s} worst discrepancy {worst} (~{float(worst):.3g})")
         matched_everywhere &= bool(report.matching_variants)
         if args.profile:

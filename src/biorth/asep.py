@@ -11,21 +11,25 @@ The stationary distribution is certified, not solved for:
 
 * ``stationary_ansatz`` gives configuration tau the weight
   <e0| X_tau1 ... X_tauL |e0> in the tridiagonal representation of d and
-  e (``repmat.rep_rational``).  Variant "shifted" uses the letters d, e
-  literally; variant "unshifted" substitutes D = (1 + d)/(1-q),
-  E = (1 + e)/(1-q).  Configurations sharing a suffix share the vector
-  X_tauk ... X_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
+  e (``repmat.rep_rational``).  Every site letter is factor (offset + x),
+  x = d or e: variant "shifted" uses d, e literally (offset 0, factor 1);
+  variant "unshifted" substitutes D = (1 + d)/(1-q), E = (1 + e)/(1-q)
+  (offset 1, factor 1/(1-q)).  The walk runs on the letters offset + x,
+  and the factor enters the total once, as factor^L; it cancels from the
+  probabilities.  Configurations sharing a suffix share the vector
+  Y_tauk ... Y_tauL |e0>, so all 2^L weights cost 2^(L+1) - 2 tridiagonal
   steps, each kept to the levels that can still return to level 0: the
   last step is one integer per state.  The walk holds its vectors level
   by level, so a step is one pass per level over all suffixes.  It is on
-  integers: both operators' bands are cleared once, over one scale S, so
-  state tau's weight is an integer W_tau over S^L, the total is
-  sum(W) / S^L and each probability is W_tau / sum(W), one gcd per state
-  (see ``_linalg`` for why that scale is walk-wide here and per entry in
-  the deep walks).  The total is checked against the moment table's
-  normalization.  ``ansatz_weight`` evaluates one configuration by the
-  word route instead (expand the letter product, normal order, read the
-  moment table); it is the tests' reference for the representation route;
+  integers: both operators' bands are cleared once, over one scale S, and
+  offset S is added to their diagonals, so state tau's weight is an
+  integer W_tau over S^L, the total is factor^L sum(W) / S^L and each
+  probability is W_tau / sum(W), one gcd per state (see ``_linalg`` for
+  why that scale is walk-wide here and per entry in the deep walks).  The
+  total is checked against the moment table's normalization.
+  ``ansatz_weight`` evaluates one configuration by the word route instead
+  (expand the letter product, normal order, read the moment table); it is
+  the tests' reference for the representation route;
 * ``certify_stationary`` proves a candidate stationary: the generator is
   strongly connected (so its left kernel is one-dimensional) and the
   candidate's residual pi M is exactly zero.  Only the generator enters,
@@ -44,7 +48,7 @@ certificate to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -62,7 +66,7 @@ from .core import (
     to_rates,
 )
 from .repmat import rep_rational
-from .reporting import canonical_json, csv_text, jsonable
+from .reporting import csv_text, jsonable
 from .wordfun import WordPoly, functional, power_functional
 
 # Dense elimination grows about 20x per site: at the costliest GRID point,
@@ -277,14 +281,14 @@ def certify_stationary(length: int, rates: HoppingRates, candidates):
     return None
 
 
-def _site_letter(p: AWParams, variant: str) -> tuple[Fraction, Fraction]:
-    """(shift, scale) of a variant: the site letter is shift + scale x, with
-    x = d on an occupied site and x = e on an empty one."""
+def _site_letter(p: AWParams, variant: str) -> tuple[int, Fraction]:
+    """(offset, factor) of a variant: the site letter is factor (offset + x),
+    with x = d on an occupied site and x = e on an empty one."""
     if variant not in VARIANTS:
         raise InvalidParams(f"variant must be one of {VARIANTS}, got {variant!r}")
     if variant == "shifted":
-        return Fraction(0), Fraction(1)
-    return 1 / p.qprime, 1 / p.qprime
+        return 0, Fraction(1)
+    return 1, 1 / p.qprime
 
 
 def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
@@ -295,67 +299,46 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
     (d for occupied, e for empty), either literally ("shifted") or after
     the substitution D = (1+d)/(1-q), E = (1+e)/(1-q) ("unshifted").
     """
-    shift, scale = _site_letter(p, variant)
+    offset, factor = _site_letter(p, variant)
     bits = [int(b) for b in tau]
     if any(b not in (0, 1) for b in bits):
         raise InvalidParams(f"occupation values must be 0/1, got {tau!r}")
     word = WordPoly.one()
     for bit in bits:
-        word = word * WordPoly({"": shift, "d" if bit else "e": scale})
-    return functional(word, p)
+        word = word * WordPoly({"": offset, "d" if bit else "e": 1})
+    return factor ** len(bits) * functional(word, p)
 
 
-def _representation(p: AWParams, length: int):
-    """Exact (d, e) truncations for words of length <= L.
-
-    A closed walk of length L from level 0 never climbs above level L//2,
-    so the truncation of size L//2 + 1 gives <e0| word |e0> exactly.
-    """
-    return rep_rational(p, length // 2 + 1)
-
-
-def _site_operators(p: AWParams, rep, variant: str):
-    """Empty-site and occupied-site operators of one variant, built from
-    the exact (d, e) pair ``rep``."""
-    dop, eop = rep
-    shift, scale = _site_letter(p, variant)
-    return tuple(
-        replace(
-            op,
-            diag=tuple(shift + x * scale for x in op.diag),
-            upper=tuple(x * scale for x in op.upper),
-            lower=tuple(x * scale for x in op.lower),
-        )
-        for op in (eop, dop)
-    )
-
-
-def _band_rows(op, scale: int) -> list[tuple[int, int, int]]:
-    """op's band rows times ``scale`` (a multiple of every band
-    denominator)."""
-    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in op.band_rows()]
-
-
-def _transfer_weights(length: int, empty, occupied) -> tuple[list[int], int]:
-    """<e0| X_tau1 ... X_tauL |e0> for every state, shared by suffix, as
+def _transfer_weights(length: int, rep, offset: int) -> tuple[list[int], int]:
+    """<e0| Y_tau1 ... Y_tauL |e0> for every state, shared by suffix, as
     (integers, scale): the weight of state tau is integers[tau] / scale.
+    Y is offset + d on an occupied site and offset + e on an empty one,
+    with (d, e) the exact pair ``rep``.
 
     Both operators' bands are cleared of denominators once, over one scale
-    S (the lcm of all their denominators), so every vector of the walk is
-    plain integers, S^k times its value after k steps, and the scale of
-    the weights is S^L.
+    S (the lcm of all their denominators), and offset S is added to both
+    diagonals, so every vector of the walk is plain integers, S^k times
+    its value after k steps, and the scale of the weights is S^L.
 
     The vectors are held level by level: after k steps, columns[i][s] is
-    component i of X_tau(L-k+1) ... X_tauL |e0>, where s holds sites
+    component i of Y_tau(L-k+1) ... Y_tauL |e0>, where s holds sites
     L-k+1..L in its k low bits, so each step prepends site L-k as bit k of
     the state and computes a level for all states in one pass.  Only levels
     <= min(k, L - k) are kept: higher ones are still zero (a step climbs at
     most one level) or can no longer return to level 0 in the L - k steps
     left.  The last step keeps level 0 alone, one integer per state.
     """
-    ops = (empty, occupied)
+    dop, eop = rep
+    ops = (eop, dop)  # a site's bit indexes its letter: 0 empty, 1 occupied
     scale = lcm(*(x.denominator for op in ops for x in (*op.lower, *op.diag, *op.upper)))
-    bands = [_band_rows(op, scale) for op in ops]
+
+    def cleared(x) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    bands = [
+        [(cleared(low), cleared(mid) + offset * scale, cleared(up)) for low, mid, up in op.band_rows()]
+        for op in ops
+    ]
     columns = [[1]]
     for k in range(1, length + 1):
         zeros = [0] * len(columns[0])
@@ -376,22 +359,21 @@ def _transfer_weights(length: int, empty, occupied) -> tuple[list[int], int]:
 def _ansatz(
     length: int, p: AWParams, variant: str, rep
 ) -> tuple[StationaryDistribution | None, bool]:
-    """The ansatz distribution on the representation ``rep`` of
-    ``_representation(p, length)``, and whether its normalization equals
-    the moment table's (see ``stationary_ansatz``).  A weight sum of zero
-    leaves nothing to normalize by: the distribution is None if the moment
-    table's normalization is not zero too (a mismatch), and it raises if
-    both vanish."""
-    shift, scale = _site_letter(p, variant)
-    weights, weight_scale = _transfer_weights(length, *_site_operators(p, rep, variant))
+    """The ansatz distribution on the exact (d, e) pair ``rep`` of size
+    at least L//2 + 1, and whether its normalization equals the moment
+    table's (see ``stationary_ansatz``).  The walk runs on the letters
+    offset + x; their common factor cancels from the probabilities and
+    enters the total once, as factor^L.  A weight sum of zero leaves
+    nothing to normalize by: the distribution is then None, and the
+    normalizations match only if the moment table's vanishes too."""
+    offset, factor = _site_letter(p, variant)
+    weights, scale = _transfer_weights(length, rep, offset)
     weight_sum = sum(weights)
-    total = Fraction(weight_sum, weight_scale)
-    matches = power_functional(p, length, 2 * shift, scale) == total
+    total = factor**length * Fraction(weight_sum, scale)
+    matches = power_functional(p, length, 2 * offset * factor, factor) == total
     if total == 0:
-        if matches:
-            raise BiorthError("ansatz normalization vanishes")
-        return None, False
-    # weight / total, with the scale cancelled: one gcd per state
+        return None, matches
+    # weight / total, with the scale and the factor cancelled: one gcd per state
     probs = tuple(Fraction(w, weight_sum) for w in weights)
     return StationaryDistribution(length=length, probabilities=probs, normalization=total), matches
 
@@ -409,12 +391,15 @@ def stationary_ansatz(
     in closed form by ``wordfun.power_functional``), and checked against
     the sum of the weights.  The representation and the moment table share
     nothing above the parameters, so a mismatch means one route is broken,
-    and it raises.
+    and it raises; so does a normalization that vanishes on both routes.
     """
     _guard_length("stationary_ansatz", length, _GENERATOR_LIMIT)
-    dist, matches = _ansatz(length, p, variant, _representation(p, length))
+    # a closed walk of length L from level 0 never climbs above level L//2
+    dist, matches = _ansatz(length, p, variant, rep_rational(p, length // 2 + 1))
     if not matches:
         raise BiorthError("normalization mismatch between weight sum and letter-sum power")
+    if dist is None:
+        raise BiorthError("ansatz normalization vanishes")
     return dist
 
 
@@ -466,9 +451,6 @@ class ComparisonReport:
             "normalization_matches": self.normalization_matches,
         }
 
-    def to_json(self) -> str:
-        return canonical_json(jsonable(self.to_json_dict()))
-
 
 def _max_abs_difference(first: StationaryDistribution, second: StationaryDistribution) -> Fraction:
     """max |x - y| over two distributions' probabilities, on the integers
@@ -498,7 +480,8 @@ def compare(length: int, p: AWParams, variants=VARIANTS) -> ComparisonReport:
     """
     _guard_length("compare", length, _GENERATOR_LIMIT)
     rates = to_rates(p)
-    rep = _representation(p, length)
+    # a closed walk of length L from level 0 never climbs above level L//2
+    rep = rep_rational(p, length // 2 + 1)
     candidates = dict.fromkeys((*variants, "unshifted"))
     ansatz = {variant: _ansatz(length, p, variant, rep) for variant in candidates}
     dists = [dist for dist, _ in ansatz.values() if dist is not None]

@@ -140,7 +140,7 @@ def _cmd_stationary(args) -> int:
     variants = asep.VARIANTS if args.variant == "both" else (args.variant,)
     comparison = asep.compare(args.L, p, variants)
     if args.format == "json":
-        _emit(args, comparison.to_json())
+        _emit(args, canonical_json(jsonable(comparison.to_json_dict())))
     elif comparison.oracle is not None:
         _emit(args, comparison.oracle.to_csv())
     return 0 if comparison.passed else 1

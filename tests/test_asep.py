@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +21,7 @@ from biorth import (
 from biorth import asep
 from biorth.asep import (
     VARIANTS,
-    _representation,
-    _site_operators,
+    _site_letter,
     _transfer_weights,
     certify_stationary,
     config_bits,
@@ -29,6 +29,7 @@ from biorth.asep import (
     generator,
 )
 from biorth.cli import main
+from biorth.repmat import rep_rational
 from biorth.suites import stationary_suite
 
 from conftest import make_params, valid_params
@@ -115,9 +116,13 @@ def _word_route(length, p, variant):
     return [ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)]
 
 
-def _weights(length, empty, occupied):
-    ints, scale = _transfer_weights(length, empty, occupied)
-    return [F(w, scale) for w in ints]
+def _weights(length, p, variant):
+    """The integer walk's weights as Fractions: factor^L times the walk on
+    the letters offset + x of the exact (d, e) pair of size L//2 + 1."""
+    offset, factor = _site_letter(p, variant)
+    ints, scale = _transfer_weights(length, rep_rational(p, length // 2 + 1), offset)
+    assert all(type(w) is int for w in ints) and type(scale) is int
+    return [factor**length * F(w, scale) for w in ints]
 
 
 def test_transfer_weights_equal_word_route(grid, canonical):
@@ -125,10 +130,25 @@ def test_transfer_weights_equal_word_route(grid, canonical):
     cases += [(canonical, 7), (canonical, 8)]
     for p, length in cases:
         for variant in VARIANTS:
-            empty, occupied = _site_operators(p, _representation(p, length), variant)
-            assert _weights(length, empty, occupied) == _word_route(
-                length, p, variant
-            )
+            assert _weights(length, p, variant) == _word_route(length, p, variant)
+
+
+def site_operators(p, length, variant):
+    """Empty-site and occupied-site Fraction operators of a variant, each
+    letter's constant and weight multiplied into the entries of the exact
+    (d, e) pair: d and e themselves when shifted, D = (1 + d)/(1 - q) and
+    E = (1 + e)/(1 - q) when unshifted."""
+    dop, eop = rep_rational(p, length // 2 + 1)
+    const, weight = (F(0), F(1)) if variant == "shifted" else (1 / p.qprime, 1 / p.qprime)
+    return tuple(
+        replace(
+            op,
+            diag=tuple(const + weight * x for x in op.diag),
+            upper=tuple(weight * x for x in op.upper),
+            lower=tuple(weight * x for x in op.lower),
+        )
+        for op in (eop, dop)
+    )
 
 
 def reference_transfer_weights(length, empty, occupied):
@@ -151,15 +171,12 @@ def test_integer_walk_equals_the_fraction_walk(grid):
     cases.append((make_params(COSTLIEST), 12))
     for p, length in cases:
         for variant in VARIANTS:
-            empty, occupied = _site_operators(p, _representation(p, length), variant)
-            ints, scale = _transfer_weights(length, empty, occupied)
-            assert all(type(w) is int for w in ints) and type(scale) is int
-            expected = reference_transfer_weights(length, empty, occupied)
-            assert [F(w, scale) for w in ints] == expected, (p, length, variant)
+            expected = reference_transfer_weights(length, *site_operators(p, length, variant))
+            assert _weights(length, p, variant) == expected, (p, length, variant)
 
 
-def _off_by_one(length, empty, occupied):
-    weights, scale = _transfer_weights(length, empty, occupied)
+def _off_by_one(length, rep, offset):
+    weights, scale = _transfer_weights(length, rep, offset)
     return [weights[0] + scale] + weights[1:], scale
 
 
@@ -199,8 +216,8 @@ def test_a_normalization_mismatch_is_a_reported_counterexample(canonical, monkey
         assert payload["normalization_matches"] == {"shifted": True, "unshifted": False}
 
     # weights that sum to zero against a nonzero moment-table normalization
-    def zero_weights(length, empty, occupied):
-        weights, scale = _transfer_weights(length, empty, occupied)
+    def zero_weights(length, rep, offset):
+        weights, scale = _transfer_weights(length, rep, offset)
         return [0] * len(weights), scale
 
     with monkeypatch.context() as patch:
@@ -209,12 +226,37 @@ def test_a_normalization_mismatch_is_a_reported_counterexample(canonical, monkey
         assert payload["normalization_matches"] == {"shifted": False, "unshifted": False}
         assert payload["oracle"] is None
         assert [v["max_abs_discrepancy"] for v in payload["variants"]] == [None, None]
-        # both routes zero: nothing to normalize by, and nothing disagrees
+        # both routes zero: nothing to normalize by and nothing disagrees,
+        # so no distribution is left to certify
         patch.setattr(asep, "power_functional", lambda p, n, s, t: F(0))
         with pytest.raises(BiorthError, match="normalization vanishes"):
-            compare(3, canonical)
-        assert main(["stationary", *flags]) == 2
-        capsys.readouterr()
+            stationary_ansatz(3, canonical)
+        report = compare(3, canonical)
+        assert report.normalization_matches == {"shifted": True, "unshifted": True}
+        assert report.oracle is None and not report.passed
+        payload = stationary_payload()
+        assert payload["oracle"] is None
+        assert [v["max_abs_discrepancy"] for v in payload["variants"]] == [None, None]
+
+
+# rate-valid points whose shifted weights sum to zero at odd L on both
+# routes, while the unshifted ansatz is the stationary state
+SHIFTED_SUM_VANISHES = (("0", "0", "0", "0", "1/2"), ("1/3", "0", "0", "-1/3", "1/2"))
+
+
+@pytest.mark.parametrize("point", SHIFTED_SUM_VANISHES)
+def test_a_variant_without_a_distribution_leaves_the_comparison_standing(point, capsys):
+    p = make_params(point)
+    with pytest.raises(BiorthError, match="normalization vanishes"):
+        stationary_ansatz(5, p, "shifted")
+    report = compare(5, p)
+    assert report.normalization_matches == {"shifted": True, "unshifted": True}
+    shifted, unshifted = report.variants
+    assert shifted.max_abs_discrepancy is None and not shifted.matches_oracle
+    assert unshifted.matches_oracle and report.passed
+    flags = [f"--{name}={value}" for name, value in zip("abcdq", point)]
+    assert main(["stationary", *flags, "--L", "5"]) == 0
+    capsys.readouterr()
 
 
 def test_max_abs_discrepancy_equals_the_fraction_difference(grid):
@@ -245,6 +287,7 @@ def test_singular_representation_falls_back_to_word_route():
                 total = sum(weights)
                 dist = stationary_ansatz(length, p, variant)
                 assert dist.probabilities == tuple(w / total for w in weights)
+                assert dist.normalization == total
 
 
 def test_ansatz_at_abcd_q_and_q_squared_takes_the_transfer_route(monkeypatch):
@@ -333,9 +376,9 @@ def test_certified_oracle_past_the_old_guard(canonical):
 
 
 def test_wrong_ansatz_has_no_oracle(canonical, monkeypatch, capsys):
-    def swapped_ends(length, empty, occupied):
+    def swapped_ends(length, rep, offset):
         # same sum, so the normalization check passes; wrong distribution
-        weights, scale = _transfer_weights(length, empty, occupied)
+        weights, scale = _transfer_weights(length, rep, offset)
         return [weights[-1]] + weights[1:-1] + [weights[0]], scale
 
     monkeypatch.setattr(asep, "_transfer_weights", swapped_ends)

@@ -135,6 +135,10 @@ def test_stationary_scan_script():
     result = scan("--max-L", "2")
     assert result.returncode == 0, result.stderr
     assert "matching variant(s)" in result.stdout
+    # the shifted weights sum to zero at odd L here: no discrepancy to report
+    result = scan("--a", "0", "--b", "0", "--c", "0", "--d", "0", "--max-L", "5")
+    assert result.returncode == 0, result.stderr
+    assert "L=5: matching variant(s): unshifted" in result.stdout
     # q = 1, a length past compare's guard, a decimal literal: one error line, exit 2
     for args in (("--q", "1"), ("--max-L", "13"), ("--q", "0.5")):
         result = scan(*args)
@@ -349,6 +353,26 @@ def test_deterministic_payloads_are_pinned(verify_all_run):
         code, text = run_main(list(argv))
         assert code == 0
         assert payload_digest(text) == digest, argv[0]
+
+
+def test_stationary_payloads_at_the_guard_are_pinned():
+    # L = 12 at the costliest GRID point, the shifted variant at abcd = q
+    # and the CSV form at c = d = 0: recorded before the transfer walk began
+    # to add the unshifted letters' offset on the representation's integers
+    costliest = ["--a", "3/2", "--b", "3/4", "--c=-1/6", "--d=-1/8", "--q", "2/5"]
+    abcd_q = ["--a", "1", "--b", "1", "--c=-1/2", "--d=-1/2", "--q", "1/4"]
+    code, text = run_main(["stationary", *costliest, "--L", "12"])
+    assert code == 0
+    assert payload_digest(text) == "cddd0ca65c2190673d3bee8f986322845b672ddb855c80bc50f6e1253ed2aade"
+    code, text = run_main(["stationary", *abcd_q, "--L", "8", "--variant", "shifted"])
+    assert code == 0
+    assert payload_digest(text) == "f5270aad50fde36d4758ca251ab30b57c4eddca73db51aadc27d63dfbef7361e"
+    zero_cd = ["--a", "1", "--b", "1/2", "--c", "0", "--d", "0", "--q", "1/2"]
+    code, text = run_main(["stationary", *zero_cd, "--L", "6", "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "38f6999ee63d074426e169b97599152a54f7bda08f0e55b16ab4c2c7e1991015"
+    )
 
 
 def test_verify_all(verify_all_run):
