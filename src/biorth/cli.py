@@ -7,6 +7,9 @@ The suites and the ``verify-all`` grid live in ``biorth.suites``; this
 module parses flags, applies the size guards and writes the payload.  The
 argparse tree is built once per process, on the first ``main`` call, and
 names its handlers and suite builders, which ``main`` looks up at each call.
+A handler imports the layers it runs (``suites`` for the report subcommands
+and ``verify-all``, ``asep`` for ``stationary``), so a cold command compiles
+only those, and ``build_parser`` imports argparse.
 Exit status: 0 when every check passed, 1 when some check found a
 counterexample (the report is still written), 2 for unusable
 configuration (bad flags, singular or non-representable parameters).
@@ -14,12 +17,11 @@ configuration (bad flags, singular or non-representable parameters).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
-from . import asep, suites, wordfun
 from .bimoment import bimoment_block
 from .core import (
+    DEFAULT_FUZZ_SEED,
     AWParams,
     BiorthError,
     HoppingRates,
@@ -40,15 +42,15 @@ _VALUE_FLAGS = frozenset(f"--{name}" for name in _PARAM_FLAGS)
 # ldu --n 48 takes 7-13 s (n 32: 1.3 s, n 40: 3.8 s) on one 31.9 Mbit moment
 # table; functional --max-len 96 with the default 200 trials takes 2.2-3.1 s
 # and peaks at 54 MB RSS, the most of the seven GRID points (30-54 MB), and
-# its cost grows with the trials, every sample's word forms held at once:
-# 1000 trials take 10.8 s and 153 MB, 2000 take 20.2 s and 280 MB (off the
-# grid a q of larger height costs more per trial: 200 trials take 10-12 s
-# at q = 1/101 and 13-19 s at q = 97/101, over 100-120 MB); aw --n 96
-# with its three t values takes 2.1-2.3 s (n 128: 7.5 s, n 150: 16.5 s) and
-# polys --n 64 16-22 s, the most of the GRID points (n 72: 39-55 s); rep
-# --n 96 takes 0.4-0.65 s (n 128: 2.7 s) and bimoment --n 48 1.0 s, and at
-# bimoment n 64 two GRID points have entries past the 4300 digits Python
-# will print.
+# its time grows with the trials while its memory does not (samples are
+# evaluated 200 at a time): 1000 trials take 7.8-10.6 s and 2000 take 20 s,
+# both at 57 MB (off the grid a q of larger height costs more per trial:
+# 200 trials take 10-12 s at q = 1/101 and 13-19 s at q = 97/101, over
+# 100-120 MB); aw --n 96 with its three t values takes 2.1-2.3 s (n 128:
+# 7.5 s, n 150: 16.5 s) and polys --n 64 16-22 s, the most of the GRID
+# points (n 72: 39-55 s); rep --n 96 takes 0.4-0.65 s (n 128: 2.7 s) and
+# bimoment --n 48 1.0 s, and at bimoment n 64 two GRID points have entries
+# past the 4300 digits Python will print.
 _LIMITS = {"bimoment": {"n": 48}, "ldu": {"n": 48}, "polys": {"n": 64}, "rep": {"n": 96},
            "aw": {"n": 96}, "functional": {"max_len": 96, "trials": 2000}}
 
@@ -119,6 +121,8 @@ def _cmd_report(args) -> int:
     """The five report subcommands: the builder of ``biorth.suites`` named
     ``args.build`` at the flag values named in ``args.sizes``."""
     _guard_size(args)
+    from . import suites
+
     p = _params_from_args(args)
     build = getattr(suites, args.build)
     reports = build(p, *(getattr(args, name) for name in args.sizes))
@@ -136,6 +140,8 @@ def _cmd_stationary(args) -> int:
     state and every variant built has its normalization (see
     ``ComparisonReport.passed``); the CSV form is that state, so nothing
     is written without one."""
+    from . import asep
+
     p = _params_from_args(args)
     variants = asep.VARIANTS if args.variant == "both" else (args.variant,)
     comparison = asep.compare(args.L, p, variants)
@@ -147,6 +153,8 @@ def _cmd_stationary(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import suites
+
     points = suites.grid_params()
     results = [suites.verify_point(p) for p in points]
     payload = {
@@ -166,7 +174,11 @@ def _cmd_verify_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of every subcommand.  Handlers and suite builders
     are named, not bound, so the parser holds no function of this package
-    and ``main`` can keep one for the whole process."""
+    and ``main`` can keep one for the whole process.  argparse is imported
+    here, so a process that imports this module but parses no command line
+    does not load it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="biorth",
         description="Exact verification suites for the bi-orthogonal exclusion-chain machinery.",
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(cmd)
     cmd.add_argument("--trials", type=int, default=200)
     cmd.add_argument("--max-len", type=int, default=8, dest="max_len")
-    cmd.add_argument("--seed", type=int, default=wordfun.DEFAULT_FUZZ_SEED)
+    cmd.add_argument("--seed", type=int, default=DEFAULT_FUZZ_SEED)
     _add_output_flags(cmd)
     cmd.set_defaults(
         handler="_cmd_report", build="functional_suite", sizes=("max_len", "trials", "seed")

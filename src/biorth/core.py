@@ -68,6 +68,12 @@ class ZeroParameter(BiorthError):
     a = b = c = d = 0, or at t = 0."""
 
 
+# The relations fuzz's default seed (``wordfun.check_defining_relations``,
+# the ``functional`` subcommand and verify-all); here so that building the
+# command line loads no layer.
+DEFAULT_FUZZ_SEED = 20240817
+
+
 # ---------------------------------------------------------------------------
 # rational parsing / formatting
 

@@ -4,7 +4,8 @@ Each suite checks one link of the paper's chain (L·D·U, the P/Q families,
 the word functional, the tridiagonal representation, the Askey-Wilson
 recurrence, the stationary state) and returns ``{name: VerificationReport}``.
 The report subcommands call a suite at their flag values; ``verify_point``
-runs every suite of ``SUITES`` at the sizes declared there.
+runs every suite of ``SUITES`` at the sizes declared there.  Each builder
+imports the layer it checks, so a subcommand loads only its own.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import asep, biortho, ldu, repmat, wordfun
 from ._linalg import three_term
-from .core import AWParams, InvalidParams, _clear_denominators, format_rational, parse_rational
+from .core import DEFAULT_FUZZ_SEED, AWParams, InvalidParams, _clear_denominators, format_rational, parse_rational
 from .reporting import VerificationReport
 
 # Generic points, a three-parameter reduction (c = d = 0), and a point with
@@ -38,6 +38,8 @@ def grid_params() -> list[AWParams]:
 
 def ldu_suite(p: AWParams, n: int) -> dict:
     """B = L D U, then the determinant triple, at order n."""
+    from . import ldu
+
     report = ldu.verify_ldu(p, n)
     with report.timed("determinants"):
         triple = ldu.det_bimoment(p, n)
@@ -52,6 +54,8 @@ def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
     first n polynomials of each family; then, if ``bordered``, the bordered
     determinant at order min(n, 4).  L P = I and Q^T U = I are not repeated
     here: they are the ldu suite's inverse products."""
+    from . import biortho
+
     report = biortho.biorthogonality_check(p, n)
     with report.timed("construction-routes"):
         for variable in ("d", "e"):
@@ -73,6 +77,8 @@ def _sweep_eval_paths(p: AWParams, max_len: int):
     over all those words, so each subword the elimination moves reach is
     evaluated once per point, not once per word, and the table is looked up
     and each moment cleared once."""
+    from . import wordfun
+
     words = [
         "".join(letters)
         for length in range(max_len + 1)
@@ -87,6 +93,8 @@ def _sweep_eval_paths(p: AWParams, max_len: int):
 def functional_suite(p: AWParams, max_len: int, trials: int, seed: int) -> dict:
     """Fuzzed defining relations, then every word up to length
     min(max_len, 8) through both evaluation paths."""
+    from . import wordfun
+
     report = wordfun.check_defining_relations(p, max_len=max_len, trials=trials, seed=seed)
     sweep_len = min(max_len, 8)
     report.check(
@@ -101,6 +109,8 @@ def rep_suite(p: AWParams, n: int) -> dict:
     """Algebra and boundary relations of the order-n truncation, then the
     match with the AW recurrence to level max(n // 2, 2), which is defined
     at zero parameters too."""
+    from . import repmat
+
     dop, eop = repmat.rep_rational(p, n)
     return {
         "algebra": repmat.verify_algebra(dop, eop, p.q),
@@ -112,6 +122,8 @@ def rep_suite(p: AWParams, n: int) -> dict:
 def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
     """The terminating 4phi3 series against the three-term recurrence at
     levels 0..n, at each t in t_values: one series sweep per t."""
+    from . import repmat
+
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
     report = VerificationReport(params=p.to_map(), n=n)
@@ -136,6 +148,8 @@ def stationary_suite(p: AWParams, max_L: int) -> dict:
     """At each L up to max_L, each variant's weight sum equals its
     moment-table normalization and some variant equals the exact chain
     state; then one variant does so at every L."""
+    from . import asep
+
     report = VerificationReport(params=p.to_map(), n=max_L)
     matching_by_length = []
     with report.timed("oracle-comparison"):
@@ -170,7 +184,7 @@ def stationary_suite(p: AWParams, max_L: int) -> dict:
 SUITES = (
     (ldu_suite, (10,)),
     (polys_suite, (8, False)),
-    (functional_suite, (6, 60, wordfun.DEFAULT_FUZZ_SEED)),
+    (functional_suite, (6, 60, DEFAULT_FUZZ_SEED)),
     (rep_suite, (16,)),
     (aw_suite, (6, AW_T_VALUES[:2])),
     (stationary_suite, (4,)),

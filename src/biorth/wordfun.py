@@ -27,8 +27,8 @@ built only where ``normal_order`` and ``normal_power`` return.
 the table is looked up once, each distinct word is normal ordered once,
 in that sorted walk, and each moment the batch reads is cleared of
 denominators once.  ``functional`` is the one-polynomial batch; the
-relations fuzz makes one batch of all its samples, and the suites' sweep
-over all short words one per point.
+relations fuzz makes one batch of up to 200 samples (``_FUZZ_BATCH``), and
+the suites' sweep over all short words one per point.
 
 ``elimination_values`` reaches the same values by rewriting words instead:
 a leading e or a trailing d is removed via
@@ -53,6 +53,7 @@ from operator import mul
 
 from .bimoment import bimoment_table
 from .core import (
+    DEFAULT_FUZZ_SEED,
     AWParams,
     InvalidParams,
     ShapeError,
@@ -470,7 +471,9 @@ def eval_by_elimination(wp: WordPoly, p: AWParams) -> Fraction:
     return sum(map(mul, wp.terms.values(), values), Fraction(0))
 
 
-DEFAULT_FUZZ_SEED = 20240817
+# Most relation samples evaluated in one batch (the default trial count), so
+# the word forms held at once do not grow with the trials.
+_FUZZ_BATCH = 200
 
 
 def _random_word(rng: random.Random, max_len: int) -> str:
@@ -508,20 +511,29 @@ def check_defining_relations(
         "left-boundary": (lambda u, v: ("e" + v, "d" + v, v), (1, p.a * p.c, -(p.a + p.c))),
     }
 
-    samples = [
-        (_random_word(rng, max_len), _random_word(rng, max_len)) for _ in range(trials)
-    ]
-
-    # One batch of all samples, so words that share a prefix share its
-    # normal ordering.  The three words are distinct; zero coefficients
-    # are dropped.
+    # The samples in batches of _FUZZ_BATCH, drawn in order, so words that
+    # share a prefix share its normal ordering while the forms held at once
+    # stay bounded whatever the trials.  The three words are distinct; zero
+    # coefficients are dropped.  Each relation keeps its first failure in
+    # sample order.
+    first = dict.fromkeys(relations)
     with report.timed("relations"):
-        polys = [
-            {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
-            for u, v in samples for words, coeffs in relations.values()
-        ]
-        values = functional_values(polys, p)
-    for k, name in enumerate(relations):  # relation k: every third value from k
-        found = ({"u": u, "v": v, "value": x} for (u, v), x in zip(samples, values[k::3]) if x)
-        report.check(name, name, lambda: found)
+        for start in range(0, trials, _FUZZ_BATCH):
+            samples = [
+                (_random_word(rng, max_len), _random_word(rng, max_len))
+                for _ in range(min(_FUZZ_BATCH, trials - start))
+            ]
+            polys = [
+                {word: coeff for word, coeff in zip(words(u, v), coeffs) if coeff}
+                for u, v in samples for words, coeffs in relations.values()
+            ]
+            values = functional_values(polys, p)
+            for k, name in enumerate(relations):  # relation k: every third value from k
+                if first[name] is None:
+                    first[name] = next(
+                        ({"u": u, "v": v, "value": x} for (u, v), x in zip(samples, values[k::3]) if x),
+                        None,
+                    )
+    for name, failure in first.items():
+        report.add(name, failure is None, failure)
     return report

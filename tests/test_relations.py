@@ -8,7 +8,7 @@ from operator import mul
 
 import pytest
 
-from biorth import AWParams, InvalidParams, WordPoly, bimoment, check_defining_relations
+from biorth import AWParams, InvalidParams, WordPoly, bimoment, check_defining_relations, wordfun
 from biorth.bimoment import bimoment_table
 from biorth.core import _clear_denominators, _QPowers
 from biorth.reporting import VerificationReport
@@ -120,3 +120,29 @@ def test_a_corrupted_moment_fails_both_routes_alike(canonical, monkeypatch):
     # d e - q e d - (1 - q) normal orders to zero, so it reads no moment
     assert sorted(failed) == ["left-boundary", "right-boundary"]
     assert all(set(detail) == {"u", "v", "value"} for detail in failed.values())
+
+
+def test_batched_samples_report_as_one_batch(canonical, monkeypatch):
+    # 450 samples make three batches.  With B[0][7] one too large,
+    # right-boundary first fails at sample 154 (first batch) and
+    # left-boundary at sample 351 (second batch); the report is the one a
+    # single batch of every sample gives.
+    monkeypatch.setattr(bimoment, "_TABLES", OrderedDict())
+    table = bimoment_table(canonical)
+    read = table.entry
+    monkeypatch.setattr(table, "entry", lambda i, j: read(i, j) + ((i, j) == (0, 7)))
+    evaluate, batches = wordfun.functional_values, []
+
+    def counted(polys, p):
+        batches.append(len(polys))
+        return evaluate(polys, p)
+
+    monkeypatch.setattr(wordfun, "functional_values", counted)
+    args = (canonical, 6, 450)
+    batched = without_timings(check_defining_relations(*args))
+    assert batches == [600, 600, 150]  # three relations per sample
+    monkeypatch.setattr(wordfun, "_FUZZ_BATCH", 450)
+    assert without_timings(check_defining_relations(*args)) == batched
+    assert batches[3:] == [1350]
+    failed = [check["name"] for check in batched["checks"] if not check["pass"]]
+    assert failed == ["right-boundary", "left-boundary"]

@@ -1,6 +1,7 @@
 """Tooling: the benchmark tracer patches library functions by name, and each
-must exist; the benchmark reads the caches through hooks; the source line
-counter counts by its rule; the peak-RSS script reports one command."""
+must exist and be seen through the package in every traced round; the
+benchmark reads the caches through hooks; the source line counter counts by
+its rule; the peak-RSS script reports one command."""
 
 import hashlib
 import importlib.util
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import biorth
 from biorth import bimoment, wordfun
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,6 +29,23 @@ def test_tracer_entry_points_resolve(monkeypatch):
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+def test_tracer_sees_package_calls_in_every_round(canonical, monkeypatch):
+    # each round patches the layers afresh, and a call made through the
+    # package must reach that round's wrapper, not an earlier round's
+    monkeypatch.syspath_prepend(ROOT)
+    tracing = importlib.import_module("perfbench.tracer")
+    for _ in range(3):
+        tracer = tracing.Tracer()
+        tracer.install()
+        tracer.enabled = True
+        try:
+            biorth.verify_ldu(canonical, 3)
+        finally:
+            tracer.enabled = False
+            tracer.uninstall()
+        assert [span[1] for span in tracer.spans].count("ldu.verify") == 1
 
 
 def test_cache_state_counts_the_stored_trapezoid(canonical, monkeypatch):
