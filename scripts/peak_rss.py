@@ -9,11 +9,13 @@ the sha256 of its payload: stdout with every ``timings_ms`` member removed
 when stdout is JSON, stdout as printed otherwise.  Two trees give the same
 digest exactly when their payloads agree, so a change can be checked for
 byte-identical output and measured in one command.  The child's exit status
-is printed too, and the script exits with it.
+is printed too, and the script exits with it, also when its reader closes
+stdout early (``| head -1``).
 """
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -48,10 +50,16 @@ def main(argv: list[str]) -> int:
     wall = time.perf_counter() - start
     peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
     sys.stderr.write(child.stderr)
-    print(f"wall_s {wall:.3f}")
-    print(f"peak_rss_mb {peak_kib / 1024:.1f}")
-    print(f"exit {child.returncode}")
-    print(f"payload_sha256 {payload_digest(child.stdout)}")
+    try:
+        print(f"wall_s {wall:.3f}")
+        print(f"peak_rss_mb {peak_kib / 1024:.1f}")
+        print(f"exit {child.returncode}")
+        print(f"payload_sha256 {payload_digest(child.stdout)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nobody reads the rest; point stdout at devnull so that the flush
+        # at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return child.returncode
 
 

@@ -48,8 +48,6 @@ certificate to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -57,6 +55,7 @@ from . import _linalg
 from .core import (
     AWParams,
     BiorthError,
+    FrozenRecord,
     HoppingRates,
     InvalidParams,
     NotIrreducible,
@@ -102,31 +101,27 @@ def config_bits(state: int, length: int) -> tuple[int, ...]:
     return tuple(int(ch) for ch in config_string(state, length))
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
+class StationaryDistribution(FrozenRecord):
     """Exact distribution over configurations of a fixed length.
 
     ``normalization`` is the constant the raw weight vector was divided by,
-    so probabilities always sum to exactly 1.
+    so probabilities always sum to exactly 1.  ``cleared`` is (integers,
+    scale): the probabilities times the lcm of their denominators, computed
+    once, for the sum check here and the checks that read it later.
     """
 
-    length: int
-    probabilities: tuple[Fraction, ...]
-    normalization: Fraction
+    _fields = ("length", "probabilities", "normalization")
+    __slots__ = (*_fields, "cleared")
 
-    def __post_init__(self):
-        if len(self.probabilities) != 1 << self.length:
+    def __init__(self, length: int, probabilities: tuple[Fraction, ...], normalization: Fraction):
+        if len(probabilities) != 1 << length:
             raise InvalidParams("probability vector length is not 2^L")
         # the sum on integers over the lcm of the denominators
-        numerators, scale = self.cleared
+        numerators, scale = cleared = _clear_denominators(probabilities)
         if sum(numerators) != scale:
             raise InvalidParams("probabilities must sum to exactly 1")
-
-    @cached_property
-    def cleared(self) -> tuple[list[int], int]:
-        """(integers, scale): the probabilities times the lcm of their
-        denominators, computed once for the checks that read them."""
-        return _clear_denominators(self.probabilities)
+        self._set(length, probabilities, normalization)
+        object.__setattr__(self, "cleared", cleared)
 
     def probability(self, state: int) -> Fraction:
         return self.probabilities[state]
@@ -403,26 +398,31 @@ def stationary_ansatz(
     return dist
 
 
-@dataclass(frozen=True)
-class VariantComparison:
-    name: str
-    matches_oracle: bool
-    max_abs_discrepancy: Fraction | None
+class VariantComparison(FrozenRecord):
+    __slots__ = _fields = ("name", "matches_oracle", "max_abs_discrepancy")
+
+    def __init__(self, name: str, matches_oracle: bool, max_abs_discrepancy: Fraction | None):
+        self._set(name, matches_oracle, max_abs_discrepancy)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(FrozenRecord):
     """Side-by-side of ansatz variants against the certified chain state
     (None where no candidate certifies), and, for every variant built
     (the requested ones and the unshifted oracle candidate), whether its
     weight sum equals its moment-table normalization."""
 
-    params: AWParams
-    rates: HoppingRates
-    length: int
-    variants: tuple[VariantComparison, ...]
-    oracle: StationaryDistribution | None
-    normalization_matches: dict[str, bool]
+    __slots__ = _fields = ("params", "rates", "length", "variants", "oracle", "normalization_matches")
+
+    def __init__(
+        self,
+        params: AWParams,
+        rates: HoppingRates,
+        length: int,
+        variants: tuple[VariantComparison, ...],
+        oracle: StationaryDistribution | None,
+        normalization_matches: dict[str, bool],
+    ):
+        self._set(params, rates, length, variants, oracle, normalization_matches)
 
     @property
     def matching_variants(self) -> tuple[str, ...]:

@@ -48,11 +48,10 @@ its step and those two entries itself, one Fraction per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import three_term_pairs
-from .core import AWParams, InvalidParams, SingularParams, _QPowers, _clear_denominators, format_rational
+from .core import AWParams, FrozenRecord, InvalidParams, SingularParams, _QPowers, _clear_denominators, format_rational
 from .reporting import csv_text
 
 _FILLS = ("columns", "rows")
@@ -215,13 +214,13 @@ def bimoment_table(p: AWParams) -> BimomentTable:
     return table
 
 
-@dataclass(frozen=True)
-class BimomentMatrix:
+class BimomentMatrix(FrozenRecord):
     """A square block B[i][j], 0 <= i, j <= order, for one parameter set."""
 
-    params: AWParams
-    order: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("params", "order", "entries")
+
+    def __init__(self, params: AWParams, order: int, entries: tuple[tuple[Fraction, ...], ...]):
+        self._set(params, order, entries)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]

@@ -19,16 +19,18 @@ Two parameter records exist:
 :func:`to_rates` maps ``AWParams`` to ``HoppingRates`` exactly;
 :func:`to_aw_exact` inverts it when the inverse is rational (it involves
 square roots, so it is rational only for perfect-square discriminants).
+
+Records are plain classes on :class:`Record`: ``dataclasses`` would load ``inspect`` and ``ast``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 
 class BiorthError(Exception):
@@ -139,26 +141,74 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """A value record: its fields are the names in ``_fields``, in order.
+
+    ``==`` compares two records of the same class field by field, and the
+    repr is ``Name(field=value, ...)``.  A record is mutable, so unhashable;
+    the cached values a subclass keeps in further slots are not fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # _values(record): the tuple of its (two or more) fields
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable record.  ``_set`` fills the fields once, in
+    ``_fields`` order, from ``__init__``; assigning afterwards raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: they cannot assign
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {self.__class__.__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {self.__class__.__qualname__}")
+
+
+# ---------------------------------------------------------------------------
 # parameter records
 
 
-@dataclass(frozen=True)
-class HoppingRates:
+class HoppingRates(FrozenRecord):
     """Boundary injection/extraction rates and hopping asymmetry.
 
     alpha, beta > 0 and gamma, delta >= 0 are per-site Poisson rates;
     q in [0, 1) is the ratio of backward to forward bulk hopping.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    q: Fraction
+    __slots__ = _fields = ("alpha", "beta", "gamma", "delta", "q")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "q"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, delta: Fraction, q: Fraction):
+        self._set(*map(as_rational, (alpha, beta, gamma, delta, q)))
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParams("alpha and beta must be positive")
         if self.gamma < 0 or self.delta < 0:
@@ -167,17 +217,10 @@ class HoppingRates:
             raise InvalidParams(f"q must satisfy 0 <= q < 1, got {self.q}")
 
     def to_map(self) -> dict[str, str]:
-        return {
-            "alpha": format_rational(self.alpha),
-            "beta": format_rational(self.beta),
-            "gamma": format_rational(self.gamma),
-            "delta": format_rational(self.delta),
-            "q": format_rational(self.q),
-        }
+        return {k: format_rational(getattr(self, k)) for k in self._fields}
 
 
-@dataclass(frozen=True)
-class AWParams:
+class AWParams(FrozenRecord):
     """Algebraic parameters (a, b, c, d, q), all exact rationals, q not in {0, 1}.
 
     The record itself only enforces q != 0, 1; whether a parameter set is
@@ -186,15 +229,10 @@ class AWParams:
     coefficient recurrences must be unrolled.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    q: Fraction
+    __slots__ = _fields = ("a", "b", "c", "d", "q")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "q"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction, q: Fraction):
+        self._set(*map(as_rational, (a, b, c, d, q)))
         if self.q == 0 or self.q == 1:
             raise InvalidParams("q must avoid 0 and 1")
 
@@ -215,7 +253,7 @@ class AWParams:
         return AWParams(self.d, self.c, self.b, self.a, self.q)
 
     def to_map(self) -> dict[str, str]:
-        return {k: format_rational(getattr(self, k)) for k in ("a", "b", "c", "d", "q")}
+        return {k: format_rational(getattr(self, k)) for k in self._fields}
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ and denominators apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import prod
@@ -48,6 +47,7 @@ from . import _linalg, repmat
 from .bimoment import bimoment_table
 from .core import (
     AWParams,
+    FrozenRecord,
     InvalidParams,
     SingularParams,
     _QPowers,
@@ -58,23 +58,25 @@ from .core import (
 from .reporting import VerificationReport
 
 
-@dataclass(frozen=True)
-class TriangularFactor:
+class TriangularFactor(FrozenRecord):
     """Unit triangular matrix of order ``order``, stored dense."""
 
-    order: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("order", "entries")
+
+    def __init__(self, order: int, entries: tuple[tuple[Fraction, ...], ...]):
+        self._set(order, entries)
 
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class DiagonalFactor:
+class DiagonalFactor(FrozenRecord):
     """Diagonal of the factorization: D_0 = 1, D_k = D_{k-1} g_{k-1}."""
 
-    order: int
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("order", "values")
+
+    def __init__(self, order: int, values: tuple[Fraction, ...]):
+        self._set(order, values)
 
 
 def build_L(p: AWParams, n: int) -> TriangularFactor:

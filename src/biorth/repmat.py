@@ -44,9 +44,7 @@ integers, and builds a Fraction for the first failure alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import lcm
 
@@ -54,6 +52,7 @@ from ._linalg import three_term, three_term_pairs
 from .core import (
     AWParams,
     DenominatorVanishes,
+    FrozenRecord,
     InvalidParams,
     ShapeError,
     SingularParams,
@@ -73,18 +72,17 @@ from .core import (
 from .reporting import VerificationReport, differences
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
+class TridiagonalOperator(FrozenRecord):
     """Banded operator truncation: diag[n], upper[n] = (n, n+1), lower[n] = (n+1, n)."""
 
-    size: int
-    diag: tuple
-    upper: tuple
-    lower: tuple
+    _fields = ("size", "diag", "upper", "lower")
+    __slots__ = (*_fields, "_rows")
 
-    def __post_init__(self):
-        if len(self.diag) != self.size or len(self.upper) != self.size - 1 or len(self.lower) != self.size - 1:
+    def __init__(self, size: int, diag: tuple, upper: tuple, lower: tuple):
+        if len(diag) != size or len(upper) != size - 1 or len(lower) != size - 1:
             raise ShapeError("band lengths inconsistent with size")
+        self._set(size, diag, upper, lower)
+        object.__setattr__(self, "_rows", None)
 
     def entry(self, i: int, j: int):
         if i == j:
@@ -101,11 +99,13 @@ class TridiagonalOperator:
         zero = (0,)
         return zip(zero + self.lower, self.diag, self.upper + zero)
 
-    @cached_property
+    @property
     def _cleared_rows(self):
         """The band rows, each scaled to integers by the lcm of its
-        denominators."""
-        return [_clear_denominators(row) for row in self.band_rows()]
+        denominators; computed at the first read."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", [_clear_denominators(row) for row in self.band_rows()])
+        return self._rows
 
     def matvec(self, vec, levels):
         """The first ``levels`` components of this operator applied to the
@@ -126,18 +126,16 @@ def neighbours(vec, levels: int, zero=0):
     return zip(padded, padded[1:], padded[2:])
 
 
-@dataclass(frozen=True)
-class AWRecurrenceCoeffs:
+class AWRecurrenceCoeffs(FrozenRecord):
     """Normalized three-term recurrence data at one level n."""
 
-    n: int
-    A: Fraction
-    B: Fraction
-    C: Fraction
+    __slots__ = _fields = ("n", "A", "B", "C")
+
+    def __init__(self, n: int, A: Fraction, B: Fraction, C: Fraction):
+        self._set(n, A, B, C)
 
 
-@dataclass(frozen=True)
-class UchiyamaCoeffs:
+class UchiyamaCoeffs(FrozenRecord):
     """Level-n entries of the tridiagonal pair, radical-free form.
 
     The off-diagonal entries carry a common radical factor with square
@@ -145,12 +143,20 @@ class UchiyamaCoeffs:
     esharp dflat (each rational) are stored, alongside the two diagonals.
     """
 
-    n: int
-    d_nat: Fraction
-    e_nat: Fraction
-    dsharp_eflat_product: Fraction
-    esharp_dflat_product: Fraction
-    a_squared: Fraction
+    __slots__ = _fields = (
+        "n", "d_nat", "e_nat", "dsharp_eflat_product", "esharp_dflat_product", "a_squared"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        d_nat: Fraction,
+        e_nat: Fraction,
+        dsharp_eflat_product: Fraction,
+        esharp_dflat_product: Fraction,
+        a_squared: Fraction,
+    ):
+        self._set(n, d_nat, e_nat, dsharp_eflat_product, esharp_dflat_product, a_squared)
 
 
 def uchiyama_coeffs(p: AWParams, n: int) -> UchiyamaCoeffs:
@@ -638,17 +644,16 @@ def aw_eval(p: AWParams, n: int, t) -> Fraction:
     return aw_series(p, n + 1, t, n)[0]
 
 
-@dataclass(frozen=True)
-class PolySeq:
+class PolySeq(FrozenRecord):
     """Sequence of monic polynomials; coeffs[n][k] multiplies x^k."""
 
-    variable: str
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("variable", "coeffs")
 
-    def __post_init__(self):
-        for n, row in enumerate(self.coeffs):
+    def __init__(self, variable: str, coeffs: tuple[tuple[Fraction, ...], ...]):
+        for n, row in enumerate(coeffs):
             if len(row) != n + 1 or row[n] != 1:
                 raise InvalidParams(f"polynomial {n} is not monic of degree {n}")
+        self._set(variable, coeffs)
 
     @property
     def count(self) -> int:

@@ -25,10 +25,9 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import format_rational
+from .core import Record, format_rational
 
 
 def jsonable(value):
@@ -63,14 +62,18 @@ def differences(key: str, left, right):
             yield {key: k, "left": x, "right": y}
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named check, with its first counterexample if any."""
 
-    name: str
-    passed: bool
-    first_failure: dict | None = None
-    skipped_reason: str | None = None
+    __slots__ = _fields = ("name", "passed", "first_failure", "skipped_reason")
+
+    def __init__(
+        self, name: str, passed: bool, first_failure: dict | None = None, skipped_reason: str | None = None
+    ):
+        self.name = name
+        self.passed = passed
+        self.first_failure = first_failure
+        self.skipped_reason = skipped_reason
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "pass": self.passed}
@@ -82,14 +85,22 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """A batch of checks for one parameter set and truncation order."""
 
-    params: dict[str, str]
-    n: int | None
-    checks: list[CheckResult] = field(default_factory=list)
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    __slots__ = _fields = ("params", "n", "checks", "timings_ms")
+
+    def __init__(
+        self,
+        params: dict[str, str],
+        n: int | None,
+        checks: list[CheckResult] | None = None,
+        timings_ms: dict[str, float] | None = None,
+    ):
+        self.params = params
+        self.n = n
+        self.checks = [] if checks is None else checks
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     @property
     def passed(self) -> bool:

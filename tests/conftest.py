@@ -25,6 +25,13 @@ def make_params(point) -> AWParams:
     return AWParams(*(Fraction(x) for x in point))
 
 
+def replace(record, **changes):
+    """The record rebuilt through its class with the given fields changed:
+    the library's records are plain classes whose fields are ``_fields``."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def word_terms(word: str, form) -> dict[tuple[int, int], int]:
     """A word's form (coefficients along its diagonal, then the scale)
     as {(i, j): coeff of d^i e^j}: entry k at (I - k, J - k), zeros left out."""

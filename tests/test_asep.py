@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +31,7 @@ from biorth.cli import main
 from biorth.repmat import rep_rational
 from biorth.suites import stationary_suite
 
-from conftest import make_params, valid_params
+from conftest import make_params, replace, valid_params
 
 
 def test_config_helpers():

@@ -6,14 +6,13 @@ pass flags and each first counterexample, exactly as printed.  The pinned
 digests of ``test_cli`` cover passing runs only.
 """
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from biorth import biortho, ldu, repmat, suites, wordfun
 
-from conftest import GRID, make_params, without_timings
+from conftest import GRID, make_params, replace, without_timings
 
 CANONICAL = make_params(GRID[0])
 

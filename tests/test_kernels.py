@@ -19,7 +19,6 @@ so the kernels must reproduce it entry for entry -- values, singular orders
 and messages, and the key order of the normal-ordered dicts.
 """
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -77,7 +76,7 @@ from biorth.reporting import differences
 from biorth.suites import GRID
 from biorth.wordfun import _moment_sum, _times_letter, normal_power
 
-from conftest import make_params, rationals
+from conftest import make_params, rationals, replace
 
 
 def reference_matvec(op, vec, levels):

@@ -1,6 +1,7 @@
 """The package imports its layers on first use: ``import biorth`` loads none,
-a command loads only the layers it runs, and every public name is the
-object its defining module holds."""
+a command loads only the layers it runs and none of the standard library's
+introspection machinery, and every public name is the object its defining
+module holds."""
 
 import importlib
 import os
@@ -15,27 +16,45 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANONICAL = ["--a", "1", "--b", "1/2", "--c=-1/3", "--d=-1/4", "--q", "1/2"]
 
 # Runs the code given as argv[1] (after silencing stdout, so that a command's
-# payload is not printed), then prints the biorth modules the process holds.
+# payload is not printed), then prints the modules the process holds.
 PROBE = """
 import io, sys
 sys.stdout = io.StringIO()
 exec(sys.argv[1])
 sys.stdout = sys.__stdout__
-print(" ".join(sorted(name for name in sys.modules if name.startswith("biorth"))))
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def loaded_by(code: str) -> set[str]:
-    """The ``biorth`` modules a fresh interpreter holds after running ``code``."""
+def loaded_by(code: str, prefix: str = "biorth") -> set[str]:
+    """The modules whose names start with ``prefix`` that a fresh
+    interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
         [sys.executable, "-c", PROBE, code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    return set(out.split())
+    return {name for name in out.split() if name.startswith(prefix)}
 
 
 def test_import_loads_no_layer():
     assert loaded_by("import biorth") == {"biorth"}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import biorth",
+        f"from biorth import cli\nassert cli.main({['stationary', *CANONICAL, '--L', '3']!r}) == 0",
+        f"from biorth import cli\nassert cli.main({['ldu', *CANONICAL, '--n', '4']!r}) == 0",
+        "from biorth import cli\nassert cli.main(['verify-all']) == 0",
+    ],
+    ids=["import", "stationary", "ldu", "verify-all"],
+)
+def test_no_command_loads_the_introspection_modules(code):
+    # the records are plain classes; a site hook may preload typing, so
+    # the count is against what an interpreter holds before any biorth code
+    heavy = {"dataclasses", "inspect", "typing"}
+    assert not (loaded_by(code, "") - loaded_by("pass", "")) & heavy
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Tooling: the benchmark tracer patches library functions by name, and each
 must exist and be seen through the package in every traced round; the
 benchmark reads the caches through hooks; the source line counter counts by
-its rule; the peak-RSS script reports one command."""
+its rule; the peak-RSS script reports one command, and exits with its status
+when its reader stops early."""
 
 import hashlib
 import importlib.util
@@ -137,6 +138,24 @@ def test_peak_rss_reports_one_command(canonical):
     for report in payload["reports"].values():
         del report["timings_ms"]
     assert fields["payload_sha256"] == hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_peak_rss_exits_quietly_when_stdout_closes_early(canonical):
+    # as under ``| head -1``: the reader is gone before the script prints,
+    # and the script still exits with the child's status, without a traceback
+    script = os.path.join(ROOT, "scripts", "peak_rss.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for argv, status in (
+        (["bimoment", *param_flags(canonical), "--n", "2"], 0),
+        (["bimoment", "--q", "1/2"], 2),
+    ):
+        child = subprocess.Popen(
+            [sys.executable, script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        )
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait() == status
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def param_flags(p) -> list[str]:
