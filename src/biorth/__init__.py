@@ -33,9 +33,10 @@ _EXPORTS = {
         "WordPoly", "check_defining_relations", "eval_by_elimination", "functional",
         "normal_order", "parse_word",
     ),
+    "band": ("rep_rational",),
     "repmat": (
-        "PolySeq", "aw_coeffs", "aw_eval", "jacobi_moments", "rep_rational", "t_polys",
-        "verify_algebra", "verify_aw_match", "verify_boundary", "verify_uchiyama_algebra",
+        "PolySeq", "aw_coeffs", "aw_eval", "jacobi_moments", "t_polys", "verify_algebra",
+        "verify_aw_match", "verify_boundary", "verify_uchiyama_algebra",
     ),
     "asep": (
         "ComparisonReport", "StationaryDistribution", "ansatz_weight", "certify_stationary",

@@ -11,7 +11,7 @@ The stationary distribution is certified, not solved for:
 
 * ``stationary_ansatz`` gives configuration tau the weight
   <e0| X_tau1 ... X_tauL |e0> in the tridiagonal representation of d and
-  e (``repmat.rep_rational``).  Every site letter is factor (offset + x),
+  e (``band.rep_rational``).  Every site letter is factor (offset + x),
   x = d or e: variant "shifted" uses d, e literally (offset 0, factor 1);
   variant "unshifted" substitutes D = (1 + d)/(1-q), E = (1 + e)/(1-q)
   (offset 1, factor 1/(1-q)).  The walk runs on the letters offset + x,
@@ -24,7 +24,7 @@ The stationary distribution is certified, not solved for:
   integers: both operators' bands are cleared once, over one scale S, and
   offset S is added to their diagonals, so state tau's weight is an
   integer W_tau over S^L, the total is factor^L sum(W) / S^L and each
-  probability is W_tau / sum(W), one gcd per state (see ``_linalg`` for
+  probability is W_tau / sum(W), one gcd per state (see ``core`` for
   why that scale is walk-wide here and per entry in the deep walks).  The
   total is checked against the moment table's normalization.
   ``ansatz_weight`` evaluates one configuration by the word route instead
@@ -43,7 +43,9 @@ candidate certifies there is no oracle.
 ``stationary_exact`` solves pi M = 0 by dense elimination on the
 2^L x 2^L generator, at a cost of about 8^L operations; the library does
 not call it, it is the independent reference the tests hold the
-certificate to.
+certificate to.  It and ``ansatz_weight`` import their layers (``_linalg``,
+``wordfun``) when called: no command runs either, so ``stationary``
+compiles neither layer.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from . import _linalg
+from .band import rep_rational
 from .core import (
     AWParams,
     BiorthError,
@@ -64,9 +66,8 @@ from .core import (
     format_rational,
     to_rates,
 )
-from .repmat import rep_rational
+from .powers import power_functional
 from .reporting import csv_text, jsonable
-from .wordfun import WordPoly, functional, power_functional
 
 # Dense elimination grows about 20x per site: at the costliest GRID point,
 # (3/2, 3/4, -1/6, -1/8, 2/5), on a 2-core host with Python 3.11, L = 7 takes
@@ -208,6 +209,8 @@ def _dense_generator(length: int, rates: HoppingRates):
 
 def stationary_exact(length: int, rates: HoppingRates) -> StationaryDistribution:
     """Oracle stationary state: exact nullspace of the transposed generator."""
+    from . import _linalg
+
     _guard_length("stationary_exact", length, _EXACT_LIMIT)
     dense = _dense_generator(length, rates)
     basis = _linalg.nullspace(_linalg.mat_transpose(dense))
@@ -294,6 +297,8 @@ def ansatz_weight(tau, p: AWParams, variant: str = "unshifted") -> Fraction:
     (d for occupied, e for empty), either literally ("shifted") or after
     the substitution D = (1+d)/(1-q), E = (1+e)/(1-q) ("unshifted").
     """
+    from .wordfun import WordPoly, functional
+
     offset, factor = _site_letter(p, variant)
     bits = [int(b) for b in tau]
     if any(b not in (0, 1) for b in bits):
@@ -383,7 +388,7 @@ def stationary_ansatz(
 
     The normalization is then recomputed from the moment table, as the
     functional of the L-th power of the summed site letters (normal ordered
-    in closed form by ``wordfun.power_functional``), and checked against
+    in closed form by ``powers.power_functional``), and checked against
     the sum of the weights.  The representation and the moment table share
     nothing above the parameters, so a mismatch means one route is broken,
     and it raises; so does a normalization that vanishes on both routes.

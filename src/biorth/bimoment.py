@@ -31,12 +31,12 @@ The row fill is coded separately: derived from the swapped column fill,
 the agreement of the two fills would only repeat
 :func:`check_transpose_symmetry`.
 
-All three recurrences run on integer kernels (see ``_linalg``).  Both bulk
+All three recurrences run on integer kernels (see ``core``).  Both bulk
 fills are one band step on the previous column or row: the column fill
 clears its step coefficients (1 - q^i, (a+c) q^i, -ac q^i) once per table
 and the row fill its own (b, d) coefficients once per block, and the
 kernel clears the three entries each new entry reads.  Both run on
-unreduced integer pairs (``_linalg.three_term_pairs``).  The column fill
+unreduced integer pairs (``core.three_term_pairs``).  The column fill
 stores each bulk entry as the pair it makes and reduces it to a Fraction
 in place the first time ``entry``, ``block`` or ``stored_items`` reads it;
 from then on readers and later growth see that Fraction, and no entry is
@@ -50,8 +50,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._linalg import three_term_pairs
-from .core import AWParams, FrozenRecord, InvalidParams, SingularParams, _QPowers, _clear_denominators, format_rational
+from .core import (
+    AWParams,
+    FrozenRecord,
+    InvalidParams,
+    SingularParams,
+    _QPowers,
+    _clear_denominators,
+    format_rational,
+    three_term_pairs,
+)
 from .reporting import csv_text
 
 _FILLS = ("columns", "rows")

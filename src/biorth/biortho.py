@@ -6,7 +6,7 @@ constructions must agree:
 * rows of the inverse lower factor (``ldu.build_L_inverse``, its own
   recurrence) give the coefficients of P_n;
 * ``repmat.monic_recurrence`` on the band of the first operator
-  (``repmat.d_band``), i.e. the characteristic polynomials of its leading
+  (``band.d_band``), i.e. the characteristic polynomials of its leading
   blocks:
       P_{n+1} = (x - dnat_n) P_n + bd q^(n-1) g_{n-1} P_{n-1}.
 
@@ -18,20 +18,21 @@ Pairings against the functional must then be diagonal:
 L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor (the
 whole grid of pairings is one matrix product P B Q^T), and
 for small orders the same polynomials arise from bordered determinants of
-the moment block.
+the moment block.  ``pairing`` reads one pairing through the word
+functional and imports ``wordfun`` when called: no command runs it, so
+``polys`` does not compile the word layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _linalg, repmat
+from . import _linalg, band, repmat
 from .bimoment import bimoment_table
 from .core import AWParams, InvalidParams, SingularParams, SizeLimit
 from .ldu import build_D, build_L, build_L_inverse, build_U
 from .repmat import PolySeq
 from .reporting import VerificationReport
-from .wordfun import WordPoly, functional
 
 _VARIABLES = ("d", "e")
 
@@ -60,7 +61,7 @@ def polys_from_recurrence(p: AWParams, count: int, variable: str = "d") -> PolyS
     p = _p_side(p, count, variable)
     if count == 1:
         return PolySeq(variable=variable, coeffs=((Fraction(1),),))
-    dop, _ = repmat.d_band(p, count - 1)
+    dop, _ = band.d_band(p, count - 1)
     products = [upper * lower for upper, lower in zip(dop.upper, dop.lower)]
     return PolySeq(variable=variable, coeffs=repmat.monic_recurrence(dop.diag, products))
 
@@ -80,6 +81,8 @@ def monomial_expansion_check(p: AWParams, count: int) -> bool:
 
 def pairing(p: AWParams, pcoeffs, qcoeffs) -> Fraction:
     """L(P(x) Q(y)) with P in the first letter and Q in the second."""
+    from .wordfun import WordPoly, functional
+
     terms = {}
     for i, ci in enumerate(pcoeffs):
         if not ci:

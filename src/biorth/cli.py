@@ -8,8 +8,9 @@ module parses flags, applies the size guards and writes the payload.  The
 argparse tree is built once per process, on the first ``main`` call, and
 names its handlers and suite builders, which ``main`` looks up at each call.
 A handler imports the layers it runs (``suites`` for the report subcommands
-and ``verify-all``, ``asep`` for ``stationary``), so a cold command compiles
-only those, and ``build_parser`` imports argparse.
+and ``verify-all``, ``asep`` for ``stationary``, ``bimoment`` for
+``bimoment``), so a cold command compiles only those and what they import,
+and ``build_parser`` imports argparse.
 Exit status: 0 when every check passed, 1 when some check found a
 counterexample (the report is still written), 2 for unusable
 configuration (bad flags, singular or non-representable parameters).
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import sys
 
-from .bimoment import bimoment_block
 from .core import (
     DEFAULT_FUZZ_SEED,
     AWParams,
@@ -108,6 +108,8 @@ def _all_passed(reports: dict) -> bool:
 
 def _cmd_bimoment(args) -> int:
     _guard_size(args)
+    from .bimoment import bimoment_block
+
     p = _params_from_args(args)
     block = bimoment_block(p, args.n, fill=args.fill)
     if args.format == "csv":

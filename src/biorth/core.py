@@ -21,6 +21,40 @@ Two parameter records exist:
 square roots, so it is rational only for perfect-square discriminants).
 
 Records are plain classes on :class:`Record`: ``dataclasses`` would load ``inspect`` and ``ast``.
+
+The integer kernels live here too.  ``Fraction`` reduces by a gcd after
+every ``+`` and ``*``.  The kernel rule, in every hot recurrence of the
+package: clear the recurrence's rational coefficients to integers with one
+scale per row or step, outside the entry loop (:func:`_clear_denominators`);
+clear the values an entry reads over the lcm of their denominators; combine
+them in plain ``int`` arithmetic; build exactly one Fraction per entry that
+leaves the routine.  A value that never leaves it (a component of a walk
+that returns one component per step, a row of a fill that keeps only part
+of each row, a table entry not yet read, an entry of a product that is only
+compared) stays an unreduced (numerator, denominator) pair of integers: a
+Fraction reduces by a full-size gcd, 1.7-4 times the cost of a
+multiplication of the same 1.5-6k-bit operands, and on these walks most of
+the common factor it finds comes from the step's own small scale (34 of 38
+bits on average on the order-26 column fill).
+
+Every tridiagonal recurrence is one three-term step on one kernel,
+:func:`three_term_pairs`: it takes cleared steps ((u, v, w), scale) and the
+triples (x, y, z) they read, pairwise, as unreduced (numerator,
+denominator) pairs, clears each triple once and cancels each result only
+by the gcd of its numerator and the step scale, which is cheap because
+the step scale is small.  :func:`three_term` is the same step on
+rationals, one reduced Fraction per entry.  Callers keep their own
+coefficients.  The kernel clears the three neighbours of each entry, not a
+whole column: down a moment-table column the denominators grow from about
+100 to 10,000 bits (order 48), so one column-wide scale would bring every
+entry up to the largest and make each final reduction a gcd at that size.
+A walk-wide scale pays only on a short walk: the ``asep`` transfer walk is
+at most 12 steps (``asep._GENERATOR_LIMIT``) over bands of at most 7
+levels, so its integers (3.4k bits at L = 12 at the costliest GRID point,
+against 214 reduced) still win, because no step pays a gcd; ``ldu.build_L``
+and ``repmat.jacobi_moments`` walk tens to hundreds of levels, where the
+scale would multiply in at every step, and a vector-wide scale already
+measured slower there than the per-entry clearing.
 """
 
 from __future__ import annotations
@@ -29,7 +63,7 @@ import re
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 
@@ -375,6 +409,29 @@ class _QPowers:
             tp.append(tp[-1] * self.t)
             sp.append(sp[-1] * self.s)
         return tp, sp
+
+
+def three_term_pairs(steps, triples) -> list[tuple[int, int]]:
+    """(u x + v y + w z) / scale for each cleared step ((u, v, w), scale)
+    and the triple (x, y, z) it reads, paired in order, on unreduced
+    (numerator, denominator) pairs with positive denominators, in and out:
+    the triple is cleared over the lcm of its denominators (inline, as the
+    innermost loop of every tridiagonal recurrence), and each result is
+    cancelled only by the gcd of its numerator and the (small) step scale."""
+    out = []
+    for ((u, v, w), step_scale), ((xn, xd), (yn, yd), (zn, zd)) in zip(steps, triples):
+        scale = lcm(xd, yd, zd)
+        num = u * xn * (scale // xd) + v * yn * (scale // yd) + w * zn * (scale // zd)
+        common = gcd(num, step_scale)
+        out.append((num // common, step_scale // common * scale))
+    return out
+
+
+def three_term(steps, triples) -> list[Fraction]:
+    """``three_term_pairs`` on triples of rationals, one reduced Fraction
+    per entry."""
+    pairs = ((x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()) for x, y, z in triples)
+    return [Fraction(*pair) for pair in three_term_pairs(steps, pairs)]
 
 
 def g_sweep(p: AWParams, stop: int, start: int = 0) -> list[Fraction]:

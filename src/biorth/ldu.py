@@ -3,7 +3,7 @@
 The conjectured decomposition is B = L D U with L unit lower triangular,
 U unit upper triangular, and D diagonal with D_0 = 1, D_k = D_{k-1} g_{k-1}.
 Row n of L is <e0| d^n for d the first operator of the monic
-representation, so L is built by applying the band of ``repmat.d_band``
+representation, so L is built by applying the band of ``band.d_band``
 row after row.  L^{-1} comes from its own entry recurrence, written here
 on the dnat and g sweeps (``core.d_natural_sweep``, ``core.g_sweep``) and
 deliberately not from the band: nothing inverts a matrix numerically, so
@@ -22,7 +22,7 @@ elimination of the block itself (``_linalg.lu_pivots``), which reads
 nothing but the moment table.
 
 Both triangular recurrences run on the shared three-term kernel
-``_linalg.three_term``: L through ``TridiagonalOperator.matvec``; L^{-1}
+``core.three_term``: L through ``TridiagonalOperator.matvec``; L^{-1}
 clears its own step coefficients once per row, and the kernel clears the
 three entries of rows i-1 and i-2 each entry reads and forms one Fraction
 per entry.  D is the running product of one g sweep.  The three products
@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import prod
 
-from . import _linalg, repmat
+from . import _linalg, band
 from .bimoment import bimoment_table
 from .core import (
     AWParams,
@@ -54,6 +54,7 @@ from .core import (
     _clear_denominators,
     d_natural_sweep,
     g_sweep,
+    three_term,
 )
 from .reporting import VerificationReport
 
@@ -91,8 +92,8 @@ def build_L(p: AWParams, n: int) -> TriangularFactor:
         raise InvalidParams(f"order must be >= 0, got {n}")
     rows = [[Fraction(1)]]
     if n:
-        dop, _ = repmat.d_band(p, n)
-        transposed = repmat.TridiagonalOperator(dop.size, dop.diag, dop.lower, dop.upper)
+        dop, _ = band.d_band(p, n)
+        transposed = band.TridiagonalOperator(dop.size, dop.diag, dop.lower, dop.upper)
         for i in range(1, n + 1):
             rows.append(transposed.matvec(rows[-1], i) + [Fraction(1)])
     zero = (Fraction(0),)
@@ -133,7 +134,7 @@ def build_L_inverse(p: AWParams, n: int) -> TriangularFactor:
         step = _clear_denominators([1, -dnat[i - 1], two_back])
         last = [0, *m[i - 1]]  # last[j] is Linv[i-1][j-1]
         before = m[i - 2] if i >= 2 else [0] * (n + 1)  # before[j] is Linv[i-2][j]
-        row = _linalg.three_term(repeat(step, i + 1), zip(last, last[1:], before))
+        row = three_term(repeat(step, i + 1), zip(last, last[1:], before))
         m.append(row + [zero] * (n - i))
     return TriangularFactor(n, tuple(tuple(r) for r in m))
 

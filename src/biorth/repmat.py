@@ -1,45 +1,35 @@
-"""Exact tridiagonal operator representations and their recurrence cross-checks.
+"""The Askey-Wilson family and the checks of the tridiagonal representation.
 
-The pair of shifted boundary operators is represented in a rational monic
-basis: the first operator has unit superdiagonal, diagonal dnat_n and
-subdiagonal -bd q^n g_n; the second has subdiagonal g_n, diagonal enat_n
-and superdiagonal -ac q^n.  Every entry is an exact rational.
-:func:`d_band` is the one writer of the first operator's band: it is the d
-of :func:`rep_rational`, and the boundary basis reads it too (the rows of
-the lower factor L are <e0| d^n, and the P_n of the recurrence route are
-its characteristic polynomials).  Both read each coefficient family as one
-sweep of ``core`` (``d_natural_sweep``, ``e_natural_sweep``, ``g_sweep``).
-``ldu.build_L_inverse`` keeps its own recurrence on purpose, as the
-independent reference for both.
+The representation itself, the two operators' bands, is written in
+``band`` (``rep_rational``, ``d_band``).  This module checks it: the
+algebra d e - q e d = (1 - q) id and both boundary relations on a
+truncation, and the match with the Askey-Wilson recurrence.
 
 The sum R of the two operators must reproduce the normalized three-term
 recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family,
 written once in :func:`aw_sweep`: R[n][n] = B_n and
 R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger moments of the two
 Jacobi systems agree.  Both the check and
-:func:`t_polys` read R off :func:`rep_rational`; :func:`t_polys` and the P/Q
+:func:`t_polys` read R off ``rep_rational``; :func:`t_polys` and the P/Q
 recurrence route share :func:`monic_recurrence` and the :class:`PolySeq`
 they return.  :func:`aw_series` evaluates the family through its
 terminating basic hypergeometric series, all levels at one point in one
 sweep, so the recurrence can be validated against an independent
 construction; :func:`aw_eval` is one level of it.
 
-:meth:`TridiagonalOperator.matvec` and :func:`monic_recurrence` are
-three-term steps on the shared integer kernel, through its Fraction form
-``_linalg.three_term``: matvec clears each band row of denominators once
-per operator and monic_recurrence its step once per degree, the kernel
-clears the three values each output entry reads, and each entry is one
-Fraction.  The band walk of ``ldu.build_L`` runs on matvec.
-:func:`jacobi_moments` walks the same cleared band rows on the kernel
-itself, ``_linalg.three_term_pairs``: its components never leave, so they
-stay unreduced integer pairs, and only the moments are Fractions.  The
-``asep`` transfer weights do not run on the kernel: that walk is short
-and wide, so it clears both site operators' bands over one walk-wide
-scale and stays on integers to the end (see ``_linalg``).  All three
-walks read a band through :meth:`TridiagonalOperator.band_rows` and a
-vector through :func:`neighbours`.  :func:`verify_algebra` reads the cleared band rows
-too: d e and e d are five-diagonal, so it visits only those entries, on
-integers, and builds a Fraction for the first failure alone.
+:func:`monic_recurrence` is a three-term step on the shared integer
+kernel, through its Fraction form ``core.three_term``: it clears its step
+once per degree, and each coefficient is one Fraction.
+:func:`jacobi_moments` walks the cleared band rows of a
+``band.TridiagonalOperator`` on the kernel itself,
+``core.three_term_pairs``: its components never leave, so they stay
+unreduced integer pairs, and only the moments are Fractions.  The ``asep``
+transfer weights do not run on the kernel: that walk is short and wide,
+so it clears both site operators' bands over one walk-wide scale and stays
+on integers to the end (see ``core``).  :func:`verify_algebra` reads the
+cleared band rows too: d e and e d are five-diagonal, so it visits only
+those entries, on integers, and builds a Fraction for the first failure
+alone.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 
-from ._linalg import three_term, three_term_pairs
+from .band import TridiagonalOperator, neighbours, rep_rational
 from .core import (
     AWParams,
     DenominatorVanishes,
@@ -62,68 +52,13 @@ from .core import (
     _clear_denominators,
     as_rational,
     d_natural,
-    d_natural_sweep,
     e_natural,
-    e_natural_sweep,
     format_rational,
     g_coeff,
-    g_sweep,
+    three_term,
+    three_term_pairs,
 )
 from .reporting import VerificationReport, differences
-
-
-class TridiagonalOperator(FrozenRecord):
-    """Banded operator truncation: diag[n], upper[n] = (n, n+1), lower[n] = (n+1, n)."""
-
-    _fields = ("size", "diag", "upper", "lower")
-    __slots__ = (*_fields, "_rows")
-
-    def __init__(self, size: int, diag: tuple, upper: tuple, lower: tuple):
-        if len(diag) != size or len(upper) != size - 1 or len(lower) != size - 1:
-            raise ShapeError("band lengths inconsistent with size")
-        self._set(size, diag, upper, lower)
-        object.__setattr__(self, "_rows", None)
-
-    def entry(self, i: int, j: int):
-        if i == j:
-            return self.diag[i]
-        if j == i + 1:
-            return self.upper[i]
-        if j == i - 1:
-            return self.lower[j]
-        return Fraction(0)
-
-    def band_rows(self):
-        """Row i of the band, (lower[i-1], diag[i], upper[i]), with zeros
-        past the edges."""
-        zero = (0,)
-        return zip(zero + self.lower, self.diag, self.upper + zero)
-
-    @property
-    def _cleared_rows(self):
-        """The band rows, each scaled to integers by the lcm of its
-        denominators; computed at the first read."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", [_clear_denominators(row) for row in self.band_rows()])
-        return self._rows
-
-    def matvec(self, vec, levels):
-        """The first ``levels`` components of this operator applied to the
-        column vector vec.  vec may be shorter than size; its missing
-        components are zero.
-
-        Output component i is the three-term step of the integer band
-        row i on the three components it reads: one Fraction per
-        component."""
-        return three_term(self._cleared_rows[:levels], neighbours(vec, levels))
-
-
-def neighbours(vec, levels: int, zero=0):
-    """(vec[i-1], vec[i], vec[i+1]) for i < levels: the components band row
-    i reads, with ``zero`` beyond both ends of vec."""
-    # padded[i + 1] is component i
-    padded = [zero, *vec[: levels + 1], *(zero,) * (levels + 1 - len(vec))]
-    return zip(padded, padded[1:], padded[2:])
 
 
 class AWRecurrenceCoeffs(FrozenRecord):
@@ -184,41 +119,8 @@ def uchiyama_coeffs(p: AWParams, n: int) -> UchiyamaCoeffs:
     )
 
 
-def d_band(p: AWParams, size: int) -> tuple[TridiagonalOperator, list[Fraction]]:
-    """The size-``size`` truncation of the first operator -- diagonal
-    dnat_n, unit superdiagonal, subdiagonal -bd q^n g_n -- and the g_n it
-    read, g_0 .. g_(size-2)."""
-    if size < 1:
-        raise InvalidParams(f"size must be >= 1, got {size}")
-    bd = p.b * p.d
-    q = p.q
-    dnat = tuple(d_natural_sweep(p, size))
-    g = g_sweep(p, size - 1)
-    dop = TridiagonalOperator(
-        size=size,
-        diag=dnat,
-        upper=(Fraction(1),) * (size - 1),
-        lower=tuple(-bd * q**k * g[k] for k in range(size - 1)),
-    )
-    return dop, g
-
-
-def rep_rational(p: AWParams, size: int) -> tuple[TridiagonalOperator, TridiagonalOperator]:
-    """Exact monic-basis truncations of the two operators: :func:`d_band`
-    and the second operator on the same g_n."""
-    dop, g = d_band(p, size)
-    ac = p.a * p.c
-    eop = TridiagonalOperator(
-        size=size,
-        diag=tuple(e_natural_sweep(p, size)),
-        upper=tuple(-ac * p.q**k for k in range(size - 1)),
-        lower=tuple(g),
-    )
-    return dop, eop
-
-
 def _sum_band(p: AWParams, size: int):
-    """Band of R = d + e in the size-``size`` truncation of :func:`rep_rational`:
+    """Band of R = d + e in the size-``size`` truncation of ``rep_rational``:
     the diagonal R[n][n] and the products R[n][n+1] R[n+1][n]."""
     dop, eop = rep_rational(p, size)
     diag = [x + y for x, y in zip(dop.diag, eop.diag)]
@@ -285,7 +187,7 @@ def verify_uchiyama_algebra(p: AWParams, size: int) -> VerificationReport:
         (1 - q^n ac)(1 - q^n bd) g_n  =  A_n C_{n+1},
 
     under which the sharp/flat form is diagonally similar to the exact
-    monic pair of :func:`rep_rational`.  The diagonal check therefore
+    monic pair of ``rep_rational``.  The diagonal check therefore
     rescales the stored products (whose quoted normalization uses square
     g_n) by (1 - q^n ac)(1 - q^n bd) before combining them.  Everything here is
     exact rational arithmetic even though the matrix entries themselves
@@ -490,8 +392,8 @@ def jacobi_moments(diag, offdiag_products, kmax: int):
     first k/2 + 1 levels; shorter truncations are refused, and so is an
     offdiag_products shorter than size - 1 (``ShapeError``).
 
-    The band is a :class:`TridiagonalOperator`, and the walk steps its
-    cleared rows with ``_linalg.three_term_pairs``: the components are
+    The band is a ``TridiagonalOperator``, and the walk steps its
+    cleared rows with ``core.three_term_pairs``: the components are
     unreduced (numerator, denominator) pairs, and the one Fraction per
     step is the moment, component 0.
     """
@@ -528,7 +430,7 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
     for n <= levels, then equality of the Hamburger moments of the two
     monic Jacobi systems (B_n/2, A_{n-1} C_n / 4) and
     (R[n][n] / 2, R[n-1][n] R[n][n-1] / 4) up to k = 2 levels.  R is read
-    off :func:`rep_rational`, the truncation the ansatz transfer walk uses.
+    off ``rep_rational``, the truncation the ansatz transfer walk uses.
     """
     if levels < 1:
         raise InvalidParams(f"levels must be >= 1, got {levels}")

@@ -20,7 +20,6 @@ report, ``csv_text`` for the two tabular commands.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
@@ -48,7 +47,10 @@ def canonical_json(payload) -> str:
 
 
 def csv_text(rows) -> str:
-    """The rows (iterables of strings) as CSV text, one line each."""
+    """The rows (iterables of strings) as CSV text, one line each.  csv is
+    imported here, so a JSON-only command does not load it."""
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()

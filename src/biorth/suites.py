@@ -13,8 +13,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ._linalg import three_term
-from .core import DEFAULT_FUZZ_SEED, AWParams, InvalidParams, _clear_denominators, format_rational, parse_rational
+from .core import (
+    DEFAULT_FUZZ_SEED,
+    AWParams,
+    InvalidParams,
+    _clear_denominators,
+    format_rational,
+    parse_rational,
+    three_term,
+)
 from .reporting import VerificationReport
 
 # Generic points, a three-parameter reduction (c = d = 0), and a point with
@@ -122,7 +129,7 @@ def rep_suite(p: AWParams, n: int) -> dict:
 def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
     """The terminating 4phi3 series against the three-term recurrence at
     levels 0..n, at each t in t_values: one series sweep per t."""
-    from . import repmat
+    from . import band, repmat
 
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
@@ -134,7 +141,7 @@ def aw_suite(p: AWParams, n: int, t_values=AW_T_VALUES) -> dict:
         values = repmat.aw_series(p, n + 2, t)
         # C_k v_(k-1) + (B_k - 2x) v_k + A_k v_(k+1), on the integer kernel
         steps = [_clear_denominators([c.C, c.B - two_x, c.A]) for c in coeffs]
-        for k, residual in enumerate(three_term(steps, repmat.neighbours(values, n + 1))):
+        for k, residual in enumerate(three_term(steps, band.neighbours(values, n + 1))):
             if residual != 0:
                 yield {"n": k, "residual": residual}
 

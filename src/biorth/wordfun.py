@@ -11,17 +11,17 @@ entry k the coefficient of d^(I-k) e^(J-k), then the scale.  Normal
 ordering is right multiplication: a word is its prefix's form times its
 last letter.  A trailing e changes no coefficient, so only the prefixes
 that end in d are formed; a trailing d is one pass over the tuple
-(``_times_d``, the one place the d-rule is written).  A batch of words is
-normal ordered in sorted order, where the words that share a prefix are
-adjacent: the walk keeps the current word's prefixes that end in d, so it
-forms each such prefix of the batch once and keeps no more of them than
-the longest word has d's (``_word_forms``).  No form outlives its batch.
+(``powers._times_d``, the one place the d-rule is written).  A batch of
+words is normal ordered in sorted order, where the words that share a
+prefix are adjacent: the walk keeps the current word's prefixes that end
+in d, so it forms each such prefix of the batch once and keeps no more of
+them than the longest word has d's (``_word_forms``).  No form outlives
+its batch.
 A word polynomial's forms are placed at their (i, j) over the lcm of their
-scales, and each moment sum is one integer dot product and one Fraction
-(see ``_linalg``).  ``normal_power`` multiplies forms spread over several
-diagonals by a rational letter, each term's d part by what the same
-``_times_d`` moves one entry to, read once per j.  Other Fractions are
-built only where ``normal_order`` and ``normal_power`` return.
+scales, as one ``powers.Form``, and its functional is one moment sum of
+``powers._moment_sums``.  Other Fractions are built only where
+``normal_order`` returns.  Powers of a letter are normal ordered without
+words, in ``powers``.
 
 ``functional_values`` evaluates a batch of word polynomials at one point:
 the table is looked up once, each distinct word is normal ordered once,
@@ -62,6 +62,7 @@ from .core import (
     _clear_denominators,
     as_rational,
 )
+from .powers import Form, _fractions, _moment_sums, _times_d
 from .reporting import VerificationReport
 
 _LETTERS = frozenset("de")
@@ -186,79 +187,6 @@ def _split_normal(word: str) -> tuple[int, int]:
 # d^(I-k) e^(J-k) over the integer scale, which is the last entry (t^n for
 # q = t/s and n pairs of an e before a d), and I and J are read off the word.
 WordForm = tuple[int, ...]
-# A normal form spread over several diagonals, as a word polynomial's or a
-# power's: integer coefficients {(i, j): coeff of d^i e^j} over one integer
-# scale.  The moment sums read this one.
-Form = tuple[dict[tuple[int, int], int], int]
-
-
-def _times_d(coeffs, top: int, depth: int, tp: list[int], sp: list[int]) -> list[int]:
-    """One diagonal times d: ``coeffs``, entry k the coefficient of
-    d^(I-k) e^(top-k), become those of d^(I+1-k) e^(top-k), by
-
-        d^i e^j . d = q^(-j) d^(i+1) e^j + (1 - q^(-j)) d^i e^(j-1),
-
-    the second from e^j d = q^(-j) d e^j + (1 - q^(-j)) e^(j-1), the bulk
-    relation e d = q^(-1) d e - q^(-1) (1 - q) applied j times.  On
-    integers: with q = t/s and depth >= top, q^(-j) t^depth = s^j t^(depth-j)
-    is read from ``tp`` and ``sp``, the powers of t and s up to depth, so the
-    result is over t^depth times the old scale.
-    """
-    t_depth = tp[depth]
-    out = []
-    lower = 0  # what the entry before moved down to this one
-    j = top
-    for coeff in coeffs:
-        moved = sp[j] * tp[depth - j] * coeff
-        out.append(moved + lower)
-        lower = t_depth * coeff - moved
-        j -= 1
-    if j >= 0:  # the last entry had j >= 1; at j = 0 nothing moves down
-        out.append(lower)
-    return out
-
-
-def _times_letter(form: Form, const, d_coeff, e_coeff, powers: _QPowers) -> Form:
-    """The normal form (ints, scale) times the letter
-    const + d_coeff d + e_coeff e, normal ordered again: d^i e^j . e =
-    d^i e^(j+1), and d^i e^j . d as ``_times_d`` moves a diagonal of one
-    entry, read once per j.
-
-    An integer kernel (see ``_linalg``): a rational letter is cleared of
-    denominators once, and when it has a d part every term is put over the
-    one scale t^J, J the largest j.  No Fraction is built.
-    """
-    ints, scale = form
-    (const, d_coeff, e_coeff), letter_scale = _clear_denominators([const, d_coeff, e_coeff])
-    depth = max((j for _, j in ints), default=0) if d_coeff else 0
-    tp, sp = powers.upto(depth)
-    t_depth = tp[depth]
-    e_top, const_top = e_coeff * t_depth, const * t_depth
-    # d^i e^j . d_coeff d per unit coefficient, one per j: the coefficient
-    # of d^(i+1) e^j, then of d^i e^(j-1) when j > 0
-    units = [_times_d((d_coeff,), j, depth, tp, sp) for j in range(depth + 1)] if d_coeff else ()
-    out: dict[tuple[int, int], int] = {}
-    get = out.get
-    for (i, j), coeff in ints.items():
-        if e_top:
-            key = (i, j + 1)
-            out[key] = get(key, 0) + e_top * coeff
-        if d_coeff:
-            unit = units[j]
-            key = (i + 1, j)
-            out[key] = get(key, 0) + unit[0] * coeff
-            if len(unit) > 1:
-                key = (i, j - 1)
-                out[key] = get(key, 0) + unit[1] * coeff
-        if const_top:
-            key = (i, j)
-            out[key] = get(key, 0) + const_top * coeff
-    return {key: value for key, value in out.items() if value}, scale * letter_scale * t_depth
-
-
-def _fractions(form: Form) -> dict[tuple[int, int], Fraction]:
-    ints, scale = form
-    return {key: Fraction(value, scale) for key, value in ints.items()}
 
 
 _NORMAL_CACHE: dict = {}  # never stored into; kept for perfbench/workloads, which reads it
@@ -334,27 +262,6 @@ def normal_order(wp: WordPoly, q) -> WordPoly:
     return WordPoly({"d" * i + "e" * j: coeff for (i, j), coeff in coeffs.items()})
 
 
-def _moment_sums(table, forms: list[Form]) -> list[Fraction]:
-    """Functional of each normal form (ints, scale), off the moment table.
-    The moments the forms read are cleared of denominators once, over one
-    scale, so each form is one integer dot product and one Fraction.  The
-    table's denominators nearly divide one another, so that scale stays
-    small: over orders i + j <= 40 at the costliest GRID point their lcm
-    has 1,923 bits, the largest 1,838."""
-    keys = list(dict.fromkeys(key for ints, _ in forms for key in ints))
-    moments, moment_scale = _clear_denominators([table.entry(i, j) for i, j in keys])
-    cleared = dict(zip(keys, moments)).__getitem__
-    return [
-        Fraction(sum(map(mul, ints.values(), map(cleared, ints))), scale * moment_scale)
-        for ints, scale in forms
-    ]
-
-
-def _moment_sum(p: AWParams, form: Form) -> Fraction:
-    """Functional of one normal form (ints, scale), off the moment table."""
-    return _moment_sums(bimoment_table(p), [form])[0]
-
-
 def functional_values(polys, p: AWParams) -> list[Fraction]:
     """Value of the boundary functional on each word polynomial of
     ``polys``, given as {word: coeff} mappings (int or Fraction
@@ -375,32 +282,6 @@ def functional_values(polys, p: AWParams) -> list[Fraction]:
 def functional(wp: WordPoly, p: AWParams) -> Fraction:
     """Value of the boundary functional: :func:`functional_values` of wp."""
     return functional_values([wp.terms], p)[0]
-
-
-def _power_form(const, weight, length: int, q) -> Form:
-    q, const, weight = as_rational(q), as_rational(const), as_rational(weight)
-    if q == 0:
-        raise UnsupportedQ("normal ordering divides by q; q = 0 is unsupported")
-    if length < 0:
-        raise InvalidParams(f"power must be >= 0, got {length}")
-    form = {(0, 0): 1}, 1
-    powers = _QPowers(q)
-    for _ in range(length):
-        form = _times_letter(form, const, weight, weight, powers)
-    return form
-
-
-def normal_power(const, weight, length: int, q) -> dict[tuple[int, int], Fraction]:
-    """Normal-ordered coefficients {(i, j): coeff of d^i e^j} of
-    (const + weight (d + e))^length, one right multiplication per factor:
-    O(length^3) coefficient updates, no word expanded, nothing memoized."""
-    return _fractions(_power_form(const, weight, length, q))
-
-
-def power_functional(p: AWParams, length: int, const, weight) -> Fraction:
-    """Functional of (const + weight (d + e))^length, by :func:`normal_power`'s
-    loop and the moment table."""
-    return _moment_sum(p, _power_form(const, weight, length, p.q))
 
 
 def elimination_values(words, p: AWParams) -> list[Fraction]:

@@ -49,8 +49,9 @@ from biorth import (
     validate,
     verify_algebra,
 )
-from biorth._linalg import mat_mul, product_mismatches, three_term, three_term_pairs
+from biorth._linalg import mat_mul, product_mismatches
 from biorth.asep import generator
+from biorth.band import TridiagonalOperator, rep_rational
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
 from biorth.core import (
     _QPowers,
@@ -60,21 +61,21 @@ from biorth.core import (
     e_natural_sweep,
     g_sweep,
     qpoch_multi,
+    three_term,
+    three_term_pairs,
 )
+from biorth.powers import _moment_sum, _times_letter, normal_power
 from biorth.repmat import (
     AWRecurrenceCoeffs,
-    TridiagonalOperator,
     _sum_band,
     aw_coeffs,
     aw_eval,
     aw_series,
     aw_sweep,
     monic_recurrence,
-    rep_rational,
 )
 from biorth.reporting import differences
 from biorth.suites import GRID
-from biorth.wordfun import _moment_sum, _times_letter, normal_power
 
 from conftest import make_params, rationals, replace
 

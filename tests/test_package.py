@@ -5,6 +5,7 @@ module holds."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -57,17 +58,38 @@ def test_no_command_loads_the_introspection_modules(code):
     assert not (loaded_by(code, "") - loaded_by("pass", "")) & heavy
 
 
+LAYERS = {info.name for info in pkgutil.iter_modules(biorth.__path__)}
+
+
 @pytest.mark.parametrize(
     "argv, runs, unloaded",
     [
-        (["stationary", *CANONICAL, "--L", "3"], "asep", {"ldu", "biortho", "suites"}),
-        (["ldu", *CANONICAL, "--n", "4"], "ldu", {"asep", "wordfun", "biortho"}),
+        (
+            ["stationary", *CANONICAL, "--L", "3"],
+            "asep",
+            {"repmat", "_linalg", "wordfun", "ldu", "biortho", "suites"},
+        ),
+        (["ldu", *CANONICAL, "--n", "4"], "ldu", {"repmat", "asep", "wordfun", "powers", "biortho"}),
+        (["rep", *CANONICAL, "--n", "4"], "repmat", {"bimoment", "_linalg", "asep", "wordfun", "ldu", "biortho"}),
+        (["aw", *CANONICAL, "--n", "4"], "repmat", {"bimoment", "_linalg", "asep", "wordfun", "ldu", "biortho"}),
+        (["bimoment", *CANONICAL, "--n", "4"], "bimoment", LAYERS - {"core", "reporting", "bimoment", "cli"}),
+        (
+            ["functional", *CANONICAL, "--max-len", "4", "--trials", "10"],
+            "wordfun",
+            {"_linalg", "repmat", "band", "asep", "ldu", "biortho"},
+        ),
+        (["polys", *CANONICAL, "--n", "4"], "biortho", {"asep", "wordfun"}),
     ],
 )
 def test_a_command_loads_only_its_layers(argv, runs, unloaded):
     loaded = loaded_by(f"from biorth import cli\nassert cli.main({argv!r}) == 0")
     assert f"biorth.{runs}" in loaded
     assert not loaded & {f"biorth.{name}" for name in unloaded}
+
+
+def test_a_json_command_does_not_load_csv():
+    code = f"from biorth import cli\nassert cli.main({['stationary', *CANONICAL, '--L', '3']!r}) == 0"
+    assert "csv" not in loaded_by(code, "csv")
 
 
 def test_every_public_name_is_its_modules_object():

@@ -26,7 +26,7 @@ from biorth import (
     verify_ldu,
     verify_uchiyama_algebra,
 )
-from biorth import repmat, suites
+from biorth import band, repmat, suites
 from biorth.repmat import uchiyama_coeffs
 
 from conftest import make_params
@@ -123,18 +123,18 @@ def test_aw_match_reads_the_representation(monkeypatch, canonical):
 
 
 def test_boundary_basis_reads_the_band(monkeypatch, canonical):
-    # L and the recurrence route of P/Q read repmat.d_band; build_L_inverse
+    # L and the recurrence route of P/Q read band.d_band; build_L_inverse
     # and the pairing grid do not, so a wrong band shows against them
-    exact = repmat.d_band
+    exact = band.d_band
 
     def perturbed(p, size):
         dop, g = exact(p, size)
         diag = list(dop.diag)
         if size > 2:
             diag[2] += 1
-        return repmat.TridiagonalOperator(dop.size, tuple(diag), dop.upper, dop.lower), g
+        return band.TridiagonalOperator(dop.size, tuple(diag), dop.upper, dop.lower), g
 
-    monkeypatch.setattr(repmat, "d_band", perturbed)
+    monkeypatch.setattr(band, "d_band", perturbed)
     checks = {c.name: c.passed for c in verify_ldu(canonical, 8).checks}
     checks.update({c.name: c.passed for c in suites.polys_suite(canonical, 8, False)["polys"].checks})
     assert not checks["bimoment-equals-LDU"]

@@ -20,8 +20,9 @@ from biorth import (
 )
 from biorth import bimoment, wordfun
 from biorth.core import _QPowers
-from biorth.repmat import rep_rational
-from biorth.wordfun import is_normal, normal_power, power_functional
+from biorth.band import rep_rational
+from biorth.powers import normal_power, power_functional
+from biorth.wordfun import is_normal
 
 from conftest import make_params, without_timings, word_terms
 
