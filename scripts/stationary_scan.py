@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from biorth import AWParams, BiorthError, compare, parse_rational, to_rates
-from biorth.asep import _GENERATOR_LIMIT, config_bits
+from biorth.asep import _GENERATOR_LIMIT, config_string
 
 
 def density_profile(dist):
@@ -26,8 +26,8 @@ def density_profile(dist):
     length = dist.length
     profile = [Fraction(0)] * length
     for state, prob in enumerate(dist.probabilities):
-        for site, bit in enumerate(config_bits(state, length)):
-            if bit:
+        for site, bit in enumerate(config_string(state, length)):
+            if bit == "1":
                 profile[site] += prob
     return profile
 

@@ -26,8 +26,8 @@ _EXPORTS = {
         "det_closed_form", "verify_ldu",
     ),
     "biortho": (
-        "biorthogonality_check", "bordered_determinant_check", "monomial_expansion_check",
-        "pairing", "polys_from_inverse", "polys_from_recurrence",
+        "PolySeq", "biorthogonality_check", "bordered_determinant_check",
+        "monomial_expansion_check", "pairing", "polys_from_inverse", "polys_from_recurrence",
     ),
     "wordfun": (
         "WordPoly", "check_defining_relations", "eval_by_elimination", "functional",
@@ -35,8 +35,8 @@ _EXPORTS = {
     ),
     "band": ("rep_rational",),
     "repmat": (
-        "PolySeq", "aw_coeffs", "aw_eval", "jacobi_moments", "t_polys", "verify_algebra",
-        "verify_aw_match", "verify_boundary", "verify_uchiyama_algebra",
+        "aw_coeffs", "aw_eval", "jacobi_moments", "verify_algebra", "verify_aw_match",
+        "verify_boundary", "verify_uchiyama_algebra",
     ),
     "asep": (
         "ComparisonReport", "StationaryDistribution", "ansatz_weight", "certify_stationary",

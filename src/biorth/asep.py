@@ -98,10 +98,6 @@ def config_string(state: int, length: int) -> str:
     return format(state, f"0{length}b")
 
 
-def config_bits(state: int, length: int) -> tuple[int, ...]:
-    return tuple(int(ch) for ch in config_string(state, length))
-
-
 class StationaryDistribution(FrozenRecord):
     """Exact distribution over configurations of a fixed length.
 
@@ -123,9 +119,6 @@ class StationaryDistribution(FrozenRecord):
             raise InvalidParams("probabilities must sum to exactly 1")
         self._set(length, probabilities, normalization)
         object.__setattr__(self, "cleared", cleared)
-
-    def probability(self, state: int) -> Fraction:
-        return self.probabilities[state]
 
     def to_map(self) -> dict[str, str]:
         return {

@@ -28,8 +28,8 @@ once, as one growth to the final order does.
 A block or entry reader at order n reads only the (n+1)^2 square; the
 rows below it feed later columns (351 of the 1,080 entries at order 26).
 The row fill is coded separately: derived from the swapped column fill,
-the agreement of the two fills would only repeat
-:func:`check_transpose_symmetry`.
+the agreement of the two fills would only repeat the array's transpose
+symmetry under a<->b, c<->d.
 
 All three recurrences run on integer kernels (see ``core``).  Both bulk
 fills are one band step on the previous column or row: the column fill
@@ -230,9 +230,6 @@ class BimomentMatrix(FrozenRecord):
     def __init__(self, params: AWParams, order: int, entries: tuple[tuple[Fraction, ...], ...]):
         self._set(params, order, entries)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
 
@@ -284,46 +281,3 @@ def bimoment_block(p: AWParams, n: int, fill: str = "columns") -> BimomentMatrix
     data = bimoment_table(p).block(n) if fill == "columns" else _block_by_rows(p, n)
     return BimomentMatrix(params=p, order=n, entries=tuple(tuple(r) for r in data))
 
-
-def check_transpose_symmetry(p: AWParams, n: int) -> bool:
-    """True iff transposing the block matches both parameter swaps.
-
-    The block for (a, b, c, d, q) transposed must equal the block for
-    (b, a, d, c, q) and also the block for (d, c, b, a, q).
-    """
-    base = bimoment_table(p)
-    base.ensure(n)
-    for swapped_params in (p.swap_ab_cd(), p.swap_ad_bc()):
-        swapped = bimoment_table(swapped_params)
-        swapped.ensure(n)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if base.entry(i, j) != swapped.entry(j, i):
-                    return False
-    return True
-
-
-def check_recurrences(p: AWParams, n: int) -> bool:
-    """Verify both bulk recurrences on every stored entry of the order-n
-    trapezoid whose referenced neighbours are all present."""
-    table = bimoment_table(p)
-    table.ensure(n)
-    entries = table.stored_items()
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    ac, bd = a * c, b * d
-    for (i, j), value in entries.items():
-        if i >= 1 and j >= 1:
-            qi = q**i
-            left = entries.get((i - 1, j - 1))
-            mid = entries.get((i, j - 1))
-            down = entries.get((i + 1, j - 1))
-            if left is not None and mid is not None and down is not None:
-                if value != (1 - qi) * left + (a + c) * qi * mid - ac * qi * down:
-                    return False
-            qj = q**j
-            up = entries.get((i - 1, j))
-            right = entries.get((i - 1, j + 1))
-            if left is not None and up is not None and right is not None:
-                if value != (1 - qj) * left + (b + d) * qj * up - bd * qj * right:
-                    return False
-    return True

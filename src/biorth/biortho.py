@@ -5,10 +5,13 @@ constructions must agree:
 
 * rows of the inverse lower factor (``ldu.build_L_inverse``, its own
   recurrence) give the coefficients of P_n;
-* ``repmat.monic_recurrence`` on the band of the first operator
+* :func:`monic_recurrence` on the band of the first operator
   (``band.d_band``), i.e. the characteristic polynomials of its leading
   blocks:
       P_{n+1} = (x - dnat_n) P_n + bd q^(n-1) g_{n-1} P_{n-1}.
+  It is a three-term step on the shared integer kernel, through its
+  Fraction form ``core.three_term``: it clears its step once per degree,
+  and each coefficient is one Fraction.
 
 Q_n is P_n at the swapped point a<->b, c<->d (the swap transposes the
 moment block), so both constructions build it by swapping the parameters
@@ -26,15 +29,57 @@ functional and imports ``wordfun`` when called: no command runs it, so
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
-from . import _linalg, band, repmat
+from . import _linalg, band
 from .bimoment import bimoment_table
-from .core import AWParams, InvalidParams, SingularParams, SizeLimit
+from .core import (
+    AWParams, FrozenRecord, InvalidParams, SingularParams, SizeLimit, _clear_denominators, three_term
+)
 from .ldu import build_D, build_L, build_L_inverse, build_U
-from .repmat import PolySeq
 from .reporting import VerificationReport
 
 _VARIABLES = ("d", "e")
+
+
+class PolySeq(FrozenRecord):
+    """Sequence of monic polynomials; coeffs[n][k] multiplies x^k."""
+
+    __slots__ = _fields = ("variable", "coeffs")
+
+    def __init__(self, variable: str, coeffs: tuple[tuple[Fraction, ...], ...]):
+        for n, row in enumerate(coeffs):
+            if len(row) != n + 1 or row[n] != 1:
+                raise InvalidParams(f"polynomial {n} is not monic of degree {n}")
+        self._set(variable, coeffs)
+
+    @property
+    def count(self) -> int:
+        return len(self.coeffs)
+
+    def poly(self, n: int) -> tuple[Fraction, ...]:
+        return self.coeffs[n]
+
+    def square(self) -> list[list[Fraction]]:
+        """The coefficient rows zero-padded to a count x count matrix."""
+        return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
+
+
+def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficient rows (constant term first) of T_0 .. T_len(diag), where
+
+        T_0 = 1,  T_(n+1)(x) = (x - diag[n]) T_n(x) - products[n-1] T_(n-1)(x):
+
+    the characteristic polynomials of the leading blocks of the tridiagonal
+    matrix whose diagonal is diag and whose off-diagonal pairs multiply to
+    products."""
+    seq = [(Fraction(1),)]
+    for n, value in enumerate(diag):
+        step = _clear_denominators([1, -value, -products[n - 1] if n else 0])
+        cur = [0, *seq[-1], 0]  # cur[k] is the x^(k-1) coefficient of T_n
+        before = [*(seq[-2] if n else ()), 0, 0]  # before[k] is the x^k coefficient of T_(n-1)
+        seq.append(tuple(three_term(repeat(step, n + 2), zip(cur, cur[1:], before))))
+    return tuple(seq)
 
 
 def _p_side(p: AWParams, count: int, variable: str) -> AWParams:
@@ -63,7 +108,7 @@ def polys_from_recurrence(p: AWParams, count: int, variable: str = "d") -> PolyS
         return PolySeq(variable=variable, coeffs=((Fraction(1),),))
     dop, _ = band.d_band(p, count - 1)
     products = [upper * lower for upper, lower in zip(dop.upper, dop.lower)]
-    return PolySeq(variable=variable, coeffs=repmat.monic_recurrence(dop.diag, products))
+    return PolySeq(variable=variable, coeffs=monic_recurrence(dop.diag, products))
 
 
 def monomial_expansion_check(p: AWParams, count: int) -> bool:

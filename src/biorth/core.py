@@ -282,10 +282,6 @@ class AWParams(FrozenRecord):
         """Exchange a<->b and c<->d (transposes the bimoment array)."""
         return AWParams(self.b, self.a, self.d, self.c, self.q)
 
-    def swap_ad_bc(self) -> "AWParams":
-        """Exchange a<->d and b<->c (also transposes the bimoment array)."""
-        return AWParams(self.d, self.c, self.b, self.a, self.q)
-
     def to_map(self) -> dict[str, str]:
         return {k: format_rational(getattr(self, k)) for k in self._fields}
 

@@ -9,17 +9,12 @@ The sum R of the two operators must reproduce the normalized three-term
 recurrence coefficients (A_n, B_n, C_n) of the attached orthogonal family,
 written once in :func:`aw_sweep`: R[n][n] = B_n and
 R[n][n+1] R[n+1][n] = A_n C_{n+1}, and the Hamburger moments of the two
-Jacobi systems agree.  Both the check and
-:func:`t_polys` read R off ``rep_rational``; :func:`t_polys` and the P/Q
-recurrence route share :func:`monic_recurrence` and the :class:`PolySeq`
-they return.  :func:`aw_series` evaluates the family through its
-terminating basic hypergeometric series, all levels at one point in one
-sweep, so the recurrence can be validated against an independent
-construction; :func:`aw_eval` is one level of it.
+Jacobi systems agree.  The check reads R off ``rep_rational``.
+:func:`aw_series` evaluates the family through its terminating basic
+hypergeometric series, all levels at one point in one sweep, so the
+recurrence can be validated against an independent construction;
+:func:`aw_eval` is one level of it.
 
-:func:`monic_recurrence` is a three-term step on the shared integer
-kernel, through its Fraction form ``core.three_term``: it clears its step
-once per degree, and each coefficient is one Fraction.
 :func:`jacobi_moments` walks the cleared band rows of a
 ``band.TridiagonalOperator`` on the kernel itself,
 ``core.three_term_pairs``: its components never leave, so they stay
@@ -35,7 +30,6 @@ alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 
 from .band import TridiagonalOperator, neighbours, rep_rational
@@ -55,7 +49,6 @@ from .core import (
     e_natural,
     format_rational,
     g_coeff,
-    three_term,
     three_term_pairs,
 )
 from .reporting import VerificationReport, differences
@@ -431,6 +424,11 @@ def verify_aw_match(p: AWParams, levels: int) -> VerificationReport:
     monic Jacobi systems (B_n/2, A_{n-1} C_n / 4) and
     (R[n][n] / 2, R[n-1][n] R[n][n-1] / 4) up to k = 2 levels.  R is read
     off ``rep_rational``, the truncation the ansatz transfer walk uses.
+
+    The ``jacobi-moments`` check is implied by the two entrywise checks
+    before it: its two bands are the values they have just compared, so it
+    fails only where one of them fails.  It is no independent route until
+    the moments are set against the Askey-Wilson integral (ROADMAP item 1).
     """
     if levels < 1:
         raise InvalidParams(f"levels must be >= 1, got {levels}")
@@ -544,57 +542,3 @@ def aw_eval(p: AWParams, n: int, t) -> Fraction:
     """Level-n member of the orthogonal family at the point x = (t + 1/t)/2:
     level n of :func:`aw_series`."""
     return aw_series(p, n + 1, t, n)[0]
-
-
-class PolySeq(FrozenRecord):
-    """Sequence of monic polynomials; coeffs[n][k] multiplies x^k."""
-
-    __slots__ = _fields = ("variable", "coeffs")
-
-    def __init__(self, variable: str, coeffs: tuple[tuple[Fraction, ...], ...]):
-        for n, row in enumerate(coeffs):
-            if len(row) != n + 1 or row[n] != 1:
-                raise InvalidParams(f"polynomial {n} is not monic of degree {n}")
-        self._set(variable, coeffs)
-
-    @property
-    def count(self) -> int:
-        return len(self.coeffs)
-
-    def poly(self, n: int) -> tuple[Fraction, ...]:
-        return self.coeffs[n]
-
-    def square(self) -> list[list[Fraction]]:
-        """The coefficient rows zero-padded to a count x count matrix."""
-        return [list(row) + [Fraction(0)] * (self.count - len(row)) for row in self.coeffs]
-
-
-def monic_recurrence(diag, products) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient rows (constant term first) of T_0 .. T_len(diag), where
-
-        T_0 = 1,  T_(n+1)(x) = (x - diag[n]) T_n(x) - products[n-1] T_(n-1)(x):
-
-    the characteristic polynomials of the leading blocks of the tridiagonal
-    matrix whose diagonal is diag and whose off-diagonal pairs multiply to
-    products."""
-    seq = [(Fraction(1),)]
-    for n, value in enumerate(diag):
-        step = _clear_denominators([1, -value, -products[n - 1] if n else 0])
-        cur = [0, *seq[-1], 0]  # cur[k] is the x^(k-1) coefficient of T_n
-        before = [*(seq[-2] if n else ()), 0, 0]  # before[k] is the x^k coefficient of T_(n-1)
-        seq.append(tuple(three_term(repeat(step, n + 2), zip(cur, cur[1:], before))))
-    return tuple(seq)
-
-
-def t_polys(p: AWParams, count: int) -> PolySeq:
-    """Monic polynomials generated by the operator-sum recurrence.
-
-    Internally the natural variable is 2x; reported coefficients are in x:
-    That_{n+1}(x) = (x - R[n][n]/2) That_n(x)
-                    - (R[n-1][n] R[n][n-1] / 4) That_{n-1}(x).
-    """
-    if count <= 0:
-        raise InvalidParams(f"count must be positive, got {count}")
-    diag, products = _sum_band(p, count - 1) if count > 1 else ((), ())
-    coeffs = monic_recurrence([v / 2 for v in diag], [v / 4 for v in products])
-    return PolySeq(variable="x", coeffs=coeffs)

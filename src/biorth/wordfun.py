@@ -169,11 +169,6 @@ class WordPoly:
         return "WordPoly(" + " + ".join(parts) + ")"
 
 
-def is_normal(word: str) -> bool:
-    """True iff every d precedes every e."""
-    return "ed" not in word
-
-
 def _split_normal(word: str) -> tuple[int, int]:
     cut = word.find("e")
     if cut < 0:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from biorth import AWParams, is_valid
+from biorth.bimoment import bimoment_table
 from biorth.suites import GRID
 
 settings.register_profile(
@@ -37,6 +38,50 @@ def word_terms(word: str, form) -> dict[tuple[int, int], int]:
     as {(i, j): coeff of d^i e^j}: entry k at (I - k, J - k), zeros left out."""
     i, j = word.count("d"), word.count("e")
     return {(i - k, j - k): coeff for k, coeff in enumerate(form[:-1]) if coeff}
+
+
+def check_transpose_symmetry(p: AWParams, n: int) -> bool:
+    """True iff transposing the block matches both parameter swaps.
+
+    The block for (a, b, c, d, q) transposed must equal the block for
+    (b, a, d, c, q) and also the block for (d, c, b, a, q).
+    """
+    base = bimoment_table(p)
+    base.ensure(n)
+    for swapped_params in (p.swap_ab_cd(), AWParams(p.d, p.c, p.b, p.a, p.q)):
+        swapped = bimoment_table(swapped_params)
+        swapped.ensure(n)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if base.entry(i, j) != swapped.entry(j, i):
+                    return False
+    return True
+
+
+def check_recurrences(p: AWParams, n: int) -> bool:
+    """Verify both bulk recurrences on every stored entry of the order-n
+    trapezoid whose referenced neighbours are all present."""
+    table = bimoment_table(p)
+    table.ensure(n)
+    entries = table.stored_items()
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    ac, bd = a * c, b * d
+    for (i, j), value in entries.items():
+        if i >= 1 and j >= 1:
+            qi = q**i
+            left = entries.get((i - 1, j - 1))
+            mid = entries.get((i, j - 1))
+            down = entries.get((i + 1, j - 1))
+            if left is not None and mid is not None and down is not None:
+                if value != (1 - qi) * left + (a + c) * qi * mid - ac * qi * down:
+                    return False
+            qj = q**j
+            up = entries.get((i - 1, j))
+            right = entries.get((i - 1, j + 1))
+            if left is not None and up is not None and right is not None:
+                if value != (1 - qj) * left + (b + d) * qj * up - bd * qj * right:
+                    return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,9 @@ from biorth import (
     verify_boundary,
     verify_ldu,
 )
-from biorth.bimoment import check_transpose_symmetry
 from biorth.repmat import aw_coeffs, aw_eval
+
+from conftest import check_transpose_symmetry
 
 
 def _report(num, ok, detail):

@@ -23,7 +23,6 @@ from biorth.asep import (
     _site_letter,
     _transfer_weights,
     certify_stationary,
-    config_bits,
     config_string,
     generator,
 )
@@ -36,7 +35,6 @@ from conftest import make_params, replace, valid_params
 
 def test_config_helpers():
     assert config_string(5, 4) == "0101"
-    assert config_bits(5, 4) == (0, 1, 0, 1)
     with pytest.raises(InvalidParams):
         config_string(16, 4)
     with pytest.raises(InvalidParams):
@@ -76,8 +74,8 @@ def test_stationary_single_site(canonical):
     rates = to_rates(canonical)
     dist = stationary_exact(1, rates)
     total = rates.alpha + rates.beta + rates.gamma + rates.delta
-    assert dist.probability(1) == (rates.alpha + rates.delta) / total
-    assert dist.probability(1) == F(31, 72)
+    assert dist.probabilities[1] == (rates.alpha + rates.delta) / total
+    assert dist.probabilities[1] == F(31, 72)
 
 
 @given(valid_params())
@@ -88,14 +86,14 @@ def test_stationary_solves_balance(p):
     # pi is a left null vector of the rate matrix
     for j in range(4):
         flow = sum(
-            dist.probability(i) * rate for (i, jj), rate in gen.items() if jj == j
+            dist.probabilities[i] * rate for (i, jj), rate in gen.items() if jj == j
         )
         assert flow == 0
 
 
 def test_ansatz_weights_single_site(canonical):
     block = bimoment_block(canonical, 1)
-    b10 = block.entry(1, 0)
+    b10 = block.entries[1][0]
     assert ansatz_weight((1,), canonical, "shifted") == b10
     assert ansatz_weight((1,), canonical, "unshifted") == (1 + b10) / canonical.qprime
     with pytest.raises(InvalidParams):
@@ -108,11 +106,11 @@ def test_ansatz_weights_two_sites(canonical):
     # occupied-then-empty reads the (1, 1) moment in the shifted letters
     assert ansatz_weight((1, 0), canonical, "shifted") == bimoment_block(
         canonical, 1
-    ).entry(1, 1)
+    ).entries[1][1]
 
 
 def _word_route(length, p, variant):
-    return [ansatz_weight(config_bits(s, length), p, variant) for s in range(1 << length)]
+    return [ansatz_weight(config_string(s, length), p, variant) for s in range(1 << length)]
 
 
 def _weights(length, p, variant):
@@ -441,7 +439,7 @@ def test_particle_hole_reflection_symmetry(canonical):
         flipped = 0
         for i in range(length):
             flipped |= ((1 - ((s >> i) & 1)) << (length - 1 - i))
-        assert image.probability(flipped) == dist.probability(s)
+        assert image.probabilities[flipped] == dist.probabilities[s]
         assert flipped ^ mask == int(config_string(s, length)[::-1], 2)
 
 

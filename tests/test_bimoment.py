@@ -3,10 +3,10 @@ from fractions import Fraction as F
 from hypothesis import given, strategies as st
 
 from biorth import WordPoly, bimoment, bimoment_block, bimoment_table, functional
-from biorth.bimoment import BimomentTable, check_recurrences, check_transpose_symmetry
+from biorth.bimoment import BimomentTable
 from biorth.suites import verify_point
 
-from conftest import make_params
+from conftest import check_recurrences, check_transpose_symmetry, make_params
 
 
 def test_first_moments_against_linear_system(canonical):
@@ -14,9 +14,9 @@ def test_first_moments_against_linear_system(canonical):
     # relations L(d - e) = (b10 - b01) and L(beta' d + delta' e) = ... reduce
     # to a 2x2 linear system for (L(d), L(e)).  Solved by hand once:
     m = bimoment_block(canonical, 1)
-    assert m.entry(0, 0) == 1
-    assert m.entry(1, 0) == F(8, 23)
-    assert m.entry(0, 1) == F(18, 23)
+    assert m.entries[0][0] == 1
+    assert m.entries[1][0] == F(8, 23)
+    assert m.entries[0][1] == F(18, 23)
 
 
 def test_fill_routes_agree(grid):
@@ -49,7 +49,7 @@ def test_entries_match_functional(canonical):
 def test_table_auto_extends(i, j):
     table = bimoment_table(make_params(("1", "1/2", "-1/3", "-1/4", "1/2")))
     value = table.entry(i, j)  # must not raise regardless of fill order
-    assert value == bimoment_block(table.params, max(i, j)).entry(i, j)
+    assert value == bimoment_block(table.params, max(i, j)).entries[i][j]
 
 
 def test_entry_grows_only_outside_the_stored_trapezoid(canonical):

@@ -158,4 +158,4 @@ def test_pairing_of_plain_monomials_recovers_moments(canonical):
         for j in range(4):
             xs = (0,) * i + (1,)
             ys = (0,) * j + (1,)
-            assert pairing(canonical, xs, ys) == block.entry(i, j)
+            assert pairing(canonical, xs, ys) == block.entries[i][j]

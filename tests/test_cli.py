@@ -124,14 +124,15 @@ def test_cli_import_needs_no_mpmath():
     assert result.stdout.strip() == "False"
 
 
-def test_stationary_scan_script():
+def scan(*args):
+    """Run scripts/stationary_scan.py with ``args`` on this package."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(biorth.__file__)))
     script = os.path.join(root, "scripts", "stationary_scan.py")
+    return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True)
 
-    def scan(*args):
-        return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True)
 
+def test_stationary_scan_script():
     result = scan("--max-L", "2")
     assert result.returncode == 0, result.stderr
     assert "matching variant(s)" in result.stdout
@@ -150,6 +151,23 @@ def test_stationary_scan_script():
         assert result.returncode == 2, (args, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
         assert "L=" not in result.stdout, args
+
+
+def test_stationary_scan_profile_is_the_oracles_site_marginals(canonical):
+    result = scan("--max-L", "2", "--profile")
+    assert result.returncode == 0, result.stderr
+    printed = [
+        line.split(":", 1)[1].split() for line in result.stdout.splitlines() if "density profile:" in line
+    ]
+    assert len(printed) == 2
+    for length, densities in enumerate(printed, 1):
+        oracle = biorth.compare(length, canonical).oracle
+        # site 1 is the most significant bit of a state
+        marginals = [
+            sum(prob for state, prob in enumerate(oracle.probabilities) if state >> (length - site) & 1)
+            for site in range(1, length + 1)
+        ]
+        assert densities == [f"{float(x):.6f}" for x in marginals], length
 
 
 def test_stationary_refuses_a_negative_length(capsys):

@@ -53,6 +53,7 @@ from biorth._linalg import mat_mul, product_mismatches
 from biorth.asep import generator
 from biorth.band import TridiagonalOperator, rep_rational
 from biorth.bimoment import BimomentTable, _block_by_rows, boundary_column
+from biorth.biortho import monic_recurrence
 from biorth.core import (
     _QPowers,
     _clear_denominators,
@@ -72,7 +73,6 @@ from biorth.repmat import (
     aw_eval,
     aw_series,
     aw_sweep,
-    monic_recurrence,
 )
 from biorth.reporting import differences
 from biorth.suites import GRID
@@ -362,8 +362,8 @@ def test_interleaved_reads_and_growth_match_the_reference(point, ops):
 
 def test_a_dropped_table_still_held_keeps_growing(grid, monkeypatch):
     # another point's lookup drops the table from the store, not from a
-    # caller that holds it (check_transpose_symmetry reads its point's table
-    # while it looks up two others)
+    # caller that holds it (the tests' transpose-symmetry check reads its
+    # point's table while it looks up two others)
     first, second = grid[:2]
     monkeypatch.setattr(bimoment, "_TABLES", {})
     held = bimoment_table(first)

@@ -78,7 +78,7 @@ LAYERS = {info.name for info in pkgutil.iter_modules(biorth.__path__)}
             "wordfun",
             {"_linalg", "repmat", "band", "asep", "ldu", "biortho"},
         ),
-        (["polys", *CANONICAL, "--n", "4"], "biortho", {"asep", "wordfun"}),
+        (["polys", *CANONICAL, "--n", "4"], "biortho", {"asep", "wordfun", "repmat"}),
     ],
 )
 def test_a_command_loads_only_its_layers(argv, runs, unloaded):

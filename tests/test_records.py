@@ -15,9 +15,10 @@ import pytest
 from biorth import bimoment, biortho
 from biorth.asep import ComparisonReport, StationaryDistribution, VariantComparison
 from biorth.bimoment import BimomentMatrix
+from biorth.biortho import PolySeq
 from biorth.core import AWParams, HoppingRates
 from biorth.ldu import DiagonalFactor, TriangularFactor
-from biorth.repmat import AWRecurrenceCoeffs, PolySeq, TridiagonalOperator, UchiyamaCoeffs
+from biorth.repmat import AWRecurrenceCoeffs, TridiagonalOperator, UchiyamaCoeffs
 from biorth.reporting import CheckResult, VerificationReport
 
 from conftest import GRID, make_params, replace

@@ -19,7 +19,6 @@ from biorth import (
     jacobi_moments,
     polys_from_recurrence,
     rep_rational,
-    t_polys,
     verify_algebra,
     verify_aw_match,
     verify_boundary,
@@ -176,7 +175,6 @@ def test_band_readers_raise_where_the_band_is_singular(point, first_singular):
         for build in (
             lambda: polys_from_recurrence(p, n, "d"),
             lambda: polys_from_recurrence(p, n, "e"),
-            lambda: t_polys(p, n),
         ):
             assert _raised(build) is expected, n
 
@@ -242,20 +240,3 @@ def test_aw_eval_guards(canonical):
         aw_eval(canonical, 1, 0)
     with pytest.raises(ZeroParameter):
         aw_eval(AWParams(0, 0, 0, 0, F(1, 2)), 1, 2)
-
-
-def test_t_polys(canonical):
-    seq = t_polys(canonical, 4)
-    assert seq.poly(0) == (1,)
-    assert seq.poly(1) == (F(-13, 23), F(1))
-    # recurrence cross-check at level 2
-    b1 = (d_natural(canonical, 1) + e_natural(canonical, 1)) / 2
-    lam1 = (
-        (1 - canonical.a * canonical.c)
-        * (1 - canonical.b * canonical.d)
-        * g_coeff(canonical, 0)
-        / 4
-    )
-    t1 = seq.poly(1)
-    expected = (-b1 * t1[0] - lam1, t1[0] - b1 * t1[1], t1[1])
-    assert seq.poly(2) == expected

@@ -1,8 +1,9 @@
 """Tooling: the benchmark tracer patches library functions by name, and each
 must exist and be seen through the package in every traced round; the
 benchmark reads the caches through hooks; the source line counter counts by
-its rule; the peak-RSS script reports one command, and exits with its status
-when its reader stops early."""
+its rule; the reach probe gives each function no command calls a reason; the
+peak-RSS script reports one command, and exits with its status when its
+reader stops early."""
 
 import hashlib
 import importlib.util
@@ -98,11 +99,16 @@ class A:
 '''
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_src_lines_counts_a_known_module():
     script = os.path.join(ROOT, "scripts", "src_lines.py")
-    spec = importlib.util.spec_from_file_location("src_lines", script)
-    src_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_lines)
+    src_lines = _load_script("src_lines")
     assert src_lines.count_lines(SAMPLE_MODULE) == (17, 7)
 
     # the command's total row sums the counts over the package's modules
@@ -156,6 +162,35 @@ def test_peak_rss_exits_quietly_when_stdout_closes_early(canonical):
         stderr = child.stderr.read()
         assert child.wait() == status
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+def test_src_reach_gives_every_unreached_function_a_reason(monkeypatch):
+    # every function no command calls is kept on purpose, and no reason
+    # outlives its function
+    script = os.path.join(ROOT, "scripts", "src_reach.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run([sys.executable, script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    reach = _load_script("src_reach")
+    listed = [line.split()[0] for line in result.stdout.splitlines()[:-1]]
+    assert listed == sorted(reach.KEPT)
+    # a function kept for the tracer is one it patches
+    monkeypatch.syspath_prepend(ROOT)
+    tracer = importlib.import_module("perfbench.tracer")
+    traced = {f"{module}.{attr}" for module, attr, *_ in tracer.ENTRY_POINTS}
+    assert {name for name, why in reach.KEPT.items() if why == reach.TRACED} <= traced
+
+
+def test_src_reach_names_what_breaks_the_rule():
+    reach = _load_script("src_reach")
+    defined = {("m.py", 1): ("m.kept", 2), ("m.py", 5): ("m.bare", 3), ("m.py", 9): ("m.run", 1)}
+    kept = {"m.kept": "why", "m.run": "why", "m.gone": "why"}
+    assert reach.problems(defined, {("m.py", 9)}, kept) == [
+        "unreached without a reason: m.bare",
+        "reason for a function that is gone: m.gone",
+        "reason for a function a run reaches: m.run",
+    ]
+    assert reach.problems(defined, {("m.py", 9)}, {"m.kept": "why", "m.bare": "why"}) == []
 
 
 def param_flags(p) -> list[str]:
