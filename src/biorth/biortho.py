@@ -18,10 +18,14 @@ moment block), so both constructions build it by swapping the parameters
 once and running the P route.
 
 Pairings against the functional must then be diagonal:
-L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor (the
-whole grid of pairings is one matrix product P B Q^T), and
-for small orders the same polynomials arise from bordered determinants of
-the moment block.  ``pairing`` reads one pairing through the word
+L(P_n Q_m) = Lambda_n delta_{n,m} with Lambda_n the diagonal factor.  The
+whole grid of pairings is one product (P B) Q^T: P B is formed, and the
+product with Q^T is searched against diag(Lambda) on integers, so a grid
+entry becomes a Fraction only as the first failure.  For small orders
+the same polynomials arise from bordered determinants of the moment
+block.  The two checks' bodies (``_biorthogonality``,
+``_bordered_determinants``) take the families, so the polys suite builds
+each once.  ``pairing`` reads one pairing through the word
 functional and imports ``wordfun`` when called: no command runs it, so
 ``polys`` does not compile the word layer.
 """
@@ -138,38 +142,45 @@ def pairing(p: AWParams, pcoeffs, qcoeffs) -> Fraction:
     return functional(WordPoly(terms), p)
 
 
-def _pairing_grid(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> list[list[Fraction]]:
-    """[[pairing(p, P_n, Q_m) for m] for n] as one product P B Q^T.
+def _pairing_factors(p: AWParams, pseq: PolySeq, qseq: PolySeq):
+    """(P B, Q^T): the grid [[pairing(p, P_n, Q_m) for m] for n] is their
+    product.
 
     With P and Q the coefficient rows of the two families, zero-padded to
     a square, L(P_n Q_m) = sum_ij P[n][i] B[i][j] Q[m][j] for B the moment
     block of order count - 1.
     """
     block = bimoment_table(p).block(pseq.count - 1)
-    return _linalg.mat_mul(_linalg.mat_mul(pseq.square(), block), _linalg.mat_transpose(qseq.square()))
+    return _linalg.mat_mul(pseq.square(), block), _linalg.mat_transpose(qseq.square())
 
 
 def biorthogonality_check(p: AWParams, count: int) -> VerificationReport:
-    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count.
+    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count
+    (``_biorthogonality`` on the two families)."""
+    return _biorthogonality(p, polys_from_inverse(p, count, "d"), polys_from_inverse(p, count, "e"))
 
-    The whole grid of pairings is one product P B Q^T (``_pairing_grid``).
-    It reads the same data as a loop over ``pairing``, which only ever
-    normal-orders words d^i e^j that are already normal and then reads the
-    same table entries: the polynomials still come from the inverse
-    factors and the moments from the table.  The grid is scanned row by
-    row and the first failure is reported.
+
+def _biorthogonality(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> VerificationReport:
+    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for the given families.
+
+    The whole grid of pairings is one product (P B) Q^T
+    (``_pairing_factors``).  It reads the same data as a loop over
+    ``pairing``, which only ever normal-orders words d^i e^j that are
+    already normal and then reads the same table entries: the polynomials
+    still come from the inverse factors and the moments from the table.
+    P B is formed; the product with Q^T is searched row by row against
+    diag(Lambda) (``_linalg.product_mismatches``), so a grid entry becomes
+    a Fraction only as the first failure.
     """
+    count = pseq.count
     report = VerificationReport(params=p.to_map(), n=count - 1)
-    pseq = polys_from_inverse(p, count, "d")
-    qseq = polys_from_inverse(p, count, "e")
     lam = build_D(p, count - 1)
+    zero = Fraction(0)
+    expected = [[lam.values[n] if n == m else zero for m in range(count)] for n in range(count)]
 
     def failures():
-        for n, row in enumerate(_pairing_grid(p, pseq, qseq)):
-            for m, value in enumerate(row):
-                expected = lam.values[n] if n == m else Fraction(0)
-                if value != expected:
-                    yield {"n": n, "m": m, "value": value, "expected": expected}
+        for n, m, value in _linalg.product_mismatches(expected, *_pairing_factors(p, pseq, qseq)):
+            yield {"n": n, "m": m, "value": value, "expected": expected[n][m]}
 
     report.check("diagonal-pairing", "pairing-grid", failures)
 
@@ -186,20 +197,25 @@ _BORDER_LIMIT = 6
 
 
 def bordered_determinant_check(p: AWParams, n: int) -> bool:
-    """Compare P_n and Q_n with their bordered-determinant forms.
-
-    P_n(x) = det of the moment block bordered by a final column of powers
-    of x, divided by the order-(n-1) block determinant; Q_n is the same
-    form on the transposed block (a final row of powers of y).  Cofactor
-    expansion over exact minors; guarded to n <= 6 because the minor count
-    grows quickly.
-    """
+    """Compare P_n and Q_n with their bordered-determinant forms
+    (``_bordered_determinants`` on the families up to degree n); guarded
+    to n <= 6 because the minor count grows quickly."""
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
     if n > _BORDER_LIMIT:
         raise SizeLimit(f"bordered determinants are guarded to n <= {_BORDER_LIMIT}")
-    pseq = polys_from_inverse(p, n + 1, "d")
-    qseq = polys_from_inverse(p, n + 1, "e")
+    return _bordered_determinants(p, n, polys_from_inverse(p, n + 1, "d"), polys_from_inverse(p, n + 1, "e"))
+
+
+def _bordered_determinants(p: AWParams, n: int, pseq: PolySeq, qseq: PolySeq) -> bool:
+    """Compare P_n = pseq.poly(n) and Q_n = qseq.poly(n) with their
+    bordered-determinant forms.
+
+    P_n(x) = det of the moment block bordered by a final column of powers
+    of x, divided by the order-(n-1) block determinant; Q_n is the same
+    form on the transposed block (a final row of powers of y).  Cofactor
+    expansion over exact minors.
+    """
     if n == 0:
         return pseq.poly(0) == (1,) and qseq.poly(0) == (1,)
 

@@ -7,9 +7,13 @@ representation, so L is built by applying the band of ``band.d_band``
 row after row.  L^{-1} comes from its own entry recurrence, written here
 on the dnat and g sweeps (``core.d_natural_sweep``, ``core.g_sweep``) and
 deliberately not from the band: nothing inverts a matrix numerically, so
-L L^{-1} = I and U^{-1} U = I are real checks of the representation
+L^{-1} L = I and U U^{-1} = I are real checks of the representation
 instead of tautologies, and B = L D U ties the moment table to the same
-band.
+band.  Each inverse identity is read from the inverse's side, so the
+product kernel grows each row of L^{-1} (column of U^{-1}) over its own
+denominators; a one-sided inverse of a square matrix is two-sided, so
+the verdicts are those of L L^{-1} = I and U^{-1} U = I, under whose
+check names they stay.
 
 The exchange a<->b, c<->d transposes the block and fixes every g_j, so U
 and U^{-1} are built as the transposes of L and L^{-1} at the swapped
@@ -27,8 +31,7 @@ clears its own step coefficients once per row, and the kernel clears the
 three entries of rows i-1 and i-2 each entry reads and forms one Fraction
 per entry.  D is the running product of one g sweep.  The three products
 of ``verify_ldu`` are compared on integers (``_linalg.product_mismatches``),
-so a product entry becomes a Fraction only where it fails; U's columns
-are cleared once for the two products that read them.  L D stays one
+so a product entry becomes a Fraction only where it fails.  L D stays one
 reduced Fraction per entry: its rows clear to D's own denominators, and
 folding D into the integer rows unreduced made the products slower.
 Each determinant route is one integer product and one Fraction: the
@@ -164,7 +167,8 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
     Each product is searched row by row against the matrix it must equal
     with ``_linalg.product_mismatches``, on integers; the first mismatch
     is recorded as block vs product (B = L D U) and product vs identity
-    (L L^-1 = I, U^-1 U = I).
+    (L^-1 L = I under "lower-times-inverse", U U^-1 = I under
+    "inverse-times-upper").
     """
     report = VerificationReport(params=p.to_map(), n=n)
 
@@ -175,7 +179,6 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
         upper_inv = build_U_inverse(p, n)
         diag = build_D(p, n)
         block = bimoment_table(p).block(n)
-        upper_cols = _linalg.Columns(upper.rows())
 
     def mismatches(expected, a, b, product_left):
         for i, j, value in _linalg.product_mismatches(expected, a, b):
@@ -188,18 +191,18 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
     report.check(
         "bimoment-equals-LDU",
         "factorization-product",
-        lambda: mismatches(block, scaled_lower(), upper_cols, False),
+        lambda: mismatches(block, scaled_lower(), upper.rows(), False),
     )
     identity = _linalg.mat_identity(n + 1)
     report.check(
         "lower-times-inverse",
         "lower-inverse-identity",
-        lambda: mismatches(identity, lower.rows(), lower_inv.rows(), True),
+        lambda: mismatches(identity, lower_inv.rows(), lower.rows(), True),
     )
     report.check(
         "inverse-times-upper",
         "upper-inverse-identity",
-        lambda: mismatches(identity, upper_inv.rows(), upper_cols, True),
+        lambda: mismatches(identity, upper.rows(), upper_inv.rows(), True),
     )
     return report
 

@@ -33,6 +33,14 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
+def naive_mul(a, b):
+    """Reference product: a Fraction triple loop."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def word_terms(word: str, form) -> dict[tuple[int, int], int]:
     """A word's form (coefficients along its diagonal, then the scale)
     as {(i, j): coeff of d^i e^j}: entry k at (I - k, J - k), zeros left out."""

@@ -19,6 +19,7 @@ from biorth import (
     polys_from_recurrence,
 )
 from biorth import biortho
+from biorth._linalg import mat_mul
 
 from conftest import GRID, make_params
 
@@ -76,7 +77,7 @@ def test_pairing_grid_equals_single_pairings(grid):
         for count in range(1, 7):
             pseq = polys_from_inverse(p, count, "d")
             qseq = polys_from_inverse(p, count, "e")
-            assert biortho._pairing_grid(p, pseq, qseq) == [
+            assert mat_mul(*biortho._pairing_factors(p, pseq, qseq)) == [
                 [pairing(p, pseq.poly(n), qseq.poly(m)) for m in range(count)]
                 for n in range(count)
             ]

@@ -393,6 +393,22 @@ def test_stationary_payloads_at_the_guard_are_pinned():
     )
 
 
+def test_factor_payloads_at_the_costliest_point_are_pinned():
+    # ldu --n 24 and polys --n 16 at the costliest GRID point, where the
+    # products' operand scales differ most between clearing a column once
+    # and growing it entry by entry: recorded before the product kernel
+    # grew each operand's scale as far as an entry reads it
+    costliest = ["--a", "3/2", "--b", "3/4", "--c=-1/6", "--d=-1/8", "--q", "2/5"]
+    pinned = {
+        "ldu": ("24", "ca04f5685b521104639934823654011ece8395aed87e81c6157de816831528ec"),
+        "polys": ("16", "177fb04237977cc45eb00b9811dadf5ba0def221cd3243eebc91bb1ae823120c"),
+    }
+    for command, (n, digest) in pinned.items():
+        code, text = run_main([command, *costliest, "--n", n])
+        assert code == 0
+        assert payload_digest(text) == digest, command
+
+
 def test_verify_all(verify_all_run):
     code, text = verify_all_run
     assert code == 0

@@ -16,11 +16,12 @@ from biorth import (
     det_bimoment,
     det_closed_form,
     g_coeff,
+    ldu,
     verify_ldu,
 )
 from biorth._linalg import det, lu_pivots
 
-from conftest import GRID, make_params
+from conftest import GRID, make_params, replace
 
 
 def crout_ldu(rows):
@@ -89,6 +90,31 @@ def test_verify_ldu(point):
     assert report.passed
     names = {c.name for c in report.checks}
     assert names == {"bimoment-equals-LDU", "lower-times-inverse", "inverse-times-upper"}
+
+
+@pytest.mark.parametrize(
+    "build, check, on_triangle",
+    [
+        ("build_L_inverse", "lower-times-inverse", lambda i, j: j <= i),
+        ("build_U_inverse", "inverse-times-upper", lambda i, j: j >= i),
+    ],
+)
+def test_each_inverse_entry_fails_its_identity(canonical, monkeypatch, build, check, on_triangle):
+    # each identity is searched from the inverse's side (L^-1 L, U U^-1):
+    # one added to any entry on the inverse's triangle must fail it
+    n = 5
+    inverse = getattr(ldu, build)(canonical, n)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if not on_triangle(i, j):
+                continue
+            entries = [list(row) for row in inverse.entries]
+            entries[i][j] += 1
+            bumped = replace(inverse, entries=tuple(map(tuple, entries)))
+            monkeypatch.setattr(ldu, build, lambda p, order: bumped)
+            passed = {c.name: c.passed for c in verify_ldu(canonical, n).checks}
+            assert not passed[check], (i, j)
+            assert passed["bimoment-equals-LDU"]
 
 
 @given(st.sampled_from(GRID), st.integers(min_value=0, max_value=7))

@@ -2,18 +2,12 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biorth import BiorthError
-from biorth._linalg import det, lu_pivots, mat_identity, mat_mul
+from biorth._linalg import det, lu_pivots, mat_identity, mat_mul, product_mismatches
 
-
-def naive_mul(a, b):
-    """Reference product: a Fraction triple loop."""
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+from conftest import naive_mul
 
 
 # Zero often (so rows, columns and spans vanish), small and large
@@ -25,13 +19,27 @@ entries = st.one_of(
 )
 
 
+# Which entries of a (rows x inner) and of b (inner x cols) may be nonzero.
+SHAPES = {
+    "lower x lower": (lambda i, k: k <= i, lambda k, j: j <= k),
+    "lower x upper": (lambda i, k: k <= i, lambda k, j: j >= k),
+    "upper x upper": (lambda i, k: k >= i, lambda k, j: j >= k),
+    "dense x upper": (lambda i, k: True, lambda k, j: j >= k),
+    "dense x dense": (lambda i, k: True, lambda k, j: True),
+}
+
+
 @st.composite
 def factor_pairs(draw):
+    """(expected, a, b): factors of one of ``SHAPES`` (trapezoidal where
+    not square), with zero rows of a and zero columns of b, and expected
+    the Fraction product with 0-3 entries changed."""
+    a_keeps, b_keeps = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
     rows = draw(st.integers(0, 6))
     inner = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
-    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
-    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    a = [[draw(entries) if a_keeps(i, k) else F(0) for k in range(inner)] for i in range(rows)]
+    b = [[draw(entries) if b_keeps(k, j) else F(0) for j in range(cols)] for k in range(inner)]
     for row in draw(st.sets(st.integers(0, 5))):
         if row < rows:
             a[row] = [F(0)] * inner
@@ -39,15 +47,30 @@ def factor_pairs(draw):
         for row in b:
             if col < cols:
                 row[col] = F(0)
-    return a, b
+    expected = naive_mul(a, b)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        expected[i][j] += draw(entries)  # zero leaves the entry as it was
+    return expected, a, b
 
 
+@settings(max_examples=150)
 @given(factor_pairs())
-def test_mat_mul_matches_fraction_loop(pair):
-    a, b = pair
-    product = mat_mul(a, b)
-    assert product == naive_mul(a, b)
-    assert all(type(value) is F for row in product for value in row)
+def test_mat_mul_matches_fraction_loop(case):
+    # each operand's scale grows entry by entry as the rows read it, so the
+    # entries must agree whatever the spans and the denominators' order
+    expected, a, b = case
+    product = naive_mul(a, b)
+    assert mat_mul(a, b) == product
+    assert all(type(value) is F for row in mat_mul(a, b) for value in row)
+    found = list(product_mismatches(expected, a, b))
+    assert found == [
+        (i, j, value)
+        for i, row in enumerate(product)
+        for j, value in enumerate(row)
+        if value != expected[i][j]
+    ]
+    assert all(type(value) is F for _, _, value in found)
 
 
 def test_mat_mul_edge_shapes():
