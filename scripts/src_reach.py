@@ -64,8 +64,6 @@ KEPT = {
     "bimoment.BimomentMatrix.rows": READ,
     "bimoment.BimomentTable.order": READ,
     "bimoment.BimomentTable.stored_items": READ,
-    "biortho.biorthogonality_check": TRACED,
-    "biortho.bordered_determinant_check": TRACED,
     "biortho.monomial_expansion_check": TRACED,
     "biortho.pairing": TRACED,
     "core.FrozenRecord.__delattr__": RECORDS,

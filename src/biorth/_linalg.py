@@ -10,20 +10,18 @@ runs on live in ``core`` (``_clear_denominators``, ``three_term_pairs``).
 
 The dense routines:
 
-* ``mat_mul`` and ``product_mismatches`` share one row-product kernel
-  (``_row_products``).  Rows of the left factor are taken in order; each
-  column of the right factor is held as integers over the lcm of what the
-  rows so far read of it, and the current row grows along j only to the
-  end of column j's nonzero span.  So each entry is one integer dot
-  product over the overlap of the two spans, on integers carrying only
-  the denominators that entry meets.  On triangular factors that is
-  tight: the ``Columns`` the kernel replaced cleared each column of the
-  right factor once, over all its rows, so every entry carried the
-  column's deepest denominators.  On dense factors the work is as
-  before.  ``mat_mul`` forms one Fraction per entry;
-  ``product_mismatches`` compares each entry with the expected one on
-  integers, so the searches of ``ldu.verify_ldu`` and of the pairing
-  grid build a Fraction only for a mismatch.
+* ``mat_mul`` scales each row of the left factor and each column of the
+  right factor by the lcm of its denominators, takes integer dot products
+  over the overlap of the two nonzero spans (so triangular factors cost
+  about half), and forms one Fraction per output entry.
+  ``product_mismatches`` computes the same integer products row by row,
+  lazily, and compares each with the expected entry on integers, so the
+  searches of ``ldu.verify_ldu`` and of the pairing grid build a Fraction
+  only for a mismatch.  A column cleared once carries its deepest row's
+  denominators into every entry it meets, so on triangular factors the
+  order matters: ``verify_ldu`` puts the inverse on the left of each
+  inverse identity, where each of its rows is cleared over its own
+  denominators.
 * ``lu_pivots`` factors a square matrix by left-looking (Doolittle)
   elimination with first-nonzero pivoting and returns the pivots and the
   parity of the row swaps.  Each L row and the U column being built are
@@ -49,74 +47,63 @@ from operator import mul
 from .core import BiorthError, _clear_denominators
 
 
-def _span(vec) -> tuple[int, int]:
-    """[lo, hi): the span of vec's nonzero entries (empty when vec is zero)."""
-    nonzero = [k for k, value in enumerate(vec) if value]
-    return (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+def _spanned(vec):
+    """(integers, scale, lo, hi): vec cleared of denominators, with
+    [lo, hi) the span of its nonzero entries (empty when vec is zero)."""
+    ints, scale = _clear_denominators(vec)
+    nonzero = [k for k, value in enumerate(ints) if value]
+    if not nonzero:
+        return ints, scale, 0, 0
+    return ints, scale, nonzero[0], nonzero[-1] + 1
 
 
-def _row_products(a, b, name):
-    """The rows of a b, each as unreduced (integer, scale) pairs, computed
-    lazily row by row by the kernel rule of the module docstring; a is
-    checked against b at the call.  Each column of b and the current row
-    of a are integers over one scale (``_append``), held from the start of
-    their nonzero span."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
+def _columns(a, b, name):
+    """The columns of b, each ``_spanned``, once a is checked to have as
+    many columns as b has rows."""
+    if any(len(row) != len(b) for row in a):
         raise BiorthError(f"{name} needs as many columns in a as rows in b")
-    cols = list(zip(*b))
-    return _grown_products(a, cols, [_span(col) for col in cols])
+    return [_spanned(col) for col in zip(*b)]
 
 
-def _grown_products(a, cols, col_spans):
-    held = [[] for _ in cols]
-    held_scales = [1] * len(cols)
-    for row in a:
-        row_lo, row_hi = _span(row)
-        ints, scale = [], 1
-        out = []
-        for j, (col_lo, col_hi) in enumerate(col_spans):
-            lo = row_lo if row_lo > col_lo else col_lo
-            hi = row_hi if row_hi < col_hi else col_hi
-            if lo >= hi:
-                out.append((0, 1))
-                continue
-            col = held[j]
-            if len(col) < hi - col_lo:
-                col_scale = held_scales[j]
-                for value in cols[j][col_lo + len(col) : hi]:
-                    col_scale = _append(col, col_scale, value)
-                held_scales[j] = col_scale
-            if len(ints) < hi - row_lo:
-                for value in row[row_lo + len(ints) : hi]:
-                    scale = _append(ints, scale, value)
-            acc = sum(map(mul, ints[lo - row_lo : hi - row_lo], col[lo - col_lo : hi - col_lo]))
-            out.append((acc, scale * held_scales[j]))
-        yield out
+def _row_product(row, cols):
+    """Row of a b as unreduced (integer, scale) pairs, from a ``_spanned``
+    row of a and the ``_spanned`` columns of b: each entry is the integer
+    dot product over the overlap of the two nonzero spans."""
+    ints, row_scale, row_lo, row_hi = row
+    out = []
+    for col, col_scale, col_lo, col_hi in cols:
+        lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
+        acc = sum(map(mul, ints[lo:hi], col[lo:hi])) if lo < hi else 0
+        out.append((acc, row_scale * col_scale))
+    return out
 
 
 def mat_mul(a, b):
-    """Exact product of two list-of-list matrices of rationals: each entry
-    of ``_row_products`` as one Fraction."""
-    return [[Fraction(*entry) for entry in row] for row in _row_products(a, b, "mat_mul")]
+    """Exact product of two list-of-list matrices of rationals.
+
+    Entry (i, j) is the integer dot product of the scaled row i of a and
+    the scaled column j of b over the overlap of their nonzero spans,
+    divided by the product of the two scales.
+    """
+    cols = _columns(a, b, "mat_mul")
+    return [[Fraction(*entry) for entry in _row_product(_spanned(row), cols)] for row in a]
 
 
 def product_mismatches(expected, a, b):
     """(i, j, value) for each entry where value = (a b)[i][j] differs from
-    expected[i][j], in row-major order, computed lazily: each row of a b
-    is one of ``_row_products``, and its entries are compared with
-    expected on integers (num * scale == acc * den), so a Fraction is
-    built only for a mismatch.  Inconsistent shapes raise at the call."""
-    rows = _row_products(a, b, "product_mismatches")
-    width = len(b[0]) if b else 0
-    if len(expected) != len(a) or any(len(row) != width for row in expected):
+    expected[i][j], in row-major order, computed lazily: each row of a b is
+    ``_row_product``, and its entries are compared with expected on
+    integers (num * scale == acc * den), so a Fraction is built only for a
+    mismatch.  Inconsistent shapes raise at the call."""
+    cols = _columns(a, b, "product_mismatches")
+    if len(expected) != len(a) or any(len(row) != len(cols) for row in expected):
         raise BiorthError("product_mismatches needs expected of the shape of a b")
-    return _mismatches(expected, rows)
+    return _mismatches(expected, a, cols)
 
 
-def _mismatches(expected, rows):
-    for i, (expected_row, row) in enumerate(zip(expected, rows)):
-        for j, (entry, (acc, scale)) in enumerate(zip(expected_row, row)):
+def _mismatches(expected, a, cols):
+    for i, (expected_row, row) in enumerate(zip(expected, a)):
+        for j, (entry, (acc, scale)) in enumerate(zip(expected_row, _row_product(_spanned(row), cols))):
             if entry.numerator * scale != acc * entry.denominator:
                 yield i, j, Fraction(acc, scale)
 

@@ -23,9 +23,7 @@ whole grid of pairings is one product (P B) Q^T: P B is formed, and the
 product with Q^T is searched against diag(Lambda) on integers, so a grid
 entry becomes a Fraction only as the first failure.  For small orders
 the same polynomials arise from bordered determinants of the moment
-block.  The two checks' bodies (``_biorthogonality``,
-``_bordered_determinants``) take the families, so the polys suite builds
-each once.  ``pairing`` reads one pairing through the word
+block.  ``pairing`` reads one pairing through the word
 functional and imports ``wordfun`` when called: no command runs it, so
 ``polys`` does not compile the word layer.
 """
@@ -155,13 +153,7 @@ def _pairing_factors(p: AWParams, pseq: PolySeq, qseq: PolySeq):
 
 
 def biorthogonality_check(p: AWParams, count: int) -> VerificationReport:
-    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count
-    (``_biorthogonality`` on the two families)."""
-    return _biorthogonality(p, polys_from_inverse(p, count, "d"), polys_from_inverse(p, count, "e"))
-
-
-def _biorthogonality(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> VerificationReport:
-    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for the given families.
+    """Check L(P_n Q_m) = Lambda_n delta_{n,m} for all n, m < count.
 
     The whole grid of pairings is one product (P B) Q^T
     (``_pairing_factors``).  It reads the same data as a loop over
@@ -172,8 +164,9 @@ def _biorthogonality(p: AWParams, pseq: PolySeq, qseq: PolySeq) -> VerificationR
     diag(Lambda) (``_linalg.product_mismatches``), so a grid entry becomes
     a Fraction only as the first failure.
     """
-    count = pseq.count
     report = VerificationReport(params=p.to_map(), n=count - 1)
+    pseq = polys_from_inverse(p, count, "d")
+    qseq = polys_from_inverse(p, count, "e")
     lam = build_D(p, count - 1)
     zero = Fraction(0)
     expected = [[lam.values[n] if n == m else zero for m in range(count)] for n in range(count)]
@@ -197,25 +190,20 @@ _BORDER_LIMIT = 6
 
 
 def bordered_determinant_check(p: AWParams, n: int) -> bool:
-    """Compare P_n and Q_n with their bordered-determinant forms
-    (``_bordered_determinants`` on the families up to degree n); guarded
-    to n <= 6 because the minor count grows quickly."""
-    if n < 0:
-        raise InvalidParams(f"n must be >= 0, got {n}")
-    if n > _BORDER_LIMIT:
-        raise SizeLimit(f"bordered determinants are guarded to n <= {_BORDER_LIMIT}")
-    return _bordered_determinants(p, n, polys_from_inverse(p, n + 1, "d"), polys_from_inverse(p, n + 1, "e"))
-
-
-def _bordered_determinants(p: AWParams, n: int, pseq: PolySeq, qseq: PolySeq) -> bool:
-    """Compare P_n = pseq.poly(n) and Q_n = qseq.poly(n) with their
-    bordered-determinant forms.
+    """Compare P_n and Q_n with their bordered-determinant forms.
 
     P_n(x) = det of the moment block bordered by a final column of powers
     of x, divided by the order-(n-1) block determinant; Q_n is the same
     form on the transposed block (a final row of powers of y).  Cofactor
-    expansion over exact minors.
+    expansion over exact minors; guarded to n <= 6 because the minor count
+    grows quickly.
     """
+    if n < 0:
+        raise InvalidParams(f"n must be >= 0, got {n}")
+    if n > _BORDER_LIMIT:
+        raise SizeLimit(f"bordered determinants are guarded to n <= {_BORDER_LIMIT}")
+    pseq = polys_from_inverse(p, n + 1, "d")
+    qseq = polys_from_inverse(p, n + 1, "e")
     if n == 0:
         return pseq.poly(0) == (1,) and qseq.poly(0) == (1,)
 

@@ -10,10 +10,11 @@ deliberately not from the band: nothing inverts a matrix numerically, so
 L^{-1} L = I and U U^{-1} = I are real checks of the representation
 instead of tautologies, and B = L D U ties the moment table to the same
 band.  Each inverse identity is read from the inverse's side, so the
-product kernel grows each row of L^{-1} (column of U^{-1}) over its own
-denominators; a one-sided inverse of a square matrix is two-sided, so
-the verdicts are those of L L^{-1} = I and U^{-1} U = I, under whose
-check names they stay.
+product kernel clears each row of L^{-1} (column of U^{-1}) over its own
+denominators, not a column (row) over the deepest row's (column's); a
+one-sided inverse of a square matrix is two-sided, so the verdicts are
+those of L L^{-1} = I and U^{-1} U = I, under whose check names they
+stay.
 
 The exchange a<->b, c<->d transposes the block and fixes every g_j, so U
 and U^{-1} are built as the transposes of L and L^{-1} at the swapped
@@ -168,7 +169,10 @@ def verify_ldu(p: AWParams, n: int) -> VerificationReport:
     with ``_linalg.product_mismatches``, on integers; the first mismatch
     is recorded as block vs product (B = L D U) and product vs identity
     (L^-1 L = I under "lower-times-inverse", U U^-1 = I under
-    "inverse-times-upper").
+    "inverse-times-upper").  The names are those of L L^-1 = I and
+    U^-1 U = I, which have the same verdicts, but a failure's i, j and
+    "left" are an entry of L^-1 L (resp. U U^-1), not of the product the
+    name reads.
     """
     report = VerificationReport(params=p.to_map(), n=n)
 

@@ -60,25 +60,20 @@ def polys_suite(p: AWParams, n: int, bordered: bool = True) -> dict:
     """Diagonal pairing and equality of the two construction routes for the
     first n polynomials of each family; then, if ``bordered``, the bordered
     determinant at order min(n, 4).  L P = I and Q^T U = I are not repeated
-    here: they are the ldu suite's inverse products.  Each family is built
-    once from the inverse factors, whose rows do not depend on the order,
-    and every check reads it; only where n <= 4 does the bordered check
-    need a degree past the families and build its own."""
+    here: they are the ldu suite's inverse products."""
     from . import biortho
 
-    pseq, qseq = (biortho.polys_from_inverse(p, n, variable) for variable in ("d", "e"))
-    report = biortho._biorthogonality(p, pseq, qseq)
+    report = biortho.biorthogonality_check(p, n)
     with report.timed("construction-routes"):
-        for variable, family in (("d", pseq), ("e", qseq)):
-            report.add(f"route-equality-{variable}", family == biortho.polys_from_recurrence(p, n, variable))
+        for variable in ("d", "e"):
+            same = biortho.polys_from_inverse(p, n, variable) == biortho.polys_from_recurrence(
+                p, n, variable
+            )
+            report.add(f"route-equality-{variable}", same)
     if bordered:
         with report.timed("bordered-determinant"):
             order = min(n, 4)
-            if order < n:
-                same = biortho._bordered_determinants(p, order, pseq, qseq)
-            else:
-                same = biortho.bordered_determinant_check(p, order)
-            report.add(f"bordered-determinant-n{order}", same)
+            report.add(f"bordered-determinant-n{order}", biortho.bordered_determinant_check(p, order))
     return {"polys": report}
 
 

@@ -395,9 +395,8 @@ def test_stationary_payloads_at_the_guard_are_pinned():
 
 def test_factor_payloads_at_the_costliest_point_are_pinned():
     # ldu --n 24 and polys --n 16 at the costliest GRID point, where the
-    # products' operand scales differ most between clearing a column once
-    # and growing it entry by entry: recorded before the product kernel
-    # grew each operand's scale as far as an entry reads it
+    # operands' denominators are deepest: recorded before the inverse
+    # identities were searched from the inverse's side
     costliest = ["--a", "3/2", "--b", "3/4", "--c=-1/6", "--d=-1/8", "--q", "2/5"]
     pinned = {
         "ldu": ("24", "ca04f5685b521104639934823654011ece8395aed87e81c6157de816831528ec"),

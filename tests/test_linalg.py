@@ -57,8 +57,8 @@ def factor_pairs(draw):
 @settings(max_examples=150)
 @given(factor_pairs())
 def test_mat_mul_matches_fraction_loop(case):
-    # each operand's scale grows entry by entry as the rows read it, so the
-    # entries must agree whatever the spans and the denominators' order
+    # rows and columns are cleared over their own spans and denominators, so
+    # the entries must agree whatever the factors' shapes
     expected, a, b = case
     product = naive_mul(a, b)
     assert mat_mul(a, b) == product
